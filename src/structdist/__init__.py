@@ -26,7 +26,6 @@ from .estimators import (
     EstimatorOutput,
     check_regime,
     grouped_estimator,
-    grouped_estimator_from_grouped_counts,
     natural_estimator,
 )
 from .generators import (
@@ -62,11 +61,9 @@ from .sampling import (
     draw_coupled,
     draw_multinomial,
     draw_poissonized,
-    draw_poissonized_grouped,
     group_counts,
 )
 from .study import (
-    ConcentrationRow,
     GapRung,
     MseCell,
     MseReport,
@@ -76,7 +73,6 @@ from .study import (
     SweepReport,
     VarianceAudit,
     VarianceAuditRow,
-    concentration_audit,
     consistency_trend,
     decomposition_residual,
     divisors_of,

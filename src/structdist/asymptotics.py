@@ -83,10 +83,14 @@ def _model_z(model) -> np.ndarray:
     raise ValidationError(f"expected CellModel or GroupedModel, got {type(model).__name__}")
 
 
-def _quad_complex(f, a: float, b: float, epsabs: float) -> complex:
-    re = quad(lambda u: f(u).real, a, b, epsabs=epsabs, limit=_QUAD_LIMIT)[0]
-    im = quad(lambda u: f(u).imag, a, b, epsabs=epsabs, limit=_QUAD_LIMIT)[0]
-    return complex(re, im)
+def _quad_u(f, gen: SmoothGenerator, epsabs: float) -> float:
+    """integral over u in (0,1] of f(u), split at the generator's density knots."""
+    knots = gen.knots
+    return quad(f, 0.0, 1.0, epsabs=epsabs, points=knots or None, limit=_QUAD_LIMIT + len(knots))[0]
+
+
+def _quad_complex(f, gen: SmoothGenerator, epsabs: float) -> complex:
+    return complex(_quad_u(lambda u: f(u).real, gen, epsabs), _quad_u(lambda u: f(u).imag, gen, epsabs))
 
 
 # ---------- characteristic functions ----------
@@ -106,13 +110,13 @@ def limit_char_natural(t: float, gen: SmoothGenerator, lambda_: float) -> comple
     if lambda_ <= 0:
         raise ValidationError(f"lambda must be positive, got {lambda_}")
     w = lambda_ * (np.exp(1j * t / lambda_) - 1.0)
-    return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), 0.0, 1.0, CHAR_TOL)
+    return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), gen, CHAR_TOL)
 
 
 def limit_char_grouped(t: float, gen: SmoothGenerator) -> complex:
     """n/m -> infinity limit of phi_m: the characteristic function of g(U),
     integral over u of exp(i t g(u))."""
-    return _quad_complex(lambda u: np.exp(1j * t * float(gen.g(u))), 0.0, 1.0, CHAR_TOL)
+    return _quad_complex(lambda u: np.exp(1j * t * float(gen.g(u))), gen, CHAR_TOL)
 
 
 # ---------- the Poisson-mixture limit of the natural estimator ----------
@@ -130,13 +134,7 @@ def poisson_mixture_cdf(x: float, gen: SmoothGenerator, lambda_: float) -> float
     if x < 0:
         return 0.0
     K = lattice_floor(lambda_ * x)
-    val = quad(
-        lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))),
-        0.0,
-        1.0,
-        epsabs=CDF_TOL,
-        limit=_QUAD_LIMIT,
-    )[0]
+    val = _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), gen, CDF_TOL)
     return min(1.0, max(0.0, val))
 
 

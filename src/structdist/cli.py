@@ -130,21 +130,19 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    gen = by_name(args.generator)
-    cells = cells_from_generator(gen, args.M)
     m = args.m if args.m is not None else args.M
-    if m < 1 or args.M % m != 0:
-        raise ValidationError(f"m={m} must divide M={args.M}")
-    scheme = GroupingScheme(args.M, m, args.M // m)
-    xg = np.asarray(_parse_floats(args.x_grid))
-    base = RngStream(args.seed)
-    rows = []
-    for r in range(args.reps):
-        rng = base.substream(r).generator()
-        vec = draw_poissonized(cells, args.n, rng) if args.poissonized else draw_multinomial(cells, args.n, rng)
-        est = grouped_estimator(vec, scheme, n=args.n)
-        vals = est.cdf(xg)
-        rows.extend((r, float(x), float(v)) for x, v in zip(xg, vals))
+    config = StudyConfig(
+        generator=args.generator,
+        M=args.M,
+        n=args.n,
+        m_values=(m,),
+        x_grid=_parse_floats(args.x_grid),
+        reps=args.reps,
+        seed=args.seed,
+        poissonized=args.poissonized,
+    )
+    est = run_mse_study(config).estimates[0]
+    rows = [(r, x, float(est[j, r])) for r in range(config.reps) for j, x in enumerate(config.x_grid)]
     meta = {
         "command": "simulate",
         "generator": args.generator,
@@ -154,7 +152,7 @@ def _cmd_simulate(args) -> None:
         "reps": args.reps,
         "seed": args.seed,
         "poissonized": args.poissonized,
-        "x_grid": [float(x) for x in xg],
+        "x_grid": list(config.x_grid),
     }
     _emit(("rep", "x", "estimate"), rows, meta, args.out, args.format)
 

@@ -90,14 +90,6 @@ def grouped_estimator(
     return _build(grouped, scheme.m, n, NATURAL if scheme.k == 1 else GROUPED)
 
 
-def grouped_estimator_from_grouped_counts(counts: CountsVector, m: int, n: int | None = None) -> EstimatorOutput:
-    """Estimator from counts that are already per-group (e.g. direct Poisson draws)."""
-    n = counts.n if n is None else n
-    if counts.size != m:
-        raise ValidationError(f"counts length {counts.size} does not match m={m}")
-    return _build(counts, m, n, GROUPED)
-
-
 def check_regime(M: int, n: int, m: int, alpha: float = 0.1, threshold: float = 5.0) -> dict:
     """Finite-sample diagnostics for the asymptotic regime conditions.
 

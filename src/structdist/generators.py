@@ -16,29 +16,29 @@ from .errors import NumericError, ValidationError
 from .model import CellModel, GroupedModel
 
 AUDIT_GRID = 10_000  # grid size for the numeric generator audit
-LIMIT_GRID = 100_000  # default bracketing grid for limit_sdf
-LIMIT_ABS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SmoothGenerator:
     """A generating distribution G with density g and its analytic bounds.
 
-    tau bounds |g| and g_deriv_bound bounds |g'|; both are treated as known
-    analytic inputs (the error bounds consume them), but `audit` checks them
-    numerically on a grid. `limit_cdf` optionally supplies a closed form for
-    the CDF of g(U); when absent, limit_sdf falls back to root bracketing.
-    `bounded_density` is False for generators whose density blows up (they
-    remain usable for sampling but sit outside the error-bound hypotheses).
+    G and g both take arrays. tau bounds |g| and g_deriv_bound bounds |g'|;
+    both are treated as known analytic inputs (the error bounds consume
+    them), but `audit` checks them numerically on a grid. `limit_cdf` is the
+    exact CDF of g(U); limit_sdf needs it. `bounded_density` is False for
+    generators whose density blows up (they remain usable for sampling but
+    sit outside the error-bound hypotheses). `knots` lists the points in
+    (0,1) where g jumps, so quadratures over u can split there.
     """
 
     name: str
-    G: Callable[[float], float]
+    G: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     tau: float
     g_deriv_bound: float
     limit_cdf: Optional[Callable[[float], float]] = None
     bounded_density: bool = True
+    knots: tuple[float, ...] = ()
 
     def audit(self, grid: int = AUDIT_GRID, slack: float = 1e-9) -> dict:
         """Numerically verify the declared invariants of (G, g, tau, g_deriv_bound).
@@ -48,7 +48,7 @@ class SmoothGenerator:
         bounds are violated beyond `slack`.
         """
         u = np.linspace(0.0, 1.0, grid + 1)
-        Gu = np.asarray([float(self.G(float(v))) for v in u])
+        Gu = np.asarray(self.G(u), dtype=float)
         if abs(Gu[0]) > 1e-12 or abs(Gu[-1] - 1.0) > 1e-12:
             raise NumericError(f"generator {self.name!r}: G(0)={Gu[0]!r}, G(1)={Gu[-1]!r}; expected 0 and 1")
         if np.any(np.diff(Gu) < -1e-12):
@@ -78,7 +78,7 @@ class SmoothGenerator:
 def example_generator() -> SmoothGenerator:
     """The worked example: G(x) = 2x - x**2, g(x) = 2(1-x), limit CDF x/2 on [0, 2]."""
 
-    def G(x: float) -> float:
+    def G(x):
         return 2.0 * x - x * x
 
     def g(u):
@@ -102,7 +102,7 @@ def uniform_generator() -> SmoothGenerator:
 
     return SmoothGenerator(
         "uniform",
-        G=lambda x: float(x),
+        G=lambda x: np.asarray(x, dtype=float),
         g=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         tau=1.0,
         g_deriv_bound=0.0,
@@ -113,8 +113,10 @@ def uniform_generator() -> SmoothGenerator:
 def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
     """Generator from a CSV of (u, G(u)) pairs, interpolated piecewise linearly.
 
-    The density is piecewise constant (the chord slopes); tau is the largest
-    slope and g_deriv_bound a finite-difference Lipschitz proxy across knots.
+    The density is piecewise constant (the chord slopes), so the limit CDF
+    is exact: F(x) sums the widths of the pieces with slope <= x. tau is the
+    largest slope and g_deriv_bound a finite-difference Lipschitz proxy
+    across knots.
     """
     us, Gs = [], []
     with open(path, newline="") as fh:
@@ -134,17 +136,20 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
         raise ValidationError(f"table {path}: must span (0,0) to (1,1)")
     if np.any(np.diff(Gv) < 0):
         raise NumericError(f"table {path}: G values decrease somewhere; not a distribution function")
-    slopes = np.diff(Gv) / np.diff(u)
+    widths = np.diff(u)
+    slopes = np.diff(Gv) / widths
 
-    def G(x: float) -> float:
-        return float(np.interp(x, u, Gv))
+    def G(x):
+        return np.interp(x, u, Gv)
 
     def g(t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(u, t, side="left") - 1, 0, slopes.size - 1)
         return slopes[idx]
 
-    widths = np.diff(u)
+    def F(x: float) -> float:
+        return min(1.0, float(np.sum(widths[slopes <= x])))
+
     if slopes.size > 1:
         lip = float(np.max(np.abs(np.diff(slopes)) / (0.5 * (widths[:-1] + widths[1:]))))
     else:
@@ -155,7 +160,8 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
         g,
         tau=float(np.max(slopes)),
         g_deriv_bound=lip,
-        limit_cdf=None,
+        limit_cdf=F,
+        knots=tuple(float(v) for v in u[1:-1]),
     )
 
 
@@ -176,7 +182,7 @@ def cells_from_generator(gen: SmoothGenerator, M: int) -> CellModel:
     """p_j = G(j/M) - G((j-1)/M); the sum telescopes to G(1) - G(0) = 1 exactly."""
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
-    grid = np.asarray([float(gen.G(j / M)) for j in range(M + 1)])
+    grid = np.asarray(gen.G(np.arange(M + 1) / M), dtype=float)
     p = np.diff(grid)
     if np.any(p < 0):
         j = int(np.argmin(p))
@@ -184,42 +190,15 @@ def cells_from_generator(gen: SmoothGenerator, M: int) -> CellModel:
     return CellModel(M, p)
 
 
-def limit_sdf(gen: SmoothGenerator, grid: int = LIMIT_GRID) -> Callable[[float], float]:
+def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:
     """The limiting structural CDF: F(x) = Leb{u in (0,1] : g(u) <= x}.
 
-    Uses the generator's closed form when available; otherwise measures the
-    sublevel set on a bracketing grid, bisecting each cell where the
-    indicator changes sign (the density never needs evaluating at u=0).
-    Absolute error is well below 1e-6 for densities that are piecewise
-    monotone at the grid scale.
+    This is the generator's exact `limit_cdf`; a generator without one is
+    rejected.
     """
-    if gen.limit_cdf is not None:
-        return gen.limit_cdf
-
-    u = np.linspace(0.0, 1.0, grid + 1)
-    u[0] = 1e-12  # density is only defined on (0,1]
-    gu = np.asarray(gen.g(u), dtype=float)
-
-    def F(x: float) -> float:
-        below = gu <= x
-        # full cells: both endpoints in the sublevel set
-        full = below[:-1] & below[1:]
-        measure = float(np.sum((u[1:] - u[:-1])[full]))
-        crossing = np.flatnonzero(below[:-1] ^ below[1:])
-        for i in crossing:
-            lo, hi = u[i], u[i + 1]
-            lo_in = bool(below[i])
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if (float(gen.g(mid)) <= x) == lo_in:
-                    lo = mid
-                else:
-                    hi = mid
-            # [u_i, lo] is on the same side as the left endpoint
-            measure += (lo - u[i]) if lo_in else (u[i + 1] - lo)
-        return min(1.0, max(0.0, measure))
-
-    return F
+    if gen.limit_cdf is None:
+        raise ValidationError(f"generator {gen.name!r} has no limit_cdf; supply the exact CDF of g(U)")
+    return gen.limit_cdf
 
 
 def step_density(model) -> Callable[[np.ndarray], np.ndarray]:

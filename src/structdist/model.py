@@ -175,9 +175,6 @@ class StepCdf:
             and bool(np.all(self.masses == other.masses))
         )
 
-    def __hash__(self):
-        return hash((self.locations.tobytes(), self.masses.tobytes()))
-
     def __repr__(self):
         return f"StepCdf({self.n_jumps} jumps on [{self.locations[0]:g}, {self.locations[-1]:g}])"
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .errors import ValidationError
-from .model import CellModel, GroupedModel, GroupingScheme
+from .model import CellModel, GroupingScheme
 
 MULTINOMIAL = "multinomial"
 POISSONIZED = "poissonized"
@@ -102,15 +102,6 @@ def draw_poissonized(cells: CellModel, n: int, rng) -> CountsVector:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     counts = _live(rng).poisson(n * cells.p)
-    return CountsVector(POISSONIZED, counts, n=n, N_realized=int(counts.sum()))
-
-
-def draw_poissonized_grouped(grouped: GroupedModel, n: int, rng) -> CountsVector:
-    """Independent Poisson(n * q_j) group counts — the direct construction
-    licensed by the independence of Poissonized groups."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    counts = _live(rng).poisson(n * grouped.q)
     return CountsVector(POISSONIZED, counts, n=n, N_realized=int(counts.sum()))
 
 

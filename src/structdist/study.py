@@ -1,6 +1,6 @@
 """Monte Carlo experiment engine: bias/variance/MSE tables across
 replications, m-sweeps, coupled Poissonization-gap measurement, and
-concentration audits.
+Poisson tail audits.
 
 Replications are independent: replication r always draws from substream r of
 the config seed, so any execution order yields the same draws. This
@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .estimators import grouped_estimator, natural_estimator
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
 from .model import GroupingScheme, sup_distance, sup_distance_to_function
-from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized, group_counts
+from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
 
 
 def divisors_of(M: int) -> list[int]:
@@ -92,6 +92,8 @@ class MseReport:
     config: StudyConfig
     f_values: tuple[float, ...]  # target CDF on the x_grid
     cells: tuple[MseCell, ...]
+    # per-replication estimates, indexed (m, x, rep) in config order
+    estimates: np.ndarray = field(compare=False, repr=False)
     wall_time: float = field(compare=False, default=0.0)
 
     def cell(self, m: int, x: float) -> MseCell:
@@ -153,7 +155,10 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
         for i, m in enumerate(config.m_values)
         for j, x in enumerate(config.x_grid)
     ]
-    return MseReport(config=config, f_values=fx, cells=tuple(out), wall_time=time.perf_counter() - t0)
+    draws.flags.writeable = False
+    return MseReport(
+        config=config, f_values=fx, cells=tuple(out), estimates=draws, wall_time=time.perf_counter() - t0
+    )
 
 
 # ---------- audits and sweeps built on the core study ----------
@@ -289,55 +294,7 @@ def poissonization_gap(
     return PoissonizationGapReport(config=config, rungs=tuple(rungs), decay_exponent=exponent)
 
 
-# ---------- concentration audits ----------
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    m: int
-    delta: float
-    freq_multinomial: float
-    freq_poissonized: float
-    bound: float
-    ok: bool  # poissonized frequency within the bound (vacuous bounds >= 1 pass)
-
-
-def concentration_audit(
-    config: StudyConfig, deltas: Sequence[float], gen: Optional[SmoothGenerator] = None
-) -> tuple[ConcentrationRow, ...]:
-    """Empirical frequency of max_j |(m/n) count_j - m q_j| >= delta for both
-    sampling schemes, against the union bound (valid for the Poissonized
-    one)."""
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValidationError(f"deltas must be positive, got {deltas!r}")
-    if gen is None:
-        gen = by_name(config.generator)
-    from .asymptotics import poissonization_union_bound
-    from .model import group_model
-
-    cells = cells_from_generator(gen, config.M)
-    base = RngStream(config.seed)
-    rows = []
-    for m in config.m_values:
-        scheme = GroupingScheme(config.M, m, config.M // m)
-        grouped = group_model(cells, scheme)
-        z = m * grouped.q
-        scale = m / config.n
-        dev_mult = np.empty(config.reps)
-        dev_pois = np.empty(config.reps)
-        for r in range(config.reps):
-            rng = base.substream(r).generator()
-            nu = group_counts(draw_multinomial(cells, config.n, rng), scheme)
-            rho = group_counts(draw_poissonized(cells, config.n, rng), scheme)
-            dev_mult[r] = np.max(np.abs(scale * nu.counts - z))
-            dev_pois[r] = np.max(np.abs(scale * rho.counts - z))
-        for d in deltas:
-            fm = float(np.mean(dev_mult >= d))
-            fp = float(np.mean(dev_pois >= d))
-            bound = poissonization_union_bound(grouped, config.n, d)
-            rows.append(ConcentrationRow(m=m, delta=d, freq_multinomial=fm, freq_poissonized=fp,
-                                         bound=bound, ok=bound >= 1.0 or fp <= bound))
-    return tuple(rows)
-
+# ---------- Poisson tail audit ----------
 
 @dataclass(frozen=True)
 class PoissonTailRow:

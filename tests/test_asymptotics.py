@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from structdist import (
     BoundParams,
@@ -31,8 +32,10 @@ from structdist import (
     phi_m,
     poisson_mixture_cdf,
     poissonization_union_bound,
+    table_generator,
     uniform_generator,
 )
+from structdist.asymptotics import CDF_TOL
 
 EXAMPLE = example_generator()
 PARAMS = BoundParams(lambda_=3.0, tau=2.0, c=1.0 / 3.0)
@@ -168,6 +171,40 @@ def test_mixture_exceeds_limit_cdf_at_first_lattice_point():
     F = limit_sdf(EXAMPLE)
     gap = poisson_mixture_cdf(1 / 3, EXAMPLE, 3.0) - F(1 / 3)
     assert gap == pytest.approx(0.1633616637644449, abs=1e-12)
+
+
+def _write_table(path, u, G):
+    with open(path, "w") as fh:
+        for a, b in zip(u, G):
+            fh.write(f"{float(a)!r},{float(b)!r}\n")
+    return str(path)
+
+
+def _exact_table_mixture(x, lam, u, G):
+    # the density is constant on each piece, so the mixture is a finite sum
+    widths = np.diff(u)
+    slopes = np.diff(G) / widths
+    return float(np.sum(widths * special.pdtr(lattice_floor(lam * x), lam * slopes)))
+
+
+def test_table_mixture_cdf_matches_exact_finite_sum(tmp_path):
+    # a concave 32-piece table with jittered knots; at x = 0.7 a quadrature
+    # that ignores the knots misses the exact sum by 7e-6
+    i = np.arange(1, 32)
+    u = np.concatenate(([0.0], (i + 0.3 * np.sin(7.0 * i)) / 32, [1.0]))
+    G = np.concatenate(([0.0], np.cumsum(np.diff(u) * np.linspace(2.0, 0.1, 32))))
+    G /= G[-1]
+    G[-1] = 1.0
+    tab = table_generator(_write_table(tmp_path / "concave.csv", u, G))
+    for x in (0.2, 0.7, 1.15):
+        assert abs(poisson_mixture_cdf(x, tab, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= CDF_TOL
+
+    # 1999 interior knots exceed quad's default subinterval limit of 200
+    u = np.linspace(0.0, 1.0, 2001)
+    G = 2 * u - u**2
+    big = table_generator(_write_table(tmp_path / "big.csv", u, G))
+    x = 1 / 3 + 0.01
+    assert abs(poisson_mixture_cdf(x, big, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= CDF_TOL
 
 
 def test_natural_limit_law_wraps_mixture():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from structdist import StudyConfig, run_mse_study
 from structdist.cli import main
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
@@ -128,6 +129,37 @@ def test_simulate_long_format(capsys):
     assert [r[0] for r in rows] == ["0", "0", "1", "1", "2", "2"]
     meta = json.loads(err)
     assert meta["reps"] == 3 and meta["x_grid"] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        (["--x-grid", "1.0,0.5"], "sorted"),
+        (["--reps", "0"], "reps"),
+        (["--m", "30"], "nearest divisor is 25"),
+    ],
+    ids=["unsorted-grid", "zero-reps", "non-divisor-m"],
+)
+def test_simulate_validates_like_mse(extra, needle, capsys):
+    code, error, out = fail_cli(["simulate", "--M", "1000", "--n", "3000", "--m", "40"] + extra, capsys)
+    assert code == 2
+    assert error["type"] == "ValidationError"
+    assert needle in error["message"]
+    assert out == ""
+
+
+def test_simulate_rows_are_the_study_estimates(capsys):
+    argv = ["simulate", "--M", "1000", "--n", "3000", "--m", "40", "--reps", "20",
+            "--x-grid", "0.5,1.0,1.5", "--seed", "7", "--poissonized"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=(0.5, 1.0, 1.5),
+                      reps=20, seed=7, poissonized=True)
+    est = run_mse_study(cfg).estimates
+    assert est.shape == (1, 3, 20)
+    expect = [(r, x, est[0, j, r]) for r in range(20) for j, x in enumerate(cfg.x_grid)]
+    assert [(int(r), float(x), float(v)) for r, x, v in rows] == expect
 
 
 # ---------- mse ----------

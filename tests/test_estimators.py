@@ -13,13 +13,13 @@ from structdist import (
     CountsVector,
     GroupingScheme,
     RngStream,
+    StepCdf,
     ValidationError,
     cells_from_generator,
     check_regime,
     draw_multinomial,
     example_generator,
     grouped_estimator,
-    grouped_estimator_from_grouped_counts,
     grouping_permutation,
     natural_estimator,
 )
@@ -86,11 +86,10 @@ def test_grouped_estimator_ordered_scheme_needs_permutation():
 def test_estimator_from_pregrouped_counts_matches_grouping_path():
     vec = CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24)
     grouped_here = grouped_estimator(vec, GroupingScheme(6, 3, 2))
-    pre = CountsVector(MULTINOMIAL, [3, 7, 14], n=24)
-    direct = grouped_estimator_from_grouped_counts(pre, 3)
-    assert grouped_here.cdf == direct.cdf
-    with pytest.raises(ValidationError):
-        grouped_estimator_from_grouped_counts(pre, 4)
+    # block sums [3, 7, 14] scaled by m/n = 3/24
+    direct = StepCdf.from_values(np.array([3, 7, 14]) * 3 / 24)
+    assert grouped_here.cdf == direct
+    np.testing.assert_array_equal(grouped_here.counts, [3, 7, 14])
 
 
 def test_estimator_output_is_callable():

@@ -40,6 +40,12 @@ def test_uniform_cells_are_equal():
     np.testing.assert_allclose(cells.p, np.full(8, 0.125), atol=1e-15)
 
 
+def test_generators_take_arrays():
+    u = np.array([0.0, 0.25, 1.0])
+    np.testing.assert_array_equal(uniform_generator().G(u), u)
+    np.testing.assert_array_equal(example_generator().G(u), [0.0, 0.4375, 1.0])
+
+
 def test_audit_reports_observed_bounds():
     rec = example_generator().audit(64)
     # finest grid point of the density 2(1-u) on (0,1] is u=1/64
@@ -162,7 +168,7 @@ def test_table_generator_round_trip(tmp_path):
 
 
 def test_limit_sdf_bracketing_matches_closed_form(tmp_path):
-    # the table generator has no closed-form limit, forcing the numeric path
+    # the table generator's exact piecewise-constant limit against the smooth closed form
     tab = table_generator(_write_table(tmp_path / "table.csv"))
     F_num = limit_sdf(tab)
     F_exact = limit_sdf(example_generator())
@@ -177,6 +183,27 @@ def test_limit_sdf_is_monotone_numeric_path(tmp_path):
     F = limit_sdf(tab)
     vals = [F(float(x)) for x in np.linspace(-0.1, 2.1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_limit_sdf_table_is_exact_width_sum(tmp_path):
+    # slopes 0, 2, 1 on widths 1/4, 1/4, 1/2: the flat piece is an atom at 0
+    path = tmp_path / "flat.csv"
+    path.write_text("0,0\n0.25,0\n0.5,0.5\n1,1\n")
+    F = limit_sdf(table_generator(str(path)))
+    assert F(-0.1) == 0.0
+    assert F(0.0) == 0.25
+    assert F(0.999) == 0.25
+    assert F(1.0) == 0.75
+    assert F(1.999) == 0.75
+    assert F(2.0) == 1.0
+    assert F(3.0) == 1.0
+
+
+def test_limit_sdf_requires_limit_cdf():
+    gen = example_generator()
+    bare = SmoothGenerator("bare", gen.G, gen.g, tau=2.0, g_deriv_bound=2.0)
+    with pytest.raises(ValidationError, match="limit_cdf"):
+        limit_sdf(bare)
 
 
 def test_table_generator_rejections(tmp_path):

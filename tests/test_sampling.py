@@ -16,7 +16,6 @@ from structdist import (
     draw_coupled,
     draw_multinomial,
     draw_poissonized,
-    draw_poissonized_grouped,
     example_generator,
     group_counts,
     group_model,
@@ -133,7 +132,7 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
     base = RngStream(31337)
     for r in range(reps):
         gen = base.substream(r).generator()
-        direct[r] = draw_poissonized_grouped(gm, n, gen).counts[0]
+        direct[r] = draw_poissonized(CellModel(gm.m, gm.q), n, gen).counts[0]
         _, rho = draw_coupled(cells, n, gen)
         via_coupling[r] = group_counts(rho, scheme).counts[0]
     stat, _ = ks_2samp(direct, via_coupling)
