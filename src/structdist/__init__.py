@@ -56,6 +56,7 @@ from .model import (
 from .sampling import (
     MULTINOMIAL,
     POISSONIZED,
+    STREAM_VERSION,
     CountsVector,
     RngStream,
     draw_coupled,

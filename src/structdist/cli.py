@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .asymptotics import (
     BoundParams,
@@ -32,8 +33,8 @@ from .estimators import grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
 from .model import GroupingScheme, grouping_permutation
-from .sampling import RngStream, draw_multinomial, draw_poissonized
-from .study import StudyConfig, run_mse_study
+from .sampling import STREAM_VERSION, RngStream, draw_multinomial, draw_poissonized
+from .study import StudyConfig, check_group_count, run_mse_study
 
 SCHEMA_VERSION = 1
 
@@ -95,6 +96,12 @@ def _emit(columns: Sequence[str], rows, meta: dict, out: Optional[str], fmt: str
         Path(out + ".json").write_text(sidecar, encoding="utf-8")
 
 
+def _stream_meta() -> dict:
+    """What a seeded study output depends on besides its config: the stream
+    contract version and the numpy/scipy versions that drew it."""
+    return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _cell_str(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -107,8 +114,7 @@ def _cmd_estimate(args) -> None:
     gen = by_name(args.generator)
     cells = cells_from_generator(gen, args.M)
     m = args.m if args.m is not None else args.M
-    if m < 1 or args.M % m != 0:
-        raise ValidationError(f"m={m} must divide M={args.M}")
+    check_group_count(args.M, m)
     scheme = GroupingScheme(args.M, m, args.M // m, ordered=args.ordered)
     rng = RngStream(args.seed).generator()
     vec = draw_poissonized(cells, args.n, rng) if args.poissonized else draw_multinomial(cells, args.n, rng)
@@ -153,6 +159,7 @@ def _cmd_simulate(args) -> None:
         "seed": args.seed,
         "poissonized": args.poissonized,
         "x_grid": list(config.x_grid),
+        **_stream_meta(),
     }
     _emit(("rep", "x", "estimate"), rows, meta, args.out, args.format)
 
@@ -180,7 +187,12 @@ def _cmd_mse(args) -> None:
         (c.m, c.x, fx[c.x], c.mean_hat, c.bias_hat, c.var_hat, c.mse_hat, c.se_mean, c.se_var)
         for c in report.cells
     ]
-    meta = {"command": "mse", "config": {**cfg, "schema": SCHEMA_VERSION}, "wall_time": report.wall_time}
+    meta = {
+        "command": "mse",
+        "config": {**cfg, "schema": SCHEMA_VERSION},
+        "wall_time": report.wall_time,
+        **_stream_meta(),
+    }
     _emit(("m", "x", "F", "mean", "bias", "var", "mse", "se_mean", "se_var"), rows, meta, args.out, args.format)
 
 

@@ -25,6 +25,11 @@ from .model import CellModel, GroupingScheme
 MULTINOMIAL = "multinomial"
 POISSONIZED = "poissonized"
 
+# Version of the seeded stream contract: which draws a (seed, substream)
+# pair feeds. 1: run_mse_study drew every replication over all M cells.
+# 2: it draws over the L = lcm(m_values) blocks of cells (same law).
+STREAM_VERSION = 2
+
 _U64 = (1 << 64) - 1
 
 

@@ -6,6 +6,13 @@ Replications are independent: replication r always draws from substream r of
 the config seed, so any execution order yields the same draws. This
 implementation runs them serially and reduces in replication order, which
 makes the floating-point sums deterministic as well.
+
+`run_mse_study` draws each replication over L = lcm(m_values) equal blocks
+of cells rather than over all M cells: block sums of multinomial (or
+independent Poisson) counts are again multinomial (Poisson), so every
+grouped count has the same law as when grouped from the cell-level draw.
+The seeded stream is the one `sampling.STREAM_VERSION` names. The coupled
+studies (`poissonization_gap`, `consistency_trend`) still draw per cell.
 """
 from __future__ import annotations
 
@@ -19,8 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .estimators import grouped_estimator, natural_estimator
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
-from .model import GroupingScheme, sup_distance, sup_distance_to_function
-from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
+from .model import CellModel, GroupingScheme, group_model, sup_distance, sup_distance_to_function
+from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized, group_counts
 
 
 def divisors_of(M: int) -> list[int]:
@@ -31,6 +38,13 @@ def divisors_of(M: int) -> list[int]:
 def nearest_divisor(M: int, m: int) -> int:
     """The divisor of M closest to m (ties go to the smaller divisor)."""
     return min(divisors_of(M), key=lambda d: (abs(d - m), d))
+
+
+def check_group_count(M: int, m: int) -> None:
+    """Reject a group count m that is not a positive divisor of M (M >= 1),
+    naming the nearest divisor in the message."""
+    if m < 1 or M % m != 0:
+        raise ValidationError(f"m={m} does not divide M={M}; nearest divisor is {nearest_divisor(M, max(m, 1))}")
 
 
 # ---------- configuration and report types ----------
@@ -61,10 +75,7 @@ class StudyConfig:
         if not self.m_values:
             raise ValidationError("m_values must be nonempty")
         for m in self.m_values:
-            if m < 1 or self.M % m != 0:
-                raise ValidationError(
-                    f"m={m} does not divide M={self.M}; nearest divisor is {nearest_divisor(self.M, max(m, 1))}"
-                )
+            check_group_count(self.M, m)
         if not self.x_grid:
             raise ValidationError("x_grid must be nonempty")
         if any(b < a for a, b in zip(self.x_grid, self.x_grid[1:])):
@@ -128,28 +139,33 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
 # ---------- core study ----------
 
 def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) -> MseReport:
-    """Draw cell counts once per replication, apply every configured grouping
-    to the same draw (paired across m), and tabulate bias/var/MSE against the
-    limiting CDF at each x."""
+    """Draw counts once per replication, apply every configured grouping to
+    the same draw (paired across m), and tabulate bias/var/MSE against the
+    limiting CDF at each x.
+
+    Replication r draws from substream r of the config seed, over the
+    L = lcm(m_values) blocks of M/L cells (L divides M because every m does);
+    each m groups those block counts further. When L = M this is the
+    cell-level draw. The estimate at x is the share of groups with
+    count * (m/n) <= x, the value the grouped estimator's StepCdf takes."""
     t0 = time.perf_counter()
     if gen is None:
         gen = by_name(config.generator)
     cells = cells_from_generator(gen, config.M)
     F = limit_sdf(gen)
     fx = tuple(float(F(x)) for x in config.x_grid)
-    schemes = [GroupingScheme(config.M, m, config.M // m) for m in config.m_values]
+    L = math.lcm(*config.m_values)
+    blocks = CellModel(L, group_model(cells, GroupingScheme(config.M, L, config.M // L)).q)
+    schemes = [GroupingScheme(L, m, L // m) for m in config.m_values]
+    draw = draw_poissonized if config.poissonized else draw_multinomial
     xg = np.asarray(config.x_grid, dtype=float)
     draws = np.empty((len(schemes), xg.size, config.reps))
     base = RngStream(config.seed)
     for r in range(config.reps):
-        rng = base.substream(r).generator()
-        vec = (
-            draw_poissonized(cells, config.n, rng)
-            if config.poissonized
-            else draw_multinomial(cells, config.n, rng)
-        )
+        vec = draw(blocks, config.n, base.substream(r).generator())
         for i, scheme in enumerate(schemes):
-            draws[i, :, r] = grouped_estimator(vec, scheme, n=config.n).cdf(xg)
+            values = group_counts(vec, scheme).counts * (scheme.m / config.n)
+            draws[i, :, r] = np.count_nonzero(values[:, None] <= xg, axis=0) / scheme.m
     out = [
         _summarize(m, x, fx[j], draws[i, j])
         for i, m in enumerate(config.m_values)

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
+import scipy
 
-from structdist import StudyConfig, run_mse_study
+from structdist import STREAM_VERSION, StudyConfig, run_mse_study
 from structdist.cli import main
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
@@ -22,6 +24,11 @@ def fail_cli(argv, capsys):
     out, err = capsys.readouterr()
     payload = json.loads(err.strip().splitlines()[-1])
     return exc.value.code, payload["error"], out
+
+
+def assert_stream_meta(meta):
+    assert meta["stream_version"] == STREAM_VERSION == 2
+    assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
 def parse_csv(text):
@@ -103,9 +110,14 @@ def test_estimate_is_deterministic(tmp_path, capsys):
 
 
 def test_estimate_rejects_non_divisor_m(capsys):
-    code, error, _ = fail_cli(["estimate", "--M", "10", "--n", "30", "--m", "3"], capsys)
+    code, error, out = fail_cli(["estimate", "--M", "10", "--n", "30", "--m", "3"], capsys)
     assert code == 2
-    assert "divide" in error["message"]
+    assert error["type"] == "ValidationError"
+    assert error["message"] == "m=3 does not divide M=10; nearest divisor is 2"
+    assert out == ""
+    code, error, _ = fail_cli(["estimate", "--M", "10", "--n", "30", "--m", "0"], capsys)
+    assert code == 2
+    assert "nearest divisor is 1" in error["message"]
 
 
 def test_estimate_rejects_unknown_generator(capsys):
@@ -129,6 +141,7 @@ def test_simulate_long_format(capsys):
     assert [r[0] for r in rows] == ["0", "0", "1", "1", "2", "2"]
     meta = json.loads(err)
     assert meta["reps"] == 3 and meta["x_grid"] == [0.5, 1.0]
+    assert_stream_meta(meta)
 
 
 @pytest.mark.parametrize(
@@ -188,6 +201,7 @@ def test_mse_csv_and_config_echo(tmp_path, capsys):
     meta = json.loads(err)
     assert meta["config"]["M"] == 100 and meta["config"]["schema"] == 1
     assert meta["wall_time"] >= 0.0
+    assert_stream_meta(meta)
 
 
 def test_mse_rejects_unknown_schema(tmp_path, capsys):

@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.stats import binom, poisson
 
 from structdist import (
+    CellModel,
+    GroupingScheme,
+    RngStream,
     StudyConfig,
     ValidationError,
+    cells_from_generator,
     consistency_trend,
     decomposition_residual,
     divisors_of,
+    draw_multinomial,
+    draw_poissonized,
+    example_generator,
+    group_model,
+    grouped_estimator,
     nearest_divisor,
     poissonization_gap,
     run_mse_study,
@@ -17,6 +27,22 @@ from structdist import (
 )
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
+
+
+def grouped_q(M, m):
+    cells = cells_from_generator(example_generator(), M)
+    return group_model(cells, GroupingScheme(M, m, M // m)).q
+
+
+def exact_mean(q, n, x, poissonized):
+    """E F_hat(x) = (1/m) sum_j P(count_j <= K): group counts are Binomial(n, q_j)
+    (Poisson(n q_j) when Poissonized), and K is the largest count with
+    count * (m/n) <= x in floating point, the estimator's own comparison."""
+    m = q.size
+    ks = np.arange(n + 1)
+    K = int(ks[ks * (m / n) <= x].max())
+    P = poisson.cdf(K, n * q) if poissonized else binom.cdf(K, n, q)
+    return float(P.mean())
 
 
 # ---------- config ----------
@@ -84,7 +110,50 @@ def test_regression_baseline_and_rerun_identity():
     rep1 = run_mse_study(cfg)
     rep2 = run_mse_study(cfg)
     assert rep1.cells == rep2.cells
-    assert rep1.cell(40, 1.0).mse_hat == 0.0007875000000000022
+    cell = rep1.cell(40, 1.0)
+    assert cell.mse_hat == 0.0007462500000000007
+    exact = exact_mean(grouped_q(1000, 40), 3000, 1.0, poissonized=False)
+    assert exact == pytest.approx(0.5064978, abs=1e-7)
+    assert abs(cell.mean_hat - exact) <= 4.0 * cell.se_mean
+
+
+LCM_MS = (10, 40, 100)  # lcm = 200 blocks of 5 cells at M = 1000
+LCM_XS = (0.25, 0.5, 1.0, 1.75)  # 1.75 is a lattice point for m = 10
+
+
+@pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
+def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
+    """Replication r is one draw over the lcm(m_values) = 200 blocks on
+    substream r; each estimate equals the grouped estimator's StepCdf on that
+    draw, up to the last bit of its summed 1/m masses."""
+    M, n = 1000, 3000
+    cfg = StudyConfig("example", M=M, n=n, m_values=LCM_MS, x_grid=LCM_XS, reps=200, seed=2718,
+                      poissonized=poissonized)
+    est = run_mse_study(cfg).estimates
+    blocks = CellModel(200, grouped_q(M, 200))
+    draw = draw_poissonized if poissonized else draw_multinomial
+    base = RngStream(cfg.seed)
+    for r in range(cfg.reps):
+        vec = draw(blocks, n, base.substream(r).generator())
+        for i, m in enumerate(LCM_MS):
+            ref = grouped_estimator(vec, GroupingScheme(200, m, 200 // m), n=n).cdf(np.asarray(LCM_XS))
+            np.testing.assert_allclose(est[i, :, r], ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
+def test_study_means_match_exact_marginals(poissonized):
+    """Drawing at the block level keeps the law: every Monte Carlo mean is
+    within 4 SE of the exact Binomial (Poisson) marginal mean."""
+    M, n = 1000, 3000
+    cfg = StudyConfig("example", M=M, n=n, m_values=LCM_MS, x_grid=LCM_XS, reps=2000, seed=31337,
+                      poissonized=poissonized)
+    rep = run_mse_study(cfg)
+    for m in LCM_MS:
+        q = grouped_q(M, m)
+        for x in LCM_XS:
+            cell = rep.cell(m, x)
+            assert cell.se_mean > 0.0
+            assert abs(cell.mean_hat - exact_mean(q, n, x, poissonized)) <= 4.0 * cell.se_mean, (m, x)
 
 
 def test_report_equality_ignores_wall_time():
