@@ -4,7 +4,6 @@ bias/MSE bounds, and a seeded Monte Carlo study harness."""
 
 from .asymptotics import (
     BoundParams,
-    LimitLaw,
     OptimalGroupCount,
     bernstein_poisson_tail,
     esseen_bias_bound,
@@ -12,7 +11,6 @@ from .asymptotics import (
     limit_char_grouped,
     limit_char_natural,
     mse_bound,
-    natural_limit_law,
     optimal_T,
     optimal_m,
     phi_m,

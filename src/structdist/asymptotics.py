@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -54,15 +53,6 @@ class BoundParams:
     @classmethod
     def for_generator(cls, gen: SmoothGenerator, lambda_: float, alpha: float = 0.1) -> "BoundParams":
         return cls(lambda_=lambda_, tau=gen.tau, c=gen.g_deriv_bound**2 / 12.0, alpha=alpha)
-
-
-@dataclass(frozen=True)
-class LimitLaw:
-    """The limit of an estimator: a CDF plus a description of the mixture behind it."""
-
-    cdf: Callable[[float], float]
-    lambda_: float
-    description: str
 
 
 def lattice_floor(y: float, rel_guard: float = 1e-9) -> int:
@@ -136,17 +126,6 @@ def poisson_mixture_cdf(x: float, gen: SmoothGenerator, lambda_: float) -> float
     K = lattice_floor(lambda_ * x)
     val = _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), gen, CDF_TOL)
     return min(1.0, max(0.0, val))
-
-
-def natural_limit_law(gen: SmoothGenerator, lambda_: float) -> LimitLaw:
-    return LimitLaw(
-        cdf=lambda x: poisson_mixture_cdf(x, gen, lambda_),
-        lambda_=lambda_,
-        description=(
-            "scaled Poisson mixture: Y/lambda with Y | Z=z ~ Poisson(lambda z), "
-            "Z distributed as the limiting structural CDF, Y = 0 on {Z=0}"
-        ),
-    )
 
 
 # ---------- smoothing bias bound and its optimal cutoff ----------

@@ -28,7 +28,9 @@ POISSONIZED = "poissonized"
 # Version of the seeded stream contract: which draws a (seed, substream)
 # pair feeds. 1: run_mse_study drew every replication over all M cells.
 # 2: it draws over the L = lcm(m_values) blocks of cells (same law).
-STREAM_VERSION = 2
+# 3: consistency_trend draws at its m groups (same law), and every study
+# evaluates at x through the exact lattice index K = lattice_floor(x n / m).
+STREAM_VERSION = 3
 
 _U64 = (1 << 64) - 1
 

@@ -7,12 +7,14 @@ the config seed, so any execution order yields the same draws. This
 implementation runs them serially and reduces in replication order, which
 makes the floating-point sums deterministic as well.
 
-`run_mse_study` draws each replication over L = lcm(m_values) equal blocks
-of cells rather than over all M cells: block sums of multinomial (or
-independent Poisson) counts are again multinomial (Poisson), so every
-grouped count has the same law as when grouped from the cell-level draw.
-The seeded stream is the one `sampling.STREAM_VERSION` names. The coupled
-studies (`poissonization_gap`, `consistency_trend`) still draw per cell.
+Every study runs on one kernel that sees integer counts only: a draw over a
+`CellModel` of equal blocks, then the estimate at x as the share of group
+counts <= K = lattice_floor(x n / m), the index `poisson_mixture_cdf` uses.
+Block sums of multinomial (independent Poisson) counts are multinomial
+(Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks and
+`consistency_trend` at its m groups with every law kept; `poissonization_gap`
+draws coupled cells, which its natural gap needs. No replication builds a
+`StepCdf`. The seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
 
@@ -23,20 +25,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .asymptotics import bernstein_poisson_tail, lattice_floor
 from .errors import ValidationError
-from .estimators import grouped_estimator, natural_estimator
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
-from .model import CellModel, GroupingScheme, group_model, sup_distance, sup_distance_to_function
+from .model import CellModel, GroupingScheme, group_model
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized, group_counts
 
 
 def divisors_of(M: int) -> list[int]:
+    """The positive divisors of M >= 1, ascending."""
+    if M < 1:
+        raise ValidationError(f"M must be a positive integer, got {M}")
     small = [d for d in range(1, int(math.isqrt(M)) + 1) if M % d == 0]
     return sorted(set(small + [M // d for d in small]))
 
 
 def nearest_divisor(M: int, m: int) -> int:
-    """The divisor of M closest to m (ties go to the smaller divisor)."""
+    """The divisor of M >= 1 closest to m (ties go to the smaller divisor)."""
     return min(divisors_of(M), key=lambda d: (abs(d - m), d))
 
 
@@ -136,6 +141,41 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
     return abs(cell.mse_hat - cell.bias_hat**2 - cell.var_hat * (reps - 1) / reps)
 
 
+# ---------- the replication kernel: integer counts only ----------
+
+def _replications(draw, model: CellModel, n: int, seed: int, reps: int, rung: int = 0):
+    """The draws of a rung's replications, replication r from substream rung * reps + r of the seed."""
+    base = RngStream(seed)
+    for r in range(rung * reps, (rung + 1) * reps):
+        yield draw(model, n, base.substream(r).generator())
+
+
+def _lattice_index(x_grid, n: int, m: int) -> np.ndarray:
+    """K = lattice_floor(x n / m) per x: the largest count the estimate at x includes."""
+    return np.array([lattice_floor(x * n / m) for x in x_grid])
+
+
+def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The grouped estimate at each x: the share of the counts that are <= its K."""
+    return np.count_nonzero(counts[:, None] <= K, axis=0) / counts.size
+
+
+def _natural_gap(nu: np.ndarray, rho: np.ndarray) -> int:
+    """M times the sup distance between the natural estimators of nu and rho:
+    both step on the integer counts, so it is max_k |#{nu_j <= k} - #{rho_j <= k}|."""
+    size = int(max(nu.max(), rho.max())) + 1
+    return int(np.abs(np.cumsum(np.bincount(nu, minlength=size) - np.bincount(rho, minlength=size))).max())
+
+
+def _sup_to_cdf(counts: np.ndarray, n: int, F) -> float:
+    """Exact sup |F_hat - F| of the grouped estimator against a continuous
+    CDF F: F_hat steps only at the distinct counts v (at x = v m/n, from the
+    share <= v - 1 to the share <= v) and F is monotone in between."""
+    values = np.unique(counts)
+    f = np.array([float(F(float(v))) for v in values * (counts.size / n)])
+    return float(max(np.abs(_estimate(counts, values) - f).max(), np.abs(_estimate(counts, values - 1) - f).max()))
+
+
 # ---------- core study ----------
 
 def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) -> MseReport:
@@ -147,7 +187,7 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     L = lcm(m_values) blocks of M/L cells (L divides M because every m does);
     each m groups those block counts further. When L = M this is the
     cell-level draw. The estimate at x is the share of groups with
-    count * (m/n) <= x, the value the grouped estimator's StepCdf takes."""
+    count <= lattice_floor(x n / m)."""
     t0 = time.perf_counter()
     if gen is None:
         gen = by_name(config.generator)
@@ -156,16 +196,12 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     fx = tuple(float(F(x)) for x in config.x_grid)
     L = math.lcm(*config.m_values)
     blocks = CellModel(L, group_model(cells, GroupingScheme(config.M, L, config.M // L)).q)
-    schemes = [GroupingScheme(L, m, L // m) for m in config.m_values]
+    per_m = [(GroupingScheme(L, m, L // m), _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     draw = draw_poissonized if config.poissonized else draw_multinomial
-    xg = np.asarray(config.x_grid, dtype=float)
-    draws = np.empty((len(schemes), xg.size, config.reps))
-    base = RngStream(config.seed)
-    for r in range(config.reps):
-        vec = draw(blocks, config.n, base.substream(r).generator())
-        for i, scheme in enumerate(schemes):
-            values = group_counts(vec, scheme).counts * (scheme.m / config.n)
-            draws[i, :, r] = np.count_nonzero(values[:, None] <= xg, axis=0) / scheme.m
+    draws = np.empty((len(per_m), len(config.x_grid), config.reps))
+    for r, vec in enumerate(_replications(draw, blocks, config.n, config.seed, config.reps)):
+        for i, (scheme, K) in enumerate(per_m):
+            draws[i, :, r] = _estimate(group_counts(vec, scheme).counts, K)
     out = [
         _summarize(m, x, fx[j], draws[i, j])
         for i, m in enumerate(config.m_values)
@@ -264,9 +300,10 @@ def poissonization_gap(
     Each rung rescales M to keep lambda = n/M fixed and uses the divisor of M
     nearest to n^(2/5) as group count. Per replication: the natural
     estimators of the coupled pair must differ by at most |N - n|/M in sup
-    norm (counted as violations otherwise, expect zero), and the grouped
-    pair's squared gap is recorded on the x_grid. With >= 2 rungs the decay
-    exponent of the average squared gap is fitted in log-log scale.
+    norm, checked exactly on integer counts (counted as violations
+    otherwise, expect zero), and the grouped pair's squared gap is recorded
+    on the x_grid. With >= 2 rungs the decay exponent of the average squared
+    gap is fitted in log-log scale.
     """
     if gen is None:
         gen = by_name(config.generator)
@@ -274,33 +311,24 @@ def poissonization_gap(
     ns = [int(v) for v in (n_ladder if n_ladder is not None else [config.n])]
     if any(v < 1 for v in ns):
         raise ValidationError(f"n ladder must be positive, got {ns}")
-    base = RngStream(config.seed)
     rungs = []
     for rung_idx, n in enumerate(ns):
         M = max(1, round(n / lam))
         m = nearest_divisor(M, max(1, round(n ** (2.0 / 5.0))))
         scheme = GroupingScheme(M, m, M // m)
         cells = cells_from_generator(gen, M)
+        K = _lattice_index(config.x_grid, n, m)
         sq = np.zeros(len(config.x_grid))
-        sup_sum = 0.0
-        violations = 0
-        xg = np.asarray(config.x_grid, dtype=float)
-        for r in range(config.reps):
-            rng = base.substream(rung_idx * config.reps + r).generator()
-            nu, rho = draw_coupled(cells, n, rng)
-            hat = natural_estimator(nu)
-            tilde = natural_estimator(rho)
-            gap = sup_distance(hat.cdf, tilde.cdf)
-            sup_sum += gap
-            if gap > abs(rho.N_realized - n) / M + 1e-12:
-                violations += 1
-            ghat = grouped_estimator(nu, scheme, n=n)
-            gtilde = grouped_estimator(rho, scheme, n=n)
-            sq += (ghat.cdf(xg) - gtilde.cdf(xg)) ** 2
+        gap_sum = violations = 0
+        for nu, rho in _replications(draw_coupled, cells, n, config.seed, config.reps, rung_idx):
+            gap = _natural_gap(nu.counts, rho.counts)
+            gap_sum += gap
+            violations += gap > abs(rho.N_realized - n)
+            sq += (_estimate(group_counts(nu, scheme).counts, K) - _estimate(group_counts(rho, scheme).counts, K)) ** 2
         sq /= config.reps
         rungs.append(
             GapRung(M=M, n=n, m=m, mean_sq_gap=tuple(float(v) for v in sq),
-                    mean_sq_gap_avg=float(np.mean(sq)), mean_sup_gap_natural=sup_sum / config.reps,
+                    mean_sq_gap_avg=float(np.mean(sq)), mean_sup_gap_natural=gap_sum / (M * config.reps),
                     bound_violations=violations)
         )
     exponent = None
@@ -326,8 +354,6 @@ def poisson_tail_audit(
 ) -> tuple[PoissonTailRow, ...]:
     """Empirical P(|X - mean| / sqrt(mean) >= eps) over `draws` Poisson
     samples per mean, against the Bernstein-type tail bound."""
-    from .asymptotics import bernstein_poisson_tail
-
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     rows = []
@@ -353,19 +379,14 @@ def consistency_trend(
     poissonized: bool = False,
 ) -> tuple[float, ...]:
     """Mean over replications of the exact sup distance between the grouped
-    estimator and the limiting CDF, for each (M, n, m) rung."""
+    estimator and the limiting CDF, for each (M, n, m) rung. Each replication
+    draws the m group counts directly, from the grouped probabilities."""
     gen = by_name(generator)
     F = limit_sdf(gen)
-    base = RngStream(seed)
+    draw = draw_poissonized if poissonized else draw_multinomial
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
-        scheme = GroupingScheme(M, m, M // m)
-        cells = cells_from_generator(gen, M)
-        total = 0.0
-        for r in range(reps):
-            rng = base.substream(rung_idx * reps + r).generator()
-            vec = draw_poissonized(cells, n, rng) if poissonized else draw_multinomial(cells, n, rng)
-            est = grouped_estimator(vec, scheme, n=n)
-            total += sup_distance_to_function(est.cdf, F)
+        groups = CellModel(m, group_model(cells_from_generator(gen, M), GroupingScheme(M, m, M // m)).q)
+        total = sum(_sup_to_cdf(vec.counts, n, F) for vec in _replications(draw, groups, n, seed, reps, rung_idx))
         out.append(total / reps)
     return tuple(out)

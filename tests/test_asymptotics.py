@@ -26,7 +26,6 @@ from structdist import (
     limit_char_natural,
     limit_sdf,
     mse_bound,
-    natural_limit_law,
     optimal_T,
     optimal_m,
     phi_m,
@@ -205,13 +204,6 @@ def test_table_mixture_cdf_matches_exact_finite_sum(tmp_path):
     big = table_generator(_write_table(tmp_path / "big.csv", u, G))
     x = 1 / 3 + 0.01
     assert abs(poisson_mixture_cdf(x, big, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= CDF_TOL
-
-
-def test_natural_limit_law_wraps_mixture():
-    law = natural_limit_law(EXAMPLE, 3.0)
-    assert law.lambda_ == 3.0
-    assert law.cdf(1.0) == pytest.approx(MIXTURE_LAMBDA3[1.0], abs=1e-9)
-    assert law.description
 
 
 # ---------- smoothing-based bias bound ----------

@@ -27,7 +27,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 2
+    assert meta["stream_version"] == STREAM_VERSION == 3
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 

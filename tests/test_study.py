@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, poisson
 
 from structdist import (
@@ -14,17 +15,25 @@ from structdist import (
     consistency_trend,
     decomposition_residual,
     divisors_of,
+    draw_coupled,
     draw_multinomial,
     draw_poissonized,
     example_generator,
+    group_counts,
     group_model,
     grouped_estimator,
+    lattice_floor,
+    limit_sdf,
+    natural_estimator,
     nearest_divisor,
     poissonization_gap,
     run_mse_study,
+    sup_distance,
+    sup_distance_to_function,
     sweep_m,
     variance_audit,
 )
+from structdist.study import _estimate, _lattice_index, _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
@@ -36,11 +45,10 @@ def grouped_q(M, m):
 
 def exact_mean(q, n, x, poissonized):
     """E F_hat(x) = (1/m) sum_j P(count_j <= K): group counts are Binomial(n, q_j)
-    (Poisson(n q_j) when Poissonized), and K is the largest count with
-    count * (m/n) <= x in floating point, the estimator's own comparison."""
+    (Poisson(n q_j) when Poissonized), and K = lattice_floor(x n / m) is the
+    largest count the estimate at x includes."""
     m = q.size
-    ks = np.arange(n + 1)
-    K = int(ks[ks * (m / n) <= x].max())
+    K = lattice_floor(x * n / m)
     P = poisson.cdf(K, n * q) if poissonized else binom.cdf(K, n, q)
     return float(P.mean())
 
@@ -53,6 +61,11 @@ def test_divisor_helpers():
     assert nearest_divisor(1000, 30) == 25
     assert nearest_divisor(16, 3) == 2  # tie between 2 and 4 goes to the smaller
     assert nearest_divisor(1000, 40) == 40
+    for M in (0, -3):
+        with pytest.raises(ValidationError, match="positive"):
+            divisors_of(M)
+        with pytest.raises(ValidationError, match="positive"):
+            nearest_divisor(M, 5)
 
 
 def test_config_normalizes_sequences():
@@ -124,8 +137,10 @@ LCM_XS = (0.25, 0.5, 1.0, 1.75)  # 1.75 is a lattice point for m = 10
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     """Replication r is one draw over the lcm(m_values) = 200 blocks on
-    substream r; each estimate equals the grouped estimator's StepCdf on that
-    draw, up to the last bit of its summed 1/m masses."""
+    substream r; each estimate at x equals the grouped estimator's StepCdf at
+    the lattice point K (m/n), K = lattice_floor(x n / m). At m = 10 the grid
+    point x = 1.75 is the lattice point of K = 525, where the StepCdf's float
+    comparison 525 * (10/3000) <= 1.75 fails: a count of 525 must be counted."""
     M, n = 1000, 3000
     cfg = StudyConfig("example", M=M, n=n, m_values=LCM_MS, x_grid=LCM_XS, reps=200, seed=2718,
                       poissonized=poissonized)
@@ -133,11 +148,17 @@ def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     blocks = CellModel(200, grouped_q(M, 200))
     draw = draw_poissonized if poissonized else draw_multinomial
     base = RngStream(cfg.seed)
+    hits = 0
     for r in range(cfg.reps):
         vec = draw(blocks, n, base.substream(r).generator())
         for i, m in enumerate(LCM_MS):
-            ref = grouped_estimator(vec, GroupingScheme(200, m, 200 // m), n=n).cdf(np.asarray(LCM_XS))
-            np.testing.assert_allclose(est[i, :, r], ref, rtol=0, atol=1e-15)
+            grouped = grouped_estimator(vec, GroupingScheme(200, m, 200 // m), n=n)
+            K = np.array([lattice_floor(x * n / m) for x in LCM_XS])
+            np.testing.assert_allclose(est[i, :, r], grouped.cdf(K * (m / n)), rtol=0, atol=1e-15)
+            if m == 10 and 525 in grouped.counts:
+                hits += 1
+                assert est[i, LCM_XS.index(1.75), r] == np.count_nonzero(grouped.counts <= 525) / 10
+    assert hits > 0
 
 
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
@@ -227,6 +248,41 @@ def test_gap_ladder_decays_with_n():
     assert 0.5 <= rep.decay_exponent <= 2.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    M=st.integers(1, 60),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    xs=st.lists(st.one_of(st.floats(0.0, 4.0), st.integers(0, 32).map(lambda k: k / 8)), min_size=1, max_size=6),
+)
+def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
+    """On one coupled draw (reps=1), poissonization_gap's integer natural gap
+    over M is the StepCdf sup distance and at most |N - n|, and its grouped
+    estimates equal the StepCdf values wherever K = lattice_floor(x n / m)
+    is the count the float comparison count * (m/n) <= x picks too."""
+    xs = sorted(xs)
+    cfg = StudyConfig("example", M=M, n=n, m_values=(1,), x_grid=xs, reps=1, seed=seed)
+    rung = poissonization_gap(cfg).rungs[0]
+    assert rung.M == M
+    nu, rho = draw_coupled(cells_from_generator(example_generator(), M), n, RngStream(seed).substream(0))
+    gap = _natural_gap(nu.counts, rho.counts)
+    assert abs(gap / M - sup_distance(natural_estimator(nu).cdf, natural_estimator(rho).cdf)) <= 1e-15
+    assert gap <= abs(rho.N_realized - n)
+    assert rung.mean_sup_gap_natural == gap / M and rung.bound_violations == 0
+
+    m = rung.m
+    scheme = GroupingScheme(M, m, M // m)
+    K = _lattice_index(xs, n, m)
+    ks = np.arange(K.max() + 2)
+    agree = K == np.array([ks[ks * (m / n) <= x].max() for x in xs])
+    halves = []
+    for vec in (nu, rho):
+        halves.append(_estimate(group_counts(vec, scheme).counts, K))
+        ref = grouped_estimator(vec, scheme, n=n).cdf(np.asarray(xs))
+        np.testing.assert_allclose(halves[-1][agree], ref[agree], rtol=0, atol=1e-15)
+    assert np.array_equal(rung.mean_sq_gap, (halves[0] - halves[1]) ** 2)
+
+
 def test_gap_ladder_single_rung_has_no_exponent():
     cfg = StudyConfig("example", M=300, n=900, m_values=(10,), x_grid=(1.0,), reps=5, seed=14)
     rep = poissonization_gap(cfg, n_ladder=(900,))
@@ -242,3 +298,22 @@ def test_consistency_trend_decreases():
     assert len(trend) == 2
     assert trend[0] > trend[1]
     assert trend[1] < 0.15
+
+
+@pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
+def test_consistency_trend_replays_group_draws(poissonized):
+    """Rung i, replication r draws the m group counts from substream
+    i * reps + r; the mean sup distance matches the StepCdf reference."""
+    ladder = ((250, 750, 10), (1000, 3000, 25))
+    reps, seed = 30, 23
+    trend = consistency_trend(ladder, "example", reps=reps, seed=seed, poissonized=poissonized)
+    M, n, m = ladder[1]
+    groups = CellModel(m, grouped_q(M, m))
+    draw = draw_poissonized if poissonized else draw_multinomial
+    F = limit_sdf(example_generator())
+    base = RngStream(seed)
+    ref = []
+    for r in range(reps):
+        est = grouped_estimator(draw(groups, n, base.substream(reps + r)), GroupingScheme(m, m, 1))
+        ref.append(sup_distance_to_function(est.cdf, F))
+    assert abs(trend[1] - sum(ref) / reps) <= 1e-15
