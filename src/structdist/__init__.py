@@ -41,11 +41,9 @@ from .generators import (
 from .ingest import Corpus, estimate_from_corpus, tokenize
 from .model import (
     CellModel,
-    GroupedModel,
     GroupingScheme,
     StepCdf,
     group_model,
-    grouped_structural_cdf,
     grouping_permutation,
     structural_cdf,
     sup_distance,

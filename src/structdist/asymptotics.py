@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .errors import ValidationError
 from .generators import SmoothGenerator
-from .model import CellModel, GroupedModel
+from .model import CellModel
 
 CHAR_TOL = 1e-8  # quadrature abs tolerance for characteristic functions
 CDF_TOL = 1e-6  # quadrature abs tolerance for mixture CDFs
@@ -55,22 +55,20 @@ class BoundParams:
         return cls(lambda_=lambda_, tau=gen.tau, c=gen.g_deriv_bound**2 / 12.0, alpha=alpha)
 
 
-def lattice_floor(y: float, rel_guard: float = 1e-9) -> int:
-    """floor(y), treating values within a tiny relative distance of an
+# Relative distance within which lattice_floor treats y as an integer: a few
+# ulps, the rounding a product like x * n / m picks up (3 * (4/3) = 4,
+# 0.35 * 300 = 104.99999999999999). A wider guard would round true
+# non-integers up, e.g. 0.9999999991 * 999999 / 3 = 333332.9997 to 333333.
+LATTICE_REL_GUARD = 4 * np.finfo(float).eps
+
+
+def lattice_floor(y: float) -> int:
+    """floor(y), treating values within LATTICE_REL_GUARD (relative) of an
     integer as that integer (floating products like 3 * (4/3) must land on 4)."""
     nearest = round(y)
-    if abs(y - nearest) <= rel_guard * (1.0 + abs(y)):
+    if abs(y - nearest) <= LATTICE_REL_GUARD * (1.0 + abs(y)):
         return int(nearest)
     return int(math.floor(y))
-
-
-def _model_z(model) -> np.ndarray:
-    """The scaled probabilities size * prob_j, the jump support of the structural CDF."""
-    if isinstance(model, CellModel):
-        return model.M * model.p
-    if isinstance(model, GroupedModel):
-        return model.m * model.q
-    raise ValidationError(f"expected CellModel or GroupedModel, got {type(model).__name__}")
 
 
 def _quad_u(f, gen: SmoothGenerator, epsabs: float) -> float:
@@ -85,11 +83,12 @@ def _quad_complex(f, gen: SmoothGenerator, epsabs: float) -> complex:
 
 # ---------- characteristic functions ----------
 
-def phi_m(t: float, model, n: int) -> complex:
+def phi_m(t: float, model: CellModel, n: int) -> complex:
     """Characteristic function of the scaled group count under Poissonized
-    sampling: (1/m) sum_j exp((n/m) z_j (e^{i t m / n} - 1)) with z_j = m q_j."""
-    z = _model_z(model)
-    m = z.size
+    sampling: (1/m) sum_j exp((n/m) z_j (e^{i t m / n} - 1)) with z_j = m q_j,
+    for the grouped model (m, q) (a cell model is its own k=1 grouping)."""
+    m = model.M
+    z = m * model.p
     ell = n / m
     w = ell * (np.exp(1j * t / ell) - 1.0)
     return complex(np.mean(np.exp(w * z)))
@@ -222,7 +221,7 @@ def bernstein_poisson_tail(mean: float, epsilon: float) -> float:
     return min(1.0, val)
 
 
-def poissonization_union_bound(model: GroupedModel, n: int, delta: float) -> float:
+def poissonization_union_bound(model: CellModel, n: int, delta: float) -> float:
     """Union bound over the m groups on max_j |(m/n) count_j - m q_j| >= delta
     for Poissonized group counts: 2 m exp(-(n/m) delta^2 / (2c + delta)) with
     c = max_j m q_j, capped at 1. At m=1 this is the single-cell Bernstein
@@ -231,10 +230,9 @@ def poissonization_union_bound(model: GroupedModel, n: int, delta: float) -> flo
         raise ValidationError(f"n must be >= 1, got {n}")
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    z = _model_z(model)
-    c = float(np.max(z))
+    m = model.M
+    c = float(np.max(m * model.p))
     if c == 0.0:
         return 0.0  # all groups empty with probability 1, no deviation possible
-    m = model.m
     val = 2.0 * m * math.exp(-(n / m) * delta**2 / (2.0 * c + delta))
     return min(1.0, val)

@@ -262,7 +262,7 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
         span = max(xs[-1] - xs[0], 1.0)
         anchor = xs[0] - max(1e-6, 0.02 * span)
         rows = [(float(anchor), 0.0, float(F(anchor)))]
-        rows += [(float(x), float(est.cdf(x)), float(F(x))) for x in xs]
+        rows += [(float(x), float(e), float(F(x))) for x, e in zip(xs, est(xs))]
         path = out / fname
         try:
             path.write_text(

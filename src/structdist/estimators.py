@@ -1,10 +1,12 @@
 """The frequency-based estimators of the structural distribution function.
 
 All four variants (natural / grouped, fixed-n / Poissonized counts) are
-empirical CDFs of scaled counts. Jump locations live on the lattice
-{0, s, 2s, ...} with s = size/n; the integer counts are kept alongside the
-step CDF so lattice statements can be checked exactly rather than within
-floating tolerance.
+empirical CDFs of scaled counts: with size cells (natural) or groups
+(grouped), every count c carries mass 1/size at c * size / n, so the jumps
+sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is kept as
+its integer counts and evaluated on that lattice: at x it is the share of
+counts <= K = lattice_floor(x n / size). This module owns the convention;
+the study kernel evaluates every replication through the same two helpers.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import lattice_floor
 from .errors import ValidationError
 from .model import GroupingScheme, StepCdf
 from .sampling import CountsVector, group_counts
@@ -21,44 +24,48 @@ NATURAL = "natural"
 GROUPED = "grouped"
 
 
+def _lattice_index(x_grid, n: int, size: int) -> np.ndarray:
+    """K = lattice_floor(x n / size) per x: the largest count the estimate at x
+    includes (K = x itself at x = +-inf, which includes every count or none)."""
+    return np.array([lattice_floor(x * n / size) if math.isfinite(x) else x for x in x_grid])
+
+
+def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The estimate at each x: the share of the counts that are <= its K."""
+    return np.count_nonzero(counts[:, None] <= K, axis=0) / counts.size
+
+
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """An estimated structural CDF plus the integer counts that induced it.
+    """An estimated structural CDF, kept as the integer counts that induce it.
 
-    scale is the lattice spacing size/n; every jump location equals
-    count * scale for some realized integer count. counts keeps the grouped
-    (or raw) integer vector in group order for downstream re-evaluation.
+    counts holds the grouped (or raw) counts in group order, n the sample
+    size and kind the pair (form, sampling). Calling the output at x gives
+    the share of counts <= lattice_floor(x n / size); cdf is the same step
+    function as a StepCdf, with jumps at the float values count * (size / n).
     """
 
-    cdf: StepCdf
-    scale: float
-    form: str
-    sampling: str
     counts: np.ndarray
     n: int
-    size: int
+    kind: tuple[str, str]
 
     @property
-    def kind(self) -> tuple[str, str]:
-        return (self.form, self.sampling)
+    def size(self) -> int:
+        return int(self.counts.size)
+
+    @property
+    def cdf(self) -> StepCdf:
+        return StepCdf.from_values(self.counts * (self.size / self.n))
 
     def __call__(self, x):
-        return self.cdf(x)
+        xs = np.asarray(x, dtype=float)
+        vals = _estimate(self.counts, _lattice_index(xs.ravel().tolist(), self.n, self.size))
+        return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
-
-def _build(counts: CountsVector, size: int, n: int, form: str) -> EstimatorOutput:
-    scale = size / n
-    values = counts.counts.astype(np.float64) * scale
-    cdf = StepCdf.from_values(values)
-    return EstimatorOutput(
-        cdf=cdf,
-        scale=scale,
-        form=form,
-        sampling=counts.kind,
-        counts=counts.counts,
-        n=n,
-        size=size,
-    )
+    def __eq__(self, other):
+        if not isinstance(other, EstimatorOutput):
+            return NotImplemented
+        return self.n == other.n and self.kind == other.kind and np.array_equal(self.counts, other.counts)
 
 
 def natural_estimator(counts: CountsVector, M: int | None = None, n: int | None = None) -> EstimatorOutput:
@@ -69,7 +76,7 @@ def natural_estimator(counts: CountsVector, M: int | None = None, n: int | None 
         raise ValidationError(f"counts length {counts.size} does not match M={M}")
     if counts.n != n:
         raise ValidationError(f"counts were drawn with n={counts.n}, not n={n}")
-    return _build(counts, M, n, NATURAL)
+    return EstimatorOutput(counts.counts, n, (NATURAL, counts.kind))
 
 
 def grouped_estimator(
@@ -81,13 +88,13 @@ def grouped_estimator(
     """Empirical CDF of (m/n) * grouped-count_j, each group carrying mass 1/m.
 
     With k=1 this reproduces natural_estimator bit for bit: the grouping is
-    the identity on the integer counts and both paths scale by size/n.
+    the identity on the integer counts, so counts, n and kind agree.
     """
     n = counts.n if n is None else n
     if counts.n != n:
         raise ValidationError(f"counts were drawn with n={counts.n}, not n={n}")
     grouped = group_counts(counts, scheme, permutation=permutation)
-    return _build(grouped, scheme.m, n, NATURAL if scheme.k == 1 else GROUPED)
+    return EstimatorOutput(grouped.counts, n, (NATURAL if scheme.k == 1 else GROUPED, grouped.kind))
 
 
 def check_regime(M: int, n: int, m: int, alpha: float = 0.1, threshold: float = 5.0) -> dict:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import CellModel, GroupedModel
+from .model import CellModel
 
 AUDIT_GRID = 10_000  # grid size for the numeric generator audit
 
@@ -201,15 +201,11 @@ def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:
     return gen.limit_cdf
 
 
-def step_density(model) -> Callable[[np.ndarray], np.ndarray]:
-    """The step density: value M*p_j on ((j-1)/M, j/M] (or m*q_j for grouped models)."""
-    if isinstance(model, CellModel):
-        size, vec = model.M, model.p
-    elif isinstance(model, GroupedModel):
-        size, vec = model.m, model.q
-    else:
-        raise ValidationError(f"expected CellModel or GroupedModel, got {type(model).__name__}")
-    heights = size * vec
+def step_density(model: CellModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The step density: value M*p_j on ((j-1)/M, j/M] (m*q_j on ((j-1)/m, j/m]
+    for a grouped model)."""
+    size = model.M
+    heights = size * model.p
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -223,21 +219,21 @@ def step_density(model) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def density_sup_gap(model, density, points_per_cell: int = 4) -> float:
+def density_sup_gap(model: CellModel, density, points_per_cell: int = 4) -> float:
     """sup_t |f_M(t) - g(t)| over (0,1], sampled at cell endpoints and interior points.
 
     Exact for monotone g (per-cell sup of |const - monotone| sits at a cell
     endpoint); interior points cover mild non-monotonicity.
     """
     f = step_density(model)
-    size = model.M if isinstance(model, CellModel) else model.m
+    size = model.M
     offs = np.linspace(0.0, 1.0, points_per_cell + 1)[1:]  # (0,1] offsets within each cell
     t = ((np.arange(size)[:, None] + offs[None, :]) / size).ravel()
     g = np.asarray(density(t), dtype=float)
     return float(np.max(np.abs(f(t) - g)))
 
 
-def density_l2_gap(model, density) -> float:
+def density_l2_gap(model: CellModel, density) -> float:
     """integral over (0,1] of (f_M(t) - g(t))^2, by per-cell quadrature.
 
     The error-bound constant c promises this is <= c/size^2; for a density
@@ -247,7 +243,7 @@ def density_l2_gap(model, density) -> float:
     from scipy.integrate import quad
 
     f = step_density(model)
-    size = model.M if isinstance(model, CellModel) else model.m
+    size = model.M
     edges = np.arange(size + 1) / size
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

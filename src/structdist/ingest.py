@@ -10,7 +10,7 @@ diagnostics say so.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +25,12 @@ _WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excl
 @dataclass(frozen=True)
 class Corpus:
     """Tokenized text: the token sequence, first-occurrence vocabulary, and
-    per-word occurrence counts."""
+    per-word occurrence counts. The counts follow from the tokens, so two
+    corpora compare equal when their tokens and vocabularies do."""
 
     tokens: tuple[str, ...]
     vocab: dict[str, int]  # word -> index, in order of first occurrence
-    counts: np.ndarray  # int64, counts[vocab[w]] = occurrences of w
+    counts: np.ndarray = field(compare=False)  # int64, counts[vocab[w]] = occurrences of w
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)

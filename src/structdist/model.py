@@ -25,7 +25,9 @@ def _as_float_vector(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellModel:
-    """A multinomial cell-probability vector p_1..p_M; the ground truth of every experiment."""
+    """A multinomial cell-probability vector p_1..p_M; the ground truth of every
+    experiment. Grouping M cells into m blocks gives another CellModel, with
+    M = m and p the block sums q_1..q_m (see group_model)."""
 
     M: int
     p: np.ndarray
@@ -44,26 +46,10 @@ class CellModel:
             raise ValidationError(f"cell probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
         self.p.flags.writeable = False
 
-
-@dataclass(frozen=True)
-class GroupedModel:
-    """Grouped cell probabilities q_1..q_m (block sums of a CellModel)."""
-
-    m: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _as_float_vector(self.q, "q"))
-        if self.m < 1:
-            raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.q.shape[0] != self.m:
-            raise ValidationError(f"q has length {self.q.shape[0]}, expected m={self.m}")
-        if np.any(self.q < 0):
-            raise ValidationError("grouped probabilities must be nonnegative")
-        total = float(np.sum(self.q))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"grouped probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
-        self.q.flags.writeable = False
+    def __eq__(self, other):
+        if not isinstance(other, CellModel):
+            return NotImplemented
+        return self.M == other.M and np.array_equal(self.p, other.p)
 
 
 @dataclass(frozen=True)
@@ -182,7 +168,8 @@ class StepCdf:
 # ---------- operations ----------
 
 def structural_cdf(cells: CellModel) -> StepCdf:
-    """Empirical CDF of the scaled cell probabilities M*p_j, each with mass 1/M."""
+    """Empirical CDF of the scaled cell probabilities M*p_j, each with mass 1/M
+    (for a grouped model, of m*q_j, each with mass 1/m)."""
     return StepCdf.from_values(cells.M * cells.p)
 
 
@@ -200,16 +187,12 @@ def grouping_permutation(cells: CellModel, scheme: GroupingScheme) -> np.ndarray
     return np.arange(cells.M)
 
 
-def group_model(cells: CellModel, scheme: GroupingScheme) -> GroupedModel:
-    """Block sums q_j of the cell probabilities over groups of size k."""
+def group_model(cells: CellModel, scheme: GroupingScheme) -> CellModel:
+    """The grouped model: m cells whose probabilities are the block sums q_j
+    of the cell probabilities over groups of size k."""
     perm = grouping_permutation(cells, scheme)
     q = cells.p[perm].reshape(scheme.m, scheme.k).sum(axis=1)
-    return GroupedModel(scheme.m, q)
-
-
-def grouped_structural_cdf(grouped: GroupedModel) -> StepCdf:
-    """Empirical CDF of the scaled grouped probabilities m*q_j, each with mass 1/m."""
-    return StepCdf.from_values(grouped.m * grouped.q)
+    return CellModel(scheme.m, q)
 
 
 def sup_distance(a: StepCdf, b: StepCdf) -> float:

@@ -8,12 +8,14 @@ implementation runs them serially and reduces in replication order, which
 makes the floating-point sums deterministic as well.
 
 Every study runs on one kernel that sees integer counts only: a draw over a
-`CellModel` of equal blocks, then the estimate at x as the share of group
-counts <= K = lattice_floor(x n / m), the index `poisson_mixture_cdf` uses.
-Block sums of multinomial (independent Poisson) counts are multinomial
-(Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks and
-`consistency_trend` at its m groups with every law kept; `poissonization_gap`
-draws coupled cells, which its natural gap needs. No replication builds a
+grouped model (`group_model`, a `CellModel` of equal blocks), then the
+estimate at x as the share of group counts <= K = lattice_floor(x n / m),
+computed by the `estimators` helpers that `EstimatorOutput` evaluates with
+(`poisson_mixture_cdf` uses the same index). Block sums of multinomial
+(independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
+draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
+with every law kept; `poissonization_gap` draws coupled cells, which its
+natural gap needs. No replication builds an `EstimatorOutput` or a
 `StepCdf`. The seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
@@ -25,8 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import bernstein_poisson_tail, lattice_floor
+from .asymptotics import bernstein_poisson_tail
 from .errors import ValidationError
+from .estimators import _estimate, _lattice_index
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
 from .model import CellModel, GroupingScheme, group_model
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized, group_counts
@@ -150,16 +153,6 @@ def _replications(draw, model: CellModel, n: int, seed: int, reps: int, rung: in
         yield draw(model, n, base.substream(r).generator())
 
 
-def _lattice_index(x_grid, n: int, m: int) -> np.ndarray:
-    """K = lattice_floor(x n / m) per x: the largest count the estimate at x includes."""
-    return np.array([lattice_floor(x * n / m) for x in x_grid])
-
-
-def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The grouped estimate at each x: the share of the counts that are <= its K."""
-    return np.count_nonzero(counts[:, None] <= K, axis=0) / counts.size
-
-
 def _natural_gap(nu: np.ndarray, rho: np.ndarray) -> int:
     """M times the sup distance between the natural estimators of nu and rho:
     both step on the integer counts, so it is max_k |#{nu_j <= k} - #{rho_j <= k}|."""
@@ -195,7 +188,7 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     F = limit_sdf(gen)
     fx = tuple(float(F(x)) for x in config.x_grid)
     L = math.lcm(*config.m_values)
-    blocks = CellModel(L, group_model(cells, GroupingScheme(config.M, L, config.M // L)).q)
+    blocks = group_model(cells, GroupingScheme(config.M, L, config.M // L))
     per_m = [(GroupingScheme(L, m, L // m), _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     draw = draw_poissonized if config.poissonized else draw_multinomial
     draws = np.empty((len(per_m), len(config.x_grid), config.reps))
@@ -380,13 +373,18 @@ def consistency_trend(
 ) -> tuple[float, ...]:
     """Mean over replications of the exact sup distance between the grouped
     estimator and the limiting CDF, for each (M, n, m) rung. Each replication
-    draws the m group counts directly, from the grouped probabilities."""
+    draws the m group counts directly, from the grouped probabilities.
+    Every rung's m must divide its M, and reps must be >= 1."""
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    for M, _, m in ladder:
+        check_group_count(M, m)
     gen = by_name(generator)
     F = limit_sdf(gen)
     draw = draw_poissonized if poissonized else draw_multinomial
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
-        groups = CellModel(m, group_model(cells_from_generator(gen, M), GroupingScheme(M, m, M // m)).q)
+        groups = group_model(cells_from_generator(gen, M), GroupingScheme(M, m, M // m))
         total = sum(_sup_to_cdf(vec.counts, n, F) for vec in _replications(draw, groups, n, seed, reps, rung_idx))
         out.append(total / reps)
     return tuple(out)

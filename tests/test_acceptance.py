@@ -31,7 +31,6 @@ from structdist import (
     example_generator,
     group_model,
     grouped_estimator,
-    grouped_structural_cdf,
     limit_char_grouped,
     limit_char_natural,
     limit_sdf,
@@ -196,7 +195,7 @@ def test_criterion_06_ordered_grouping_deviation(criterion_log):
         FM = structural_cdf(cells)
         for m in divisors_of(1000):
             k = 1000 // m
-            Fm = grouped_structural_cdf(group_model(cells, GroupingScheme(1000, m, k, ordered=True)))
+            Fm = structural_cdf(group_model(cells, GroupingScheme(1000, m, k, ordered=True)))
             d = sup_distance(FM, Fm)
             bound = k / 1000.0 + 1.0 / m
             worst = min(worst, bound - d)

@@ -75,6 +75,16 @@ def test_lattice_floor_guards_float_noise():
     assert lattice_floor(-0.5) == -1
 
 
+def test_lattice_floor_guard_is_a_few_ulps():
+    # products that round off a lattice point land on it
+    assert lattice_floor(3 * (4 / 3)) == 4
+    assert lattice_floor(0.35 * 300) == 105
+    assert lattice_floor(1.75 * 3000 / 10) == 525
+    # 0.9999999991 * 999999 / 3 = 333332.9997 is a true non-integer: within
+    # 1e-9 relative of 333333, but its floor is 333332
+    assert lattice_floor(0.9999999991 * 999999 / 3) == 333332
+
+
 # ---------- finite characteristic function ----------
 
 def test_phi_m_at_zero_is_one():
@@ -308,7 +318,7 @@ def test_bernstein_frozen_value_and_cap():
 
 def test_union_bound_matches_formula():
     gm = group_model(cells_from_generator(EXAMPLE, 1000), GroupingScheme(1000, 40, 25))
-    c = float(np.max(40 * gm.q))
+    c = float(np.max(40 * gm.p))
     n, delta = 6000, 0.5
     expect = min(1.0, 2 * 40 * math.exp(-(n / 40) * delta**2 / (2 * c + delta)))
     assert poissonization_union_bound(gm, n, delta) == pytest.approx(expect, rel=1e-12)
@@ -316,9 +326,7 @@ def test_union_bound_matches_formula():
 
 
 def test_union_bound_single_group_is_bernstein_like():
-    from structdist import GroupedModel
-
-    gm = GroupedModel(1, [1.0])
+    gm = CellModel(1, [1.0])
     n, delta = 100, 0.4
     expect = min(1.0, 2.0 * math.exp(-n * delta**2 / (2.0 + delta)))
     assert poissonization_union_bound(gm, n, delta) == pytest.approx(expect, rel=1e-12)

@@ -92,7 +92,7 @@ def test_block_probabilities_hit_density_midpoints():
     cells = cells_from_generator(gen, 1000)
     gm = group_model(cells, GroupingScheme(1000, 40, 25))
     mids = (np.arange(40) + 0.5) / 40
-    np.testing.assert_allclose(40 * gm.q, gen.g(mids), atol=1e-12)
+    np.testing.assert_allclose(40 * gm.p, gen.g(mids), atol=1e-12)
 
 
 def test_step_density_evaluation():

@@ -61,6 +61,13 @@ def test_corpus_counts_read_only():
         corpus.counts[0] = 5
 
 
+def test_corpora_and_their_estimates_compare_by_value():
+    a, b = tokenize("a b b c"), tokenize("a b b c")
+    assert (a == b) is True
+    assert (a == tokenize("a b c c")) is False
+    assert (estimate_from_corpus(a, 3)[0] == estimate_from_corpus(b, 3)[0]) is True
+
+
 # ---------- corpus estimator ----------
 
 def test_single_group_collapses_to_unit_jump():

@@ -5,12 +5,10 @@ import pytest
 
 from structdist import (
     CellModel,
-    GroupedModel,
     GroupingScheme,
     StepCdf,
     ValidationError,
     group_model,
-    grouped_structural_cdf,
     grouping_permutation,
     structural_cdf,
     sup_distance,
@@ -152,8 +150,9 @@ def test_grouping_scheme_requires_exact_factorization():
 def test_group_model_sums_adjacent_blocks():
     cells = CellModel(4, [0.1, 0.2, 0.3, 0.4])
     gm = group_model(cells, GroupingScheme(4, 2, 2))
-    np.testing.assert_allclose(gm.q, [0.3, 0.7])
-    cdf = grouped_structural_cdf(gm)
+    assert isinstance(gm, CellModel) and gm.M == 2
+    np.testing.assert_allclose(gm.p, [0.3, 0.7])
+    cdf = structural_cdf(gm)
     np.testing.assert_allclose(cdf.locations, [0.6, 1.4])
 
 
@@ -163,7 +162,7 @@ def test_ordered_scheme_sorts_cells_before_grouping():
     perm = grouping_permutation(cells, scheme)
     np.testing.assert_array_equal(cells.p[perm], [0.1, 0.2, 0.3, 0.4])
     gm = group_model(cells, scheme)
-    np.testing.assert_allclose(gm.q, [0.3, 0.7])
+    np.testing.assert_allclose(gm.p, [0.3, 0.7])
 
 
 def test_grouping_permutation_checks_M():
@@ -173,5 +172,8 @@ def test_grouping_permutation_checks_M():
 
 
 def test_grouped_model_validation():
+    # a grouped model is a CellModel over the m groups and validates as one
     with pytest.raises(ValidationError):
-        GroupedModel(2, [0.6, 0.6])
+        CellModel(2, [0.6, 0.6])
+    gm = group_model(CellModel(6, [0.1] * 4 + [0.3, 0.3]), GroupingScheme(6, 3, 2))
+    assert gm == CellModel(3, [0.2, 0.2, 0.6])

@@ -132,12 +132,12 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
     base = RngStream(31337)
     for r in range(reps):
         gen = base.substream(r).generator()
-        direct[r] = draw_poissonized(CellModel(gm.m, gm.q), n, gen).counts[0]
+        direct[r] = draw_poissonized(gm, n, gen).counts[0]
         _, rho = draw_coupled(cells, n, gen)
         via_coupling[r] = group_counts(rho, scheme).counts[0]
     stat, _ = ks_2samp(direct, via_coupling)
     assert stat < 1.628 * np.sqrt(2.0 / reps)  # 1% critical value
-    expect = n * gm.q[0]
+    expect = n * gm.p[0]
     assert abs(direct.mean() - expect) < 5 * np.sqrt(expect / reps)
     assert abs(via_coupling.mean() - expect) < 5 * np.sqrt(expect / reps)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, poisson
 
 from structdist import (
-    CellModel,
     GroupingScheme,
     RngStream,
     StudyConfig,
@@ -33,14 +32,15 @@ from structdist import (
     sweep_m,
     variance_audit,
 )
-from structdist.study import _estimate, _lattice_index, _natural_gap
+from structdist.estimators import _estimate, _lattice_index
+from structdist.study import _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
 
-def grouped_q(M, m):
-    cells = cells_from_generator(example_generator(), M)
-    return group_model(cells, GroupingScheme(M, m, M // m)).q
+def grouped_example(M, m):
+    """The example model grouped into m blocks: a CellModel with M = m."""
+    return group_model(cells_from_generator(example_generator(), M), GroupingScheme(M, m, M // m))
 
 
 def exact_mean(q, n, x, poissonized):
@@ -125,7 +125,7 @@ def test_regression_baseline_and_rerun_identity():
     assert rep1.cells == rep2.cells
     cell = rep1.cell(40, 1.0)
     assert cell.mse_hat == 0.0007462500000000007
-    exact = exact_mean(grouped_q(1000, 40), 3000, 1.0, poissonized=False)
+    exact = exact_mean(grouped_example(1000, 40).p, 3000, 1.0, poissonized=False)
     assert exact == pytest.approx(0.5064978, abs=1e-7)
     assert abs(cell.mean_hat - exact) <= 4.0 * cell.se_mean
 
@@ -137,15 +137,16 @@ LCM_XS = (0.25, 0.5, 1.0, 1.75)  # 1.75 is a lattice point for m = 10
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     """Replication r is one draw over the lcm(m_values) = 200 blocks on
-    substream r; each estimate at x equals the grouped estimator's StepCdf at
-    the lattice point K (m/n), K = lattice_floor(x n / m). At m = 10 the grid
-    point x = 1.75 is the lattice point of K = 525, where the StepCdf's float
-    comparison 525 * (10/3000) <= 1.75 fails: a count of 525 must be counted."""
+    substream r; each estimate at x equals the grouped estimator at x and its
+    StepCdf at the lattice point K (m/n), K = lattice_floor(x n / m). At
+    m = 10 the grid point x = 1.75 is the lattice point of K = 525, where the
+    StepCdf's float comparison 525 * (10/3000) <= 1.75 fails: a count of 525
+    must be counted."""
     M, n = 1000, 3000
     cfg = StudyConfig("example", M=M, n=n, m_values=LCM_MS, x_grid=LCM_XS, reps=200, seed=2718,
                       poissonized=poissonized)
     est = run_mse_study(cfg).estimates
-    blocks = CellModel(200, grouped_q(M, 200))
+    blocks = grouped_example(M, 200)
     draw = draw_poissonized if poissonized else draw_multinomial
     base = RngStream(cfg.seed)
     hits = 0
@@ -155,6 +156,7 @@ def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
             grouped = grouped_estimator(vec, GroupingScheme(200, m, 200 // m), n=n)
             K = np.array([lattice_floor(x * n / m) for x in LCM_XS])
             np.testing.assert_allclose(est[i, :, r], grouped.cdf(K * (m / n)), rtol=0, atol=1e-15)
+            assert np.array_equal(est[i, :, r], grouped(LCM_XS))
             if m == 10 and 525 in grouped.counts:
                 hits += 1
                 assert est[i, LCM_XS.index(1.75), r] == np.count_nonzero(grouped.counts <= 525) / 10
@@ -170,7 +172,7 @@ def test_study_means_match_exact_marginals(poissonized):
                       poissonized=poissonized)
     rep = run_mse_study(cfg)
     for m in LCM_MS:
-        q = grouped_q(M, m)
+        q = grouped_example(M, m).p
         for x in LCM_XS:
             cell = rep.cell(m, x)
             assert cell.se_mean > 0.0
@@ -278,8 +280,9 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
     halves = []
     for vec in (nu, rho):
         halves.append(_estimate(group_counts(vec, scheme).counts, K))
-        ref = grouped_estimator(vec, scheme, n=n).cdf(np.asarray(xs))
-        np.testing.assert_allclose(halves[-1][agree], ref[agree], rtol=0, atol=1e-15)
+        est = grouped_estimator(vec, scheme, n=n)
+        assert np.array_equal(halves[-1], est(xs))
+        np.testing.assert_allclose(halves[-1][agree], est.cdf(np.asarray(xs))[agree], rtol=0, atol=1e-15)
     assert np.array_equal(rung.mean_sq_gap, (halves[0] - halves[1]) ** 2)
 
 
@@ -308,7 +311,7 @@ def test_consistency_trend_replays_group_draws(poissonized):
     reps, seed = 30, 23
     trend = consistency_trend(ladder, "example", reps=reps, seed=seed, poissonized=poissonized)
     M, n, m = ladder[1]
-    groups = CellModel(m, grouped_q(M, m))
+    groups = grouped_example(M, m)
     draw = draw_poissonized if poissonized else draw_multinomial
     F = limit_sdf(example_generator())
     base = RngStream(seed)
@@ -317,3 +320,17 @@ def test_consistency_trend_replays_group_draws(poissonized):
         est = grouped_estimator(draw(groups, n, base.substream(reps + r)), GroupingScheme(m, m, 1))
         ref.append(sup_distance_to_function(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
+
+
+@pytest.mark.parametrize("reps", [0, -2])
+def test_consistency_trend_rejects_reps_below_one(reps):
+    with pytest.raises(ValidationError, match=f"reps must be >= 1, got {reps}"):
+        consistency_trend(((100, 300, 10),), "example", reps=reps, seed=1)
+
+
+def test_consistency_trend_rejects_non_divisor_m():
+    # every rung is checked before any draw; the message names the nearest divisor
+    with pytest.raises(ValidationError, match="m=12 does not divide M=100; nearest divisor is 10"):
+        consistency_trend(((100, 300, 10), (100, 300, 12)), "example", reps=5, seed=1)
+    with pytest.raises(ValidationError, match="m=0 does not divide M=100"):
+        consistency_trend(((100, 300, 0),), "example", reps=5, seed=1)
