@@ -5,6 +5,11 @@ distribution and their two limits, the Poisson-mixture limit of the natural
 estimator, the smoothing (Esseen-type) bias bound with its optimal cutoff,
 the MSE bounds with the optimal group count, and Poisson concentration
 bounds. Monte Carlo counterparts live in the study module.
+
+The limit laws integrate over u in (0,1]: by quadrature for a smooth
+generator, and as exact finite sums over the (width, slope) pieces of a
+table generator, whose density is piecewise constant. The mixture CDF and
+the bounds take arrays and evaluate each distinct quantity once.
 """
 from __future__ import annotations
 
@@ -71,14 +76,29 @@ def lattice_floor(y: float) -> int:
     return int(math.floor(y))
 
 
-def _quad_u(f, gen: SmoothGenerator, epsabs: float) -> float:
-    """integral over u in (0,1] of f(u), split at the generator's density knots."""
-    knots = gen.knots
-    return quad(f, 0.0, 1.0, epsabs=epsabs, points=knots or None, limit=_QUAD_LIMIT + len(knots))[0]
+def _check_lambda(lambda_: float) -> None:
+    if not 0 < lambda_ < math.inf:
+        raise ValidationError(f"lambda must be positive and finite, got {lambda_}")
 
 
-def _quad_complex(f, gen: SmoothGenerator, epsabs: float) -> complex:
-    return complex(_quad_u(lambda u: f(u).real, gen, epsabs), _quad_u(lambda u: f(u).imag, gen, epsabs))
+def _quad_u(f, epsabs: float) -> float:
+    """integral over u in (0,1] of f(u)."""
+    return quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT)[0]
+
+
+def _quad_complex(f, epsabs: float) -> complex:
+    return complex(_quad_u(lambda u: f(u).real, epsabs), _quad_u(lambda u: f(u).imag, epsabs))
+
+
+def _float_or_array(v):
+    """A float for a 0-d result (a scalar came in), else the array."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _pieces(gen: SmoothGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, slopes) of a table generator's piecewise-constant density."""
+    arr = np.asarray(gen.pieces, dtype=float)
+    return arr[:, 0], arr[:, 1]
 
 
 # ---------- characteristic functions ----------
@@ -95,71 +115,119 @@ def phi_m(t: float, model: CellModel, n: int) -> complex:
 
 
 def limit_char_natural(t: float, gen: SmoothGenerator, lambda_: float) -> complex:
-    """Fixed-lambda limit of phi_m: integral over u of exp(lambda g(u) (e^{it/lambda} - 1))."""
-    if lambda_ <= 0:
-        raise ValidationError(f"lambda must be positive, got {lambda_}")
+    """Fixed-lambda limit of phi_m: integral over u of exp(lambda g(u) (e^{it/lambda} - 1)),
+    the exact sum over the pieces for a table generator."""
+    _check_lambda(lambda_)
     w = lambda_ * (np.exp(1j * t / lambda_) - 1.0)
-    return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), gen, CHAR_TOL)
+    if gen.pieces:
+        widths, slopes = _pieces(gen)
+        return complex(np.sum(widths * np.exp(w * slopes)))
+    return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), CHAR_TOL)
 
 
 def limit_char_grouped(t: float, gen: SmoothGenerator) -> complex:
     """n/m -> infinity limit of phi_m: the characteristic function of g(U),
-    integral over u of exp(i t g(u))."""
-    return _quad_complex(lambda u: np.exp(1j * t * float(gen.g(u))), gen, CHAR_TOL)
+    integral over u of exp(i t g(u)), the exact sum over the pieces for a
+    table generator."""
+    if gen.pieces:
+        widths, slopes = _pieces(gen)
+        return complex(np.sum(widths * np.exp(1j * t * slopes)))
+    return _quad_complex(lambda u: np.exp(1j * t * float(gen.g(u))), CHAR_TOL)
 
 
 # ---------- the Poisson-mixture limit of the natural estimator ----------
 
-def poisson_mixture_cdf(x: float, gen: SmoothGenerator, lambda_: float) -> float:
+def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     """CDF of Y/lambda where Y | Z=z is Poisson(lambda z) and Z has the
     limiting structural CDF (Y degenerate at 0 on {Z=0}).
 
-    Evaluates integral over (0,1] of P(Poisson(lambda g(u)) <= floor(lambda x)) du.
-    P(Poisson(mu) <= K) = gammaincc(K+1, mu), which is 1 at mu=0, so the
-    zero-density atom needs no special casing.
+    Evaluates integral over (0,1] of P(Poisson(lambda g(u)) <= K) du with
+    K = lattice_floor(lambda x): for a table generator the exact sum of
+    width * P(Poisson(lambda slope) <= K) over its pieces, for a smooth one
+    a quadrature to CDF_TOL. P(Poisson(mu) <= K) = gammaincc(K+1, mu), which
+    is 1 at mu=0, so the zero-density atom needs no special casing.
+
+    x is a scalar (float out) or an array (array out). The CDF is constant
+    between the lattice points k/lambda, so each distinct K is evaluated
+    once. It is 0 for x < 0 and 1 where lambda x is +inf; NaN is rejected.
     """
-    if lambda_ <= 0:
-        raise ValidationError(f"lambda must be positive, got {lambda_}")
-    if x < 0:
-        return 0.0
-    K = lattice_floor(lambda_ * x)
-    val = _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), gen, CDF_TOL)
-    return min(1.0, max(0.0, val))
+    _check_lambda(lambda_)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if np.any(np.isnan(flat)):
+        raise ValidationError("x must not be NaN")
+    with np.errstate(over="ignore"):  # lambda x beyond the float range is +inf
+        y = lambda_ * flat
+    out = np.where(y == math.inf, 1.0, 0.0)
+    inside = (flat >= 0) & np.isfinite(y)
+    Ks = [lattice_floor(v) for v in y[inside].tolist()]
+    if gen.pieces:
+        widths, slopes = _pieces(gen)
+        mu = lambda_ * slopes
+
+        def at(K: int) -> float:
+            return float(np.sum(widths * special.pdtr(K, mu)))
+    else:
+
+        def at(K: int) -> float:
+            return _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), CDF_TOL)
+
+    values = {K: min(1.0, max(0.0, at(K))) for K in set(Ks)}
+    out[inside] = [values[K] for K in Ks]
+    return _float_or_array(out.reshape(xs.shape))
 
 
 # ---------- smoothing bias bound and its optimal cutoff ----------
+#
+# The bound functions take a group count m, or an array of them (T in
+# esseen_bias_bound likewise), and pick the regime per element; a scalar in
+# gives a float out.
 
-def esseen_bias_bound(m: int, n: int, T: float, params: BoundParams) -> float:
+def _group_counts(m) -> np.ndarray:
+    ms = np.asarray(m, dtype=float)
+    if np.any(ms < 1):
+        raise ValidationError(f"m must be >= 1, got {ms[ms < 1].flat[0]:g}")
+    return ms
+
+
+def esseen_bias_bound(m, n: int, T, params: BoundParams):
     """The four-term smoothing bound on |E(estimate at x) - F(x)|, any x.
 
     Vacuous (> 1) at small n; callers should treat values >= 1 as
     uninformative rather than clamp them.
     """
-    if T <= 0:
-        raise ValidationError(f"T must be positive, got {T}")
-    r = m / n
-    return (
+    ms = _group_counts(m)
+    T = np.asarray(T, dtype=float)
+    if np.any(T <= 0):
+        raise ValidationError(f"T must be positive, got {T[T <= 0].flat[0]:g}")
+    r = ms / n
+    return _float_or_array(
         (4.0 / (9.0 * math.pi)) * r * r * T**3
         + (1.0 / (2.0 * math.pi)) * r * T * T
-        + (params.c / (2.0 * math.pi)) * T * T / (m * m)
+        + (params.c / (2.0 * math.pi)) * T * T / (ms * ms)
         + 24.0 * params.tau / (math.pi * T)
     )
 
 
-def optimal_T(m: int, n: int, params: BoundParams) -> float:
+def optimal_T(m, n: int, params: BoundParams):
     """Cutoff equating the dominant terms of the smoothing bound.
 
     (24 tau)^(1/3) (n/m)^(1/3) when the group count dominates (m >= n^(1/3));
     c^(-1/3) (24 tau)^(1/3) m^(2/3) in the opposite regime where the
     step-density L2 term dominates.
     """
+    ms = _group_counts(m)
     base = (24.0 * params.tau) ** (1.0 / 3.0)
-    if m >= n ** (1.0 / 3.0):
-        return base * (n / m) ** (1.0 / 3.0)
-    return params.c ** (-1.0 / 3.0) * base * m ** (2.0 / 3.0)
+    return _float_or_array(
+        np.where(
+            ms >= n ** (1.0 / 3.0),
+            base * (n / ms) ** (1.0 / 3.0),
+            params.c ** (-1.0 / 3.0) * base * ms ** (2.0 / 3.0),
+        )
+    )
 
 
-def mse_bound(m: int, n: int, params: BoundParams, regime: str = "auto") -> float:
+def mse_bound(m, n: int, params: BoundParams, regime: str = "auto"):
     """Leading-order MSE bound for the grouped estimator.
 
     regime="smoothing": (9 / 4 pi^2) (24 tau)^(4/3) (m/n)^(2/3) + 1/(4m),
@@ -171,14 +239,12 @@ def mse_bound(m: int, n: int, params: BoundParams, regime: str = "auto") -> floa
     optimal_m minimizes the smoothing branch without that range restriction;
     see its docstring for when its m_n falls below n^(1/3).
     """
-    if regime == "auto":
-        regime = "smoothing" if m >= n ** (1.0 / 3.0) else "variance"
-    if regime == "smoothing":
-        lead = (9.0 / (4.0 * math.pi**2)) * (24.0 * params.tau) ** (4.0 / 3.0) * (m / n) ** (2.0 / 3.0)
-        return lead + 1.0 / (4.0 * m)
-    if regime == "variance":
-        return 1.0 / (4.0 * m)
-    raise ValidationError(f"regime must be auto, smoothing, or variance; got {regime!r}")
+    if regime not in ("auto", "smoothing", "variance"):
+        raise ValidationError(f"regime must be auto, smoothing, or variance; got {regime!r}")
+    ms = _group_counts(m)
+    smoothing = ms >= n ** (1.0 / 3.0) if regime == "auto" else regime == "smoothing"
+    lead = (9.0 / (4.0 * math.pi**2)) * (24.0 * params.tau) ** (4.0 / 3.0) * (ms / n) ** (2.0 / 3.0)
+    return _float_or_array(np.where(smoothing, lead, 0.0) + 1.0 / (4.0 * ms))
 
 
 @dataclass(frozen=True)

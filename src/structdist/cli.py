@@ -3,8 +3,9 @@
 Subcommands: estimate, simulate, mse, bounds, limit, ingest,
 reproduce-figures. CSV is the primary output (plot-ready step data); JSON
 mirrors it for programmatic use. Every run echoes its fully resolved
-configuration: embedded in the document for --format json, as a sidecar
-(<out>.json, or stderr when writing CSV to stdout) otherwise.
+configuration: embedded in the document for --format json (one line of
+compact JSON), as an indented sidecar (<out>.json, or stderr when writing
+CSV to stdout) otherwise.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-validation failure,
 4 IO failure. Failures print a machine-readable JSON object on stderr.
@@ -29,7 +30,7 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import grouped_estimator
+from .estimators import EstimatorOutput, grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
 from .model import GroupingScheme, grouping_permutation
@@ -59,6 +60,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ValidationError(f"expected comma-separated reals, got {text!r}") from e
     if not vals:
         raise ValidationError("empty list of reals")
+    if any(v != v for v in vals):
+        raise ValidationError(f"NaN is not a valid x value in {text!r}")
     return vals
 
 
@@ -75,10 +78,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _emit(columns: Sequence[str], rows, meta: dict, out: Optional[str], fmt: str):
     """Write the table. csv: rows to --out or stdout, metadata as a JSON
     sidecar (<out>.json, or stderr for stdout). json: one document with the
-    metadata and rows embedded."""
+    metadata and rows embedded, written compactly so the C encoder runs."""
     meta = {"schema": SCHEMA_VERSION, **meta}
     if fmt == "json":
-        doc = json.dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]}, indent=2)
+        doc = json.dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]})
         if out is None:
             sys.stdout.write(doc + "\n")
         else:
@@ -100,6 +103,17 @@ def _stream_meta() -> dict:
     """What a seeded study output depends on besides its config: the stream
     contract version and the numpy/scipy versions that drew it."""
     return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _jump_rows(est: EstimatorOutput) -> list[tuple[float, float]]:
+    """(x, F) at every jump of an estimate, preceded by a zero anchor just
+    left of the support: x = count * (size / n) and F the exact share of
+    counts <= count, the value est(x) returns there."""
+    values, multiplicity = np.unique(est.counts, return_counts=True)
+    locs = values * (est.size / est.n)
+    span = float(locs[-1] - locs[0])
+    eps = max(1e-6, 0.02 * span) if span > 0 else max(1e-6, 0.02 * abs(float(locs[0])))
+    return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), (np.cumsum(multiplicity) / est.size).tolist())]
 
 
 def _cell_str(v) -> str:
@@ -131,8 +145,9 @@ def _cmd_estimate(args) -> None:
         "ordered": args.ordered,
         "seed": args.seed,
         "lambda_hat": args.n / args.M,
+        **_stream_meta(),
     }
-    _emit(("x", "F"), est.cdf.csv_rows(), meta, args.out, args.format)
+    _emit(("x", "F"), _jump_rows(est), meta, args.out, args.format)
 
 
 def _cmd_simulate(args) -> None:
@@ -199,12 +214,11 @@ def _cmd_mse(args) -> None:
 def _cmd_bounds(args) -> None:
     params = BoundParams(lambda_=args.lam, tau=args.tau, c=args.c, alpha=args.alpha)
     ref = optimal_m(args.n, params)
-    rows = []
-    for m in _parse_ints(args.m_values):
-        if m < 1:
-            raise ValidationError(f"m must be positive, got {m}")
-        T = optimal_T(m, args.n, params)
-        rows.append((m, args.n, T, esseen_bias_bound(m, args.n, T, params), mse_bound(m, args.n, params), ref.m_n))
+    ms = _parse_ints(args.m_values)
+    T = optimal_T(ms, args.n, params)
+    bias = esseen_bias_bound(ms, args.n, T, params)
+    mse = mse_bound(ms, args.n, params)
+    rows = [(m, args.n, t, b, e, ref.m_n) for m, t, b, e in zip(ms, T.tolist(), bias.tolist(), mse.tolist())]
     meta = {
         "command": "bounds",
         "n": args.n,
@@ -222,8 +236,14 @@ def _cmd_bounds(args) -> None:
 def _cmd_limit(args) -> None:
     gen = by_name(args.generator)
     xg = _parse_floats(args.x_grid)
-    rows = [(x, poisson_mixture_cdf(x, gen, args.lam)) for x in xg]
-    meta = {"command": "limit", "generator": args.generator, "lambda": args.lam, "x_grid": list(xg)}
+    rows = list(zip(xg, poisson_mixture_cdf(np.asarray(xg), gen, args.lam).tolist()))
+    meta = {
+        "command": "limit",
+        "generator": args.generator,
+        "lambda": args.lam,
+        "x_grid": list(xg),
+        "method": "exact_sum" if gen.pieces else "quadrature",
+    }
     _emit(("x", "mixture_cdf"), rows, meta, args.out, args.format)
 
 
@@ -234,7 +254,7 @@ def _cmd_ingest(args) -> None:
         _fail(4, "IOError", f"cannot read {args.text}: {e}")
     est, diagnostics = estimate_from_corpus(tokenize(data), args.m)
     meta = {"command": "ingest", "text": args.text, **diagnostics}
-    _emit(("x", "F"), est.cdf.csv_rows(), meta, args.out, args.format)
+    _emit(("x", "F"), _jump_rows(est), meta, args.out, args.format)
 
 
 FIGURE_SPECS = (("natural.csv", 1000), ("grouped_m40.csv", 40), ("grouped_m10.csv", 10))
@@ -278,7 +298,7 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
 def _cmd_reproduce_figures(args) -> None:
     written = reproduce_figures(args.out_dir, args.seed)
     json.dump(
-        {"schema": SCHEMA_VERSION, "command": "reproduce-figures", "seed": args.seed, "files": written},
+        {"schema": SCHEMA_VERSION, "command": "reproduce-figures", "seed": args.seed, "files": written, **_stream_meta()},
         sys.stdout,
     )
     sys.stdout.write("\n")

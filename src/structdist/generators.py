@@ -2,7 +2,9 @@
 
 A generator is a nondecreasing G on [0,1] with G(0)=0, G(1)=1 and density
 g; cells are the increments p_j = G(j/M) - G((j-1)/M). The limiting
-structural distribution is the CDF of g(U) with U uniform on (0,1].
+structural distribution is the CDF of g(U) with U uniform on (0,1]. A
+tabulated G is piecewise linear; its generator carries the (width, slope)
+pieces of its density so that the limit laws are exact sums over them.
 """
 from __future__ import annotations
 
@@ -27,8 +29,10 @@ class SmoothGenerator:
     them), but `audit` checks them numerically on a grid. `limit_cdf` is the
     exact CDF of g(U); limit_sdf needs it. `bounded_density` is False for
     generators whose density blows up (they remain usable for sampling but
-    sit outside the error-bound hypotheses). `knots` lists the points in
-    (0,1) where g jumps, so quadratures over u can split there.
+    sit outside the error-bound hypotheses). `pieces` lists the (width,
+    slope) pairs of a piecewise-constant density in order over (0,1]; where
+    it is set the limit laws are exact finite sums over the pieces instead
+    of quadratures over u. It is empty for a smooth density.
     """
 
     name: str
@@ -38,7 +42,7 @@ class SmoothGenerator:
     g_deriv_bound: float
     limit_cdf: Optional[Callable[[float], float]] = None
     bounded_density: bool = True
-    knots: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, float], ...] = ()
 
     def audit(self, grid: int = AUDIT_GRID, slack: float = 1e-9) -> dict:
         """Numerically verify the declared invariants of (G, g, tau, g_deriv_bound).
@@ -114,9 +118,10 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
     """Generator from a CSV of (u, G(u)) pairs, interpolated piecewise linearly.
 
     The density is piecewise constant (the chord slopes), so the limit CDF
-    is exact: F(x) sums the widths of the pieces with slope <= x. tau is the
-    largest slope and g_deriv_bound a finite-difference Lipschitz proxy
-    across knots.
+    is exact: F(x) sums the widths of the pieces with slope <= x. The same
+    (width, slope) pieces make the limit laws in asymptotics exact sums.
+    tau is the largest slope and g_deriv_bound a finite-difference
+    Lipschitz proxy across knots.
     """
     us, Gs = [], []
     with open(path, newline="") as fh:
@@ -138,6 +143,7 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
         raise NumericError(f"table {path}: G values decrease somewhere; not a distribution function")
     widths = np.diff(u)
     slopes = np.diff(Gv) / widths
+    pieces = tuple(zip(widths.tolist(), slopes.tolist()))
 
     def G(x):
         return np.interp(x, u, Gv)
@@ -161,7 +167,7 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
         tau=float(np.max(slopes)),
         g_deriv_bound=lip,
         limit_cdf=F,
-        knots=tuple(float(v) for v in u[1:-1]),
+        pieces=pieces,
     )
 
 

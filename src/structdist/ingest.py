@@ -5,11 +5,13 @@ The grouped estimator assumes groups of cells with comparable probabilities;
 for a corpus the true probabilities are unknown, so groups are formed by
 sorting the observed counts ascending. That proxy ordering makes the output
 exploratory rather than a consistency-guaranteed estimate, and the
-diagnostics say so.
+diagnostics say so. A Corpus holds only its tokens; the vocabulary and the
+per-word counts are derived from them, so they cannot disagree.
 """
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,24 +26,23 @@ _WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excl
 
 @dataclass(frozen=True)
 class Corpus:
-    """Tokenized text: the token sequence, first-occurrence vocabulary, and
-    per-word occurrence counts. The counts follow from the tokens, so two
-    corpora compare equal when their tokens and vocabularies do."""
+    """Tokenized text: the token sequence, and the first-occurrence
+    vocabulary and per-word occurrence counts derived from it in one pass.
+    Vocabulary and counts follow from the tokens, so two corpora compare
+    equal when their tokens do."""
 
     tokens: tuple[str, ...]
-    vocab: dict[str, int]  # word -> index, in order of first occurrence
-    counts: np.ndarray = field(compare=False)  # int64, counts[vocab[w]] = occurrences of w
+    vocab: dict[str, int] = field(init=False, compare=False)  # word -> index, in order of first occurrence
+    counts: np.ndarray = field(init=False, compare=False)  # int64, counts[vocab[w]] = occurrences of w
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        tokens = tuple(self.tokens)
+        occurrences = Counter(tokens)  # keys in order of first occurrence
+        counts = np.fromiter(occurrences.values(), dtype=np.int64, count=len(occurrences))
         counts.setflags(write=False)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "vocab", {w: i for i, w in enumerate(occurrences)})
         object.__setattr__(self, "counts", counts)
-        if len(self.vocab) != counts.size:
-            raise ValidationError(f"vocab size {len(self.vocab)} != counts size {counts.size}")
-        if counts.size and int(counts.min()) < 1:
-            raise ValidationError("observed words must have count >= 1")
-        if int(counts.sum()) != len(self.tokens):
-            raise ValidationError("counts must sum to the token total")
 
     @property
     def n(self) -> int:
@@ -71,16 +72,7 @@ def tokenize(data: bytes | str, lowercase: bool = True) -> Corpus:
     tokens = _WORD.findall(text)
     if not tokens:
         raise ValidationError("empty corpus: no alphanumeric tokens found")
-    vocab: dict[str, int] = {}
-    counts: list[int] = []
-    for w in tokens:
-        idx = vocab.get(w)
-        if idx is None:
-            vocab[w] = len(counts)
-            counts.append(1)
-        else:
-            counts[idx] += 1
-    return Corpus(tokens=tuple(tokens), vocab=vocab, counts=np.asarray(counts, dtype=np.int64))
+    return Corpus(tuple(tokens))
 
 
 def estimate_from_corpus(corpus: Corpus, m: int) -> tuple[EstimatorOutput, dict]:

@@ -144,14 +144,6 @@ class StepCdf:
             return float(out)
         return out
 
-    def csv_rows(self):
-        """(x, F) pairs for plotting, preceded by a zero anchor just left of the support."""
-        span = float(self.locations[-1] - self.locations[0])
-        eps = max(1e-6, 0.02 * span) if span > 0 else max(1e-6, 0.02 * abs(float(self.locations[0])))
-        rows = [(float(self.locations[0]) - eps, 0.0)]
-        rows.extend((float(x), float(v)) for x, v in zip(self.locations, self._cum))
-        return rows
-
     def __eq__(self, other):
         if not isinstance(other, StepCdf):
             return NotImplemented

@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
+from scipy.integrate import quad
 
 from structdist import (
     BoundParams,
@@ -34,7 +36,7 @@ from structdist import (
     table_generator,
     uniform_generator,
 )
-from structdist.asymptotics import CDF_TOL
+from structdist.asymptotics import CDF_TOL, CHAR_TOL
 
 EXAMPLE = example_generator()
 PARAMS = BoundParams(lambda_=3.0, tau=2.0, c=1.0 / 3.0)
@@ -196,24 +198,97 @@ def _exact_table_mixture(x, lam, u, G):
     return float(np.sum(widths * special.pdtr(lattice_floor(lam * x), lam * slopes)))
 
 
-def test_table_mixture_cdf_matches_exact_finite_sum(tmp_path):
-    # a concave 32-piece table with jittered knots; at x = 0.7 a quadrature
-    # that ignores the knots misses the exact sum by 7e-6
+def _concave_table():
+    # a concave 32-piece table with jittered knots
     i = np.arange(1, 32)
     u = np.concatenate(([0.0], (i + 0.3 * np.sin(7.0 * i)) / 32, [1.0]))
     G = np.concatenate(([0.0], np.cumsum(np.diff(u) * np.linspace(2.0, 0.1, 32))))
     G /= G[-1]
     G[-1] = 1.0
-    tab = table_generator(_write_table(tmp_path / "concave.csv", u, G))
-    for x in (0.2, 0.7, 1.15):
-        assert abs(poisson_mixture_cdf(x, tab, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= CDF_TOL
+    return u, G
 
-    # 1999 interior knots exceed quad's default subinterval limit of 200
+
+@pytest.fixture(scope="module")
+def concave(tmp_path_factory):
+    u, G = _concave_table()
+    return table_generator(_write_table(tmp_path_factory.mktemp("tables") / "concave.csv", u, G))
+
+
+def test_table_mixture_cdf_matches_exact_finite_sum(tmp_path, concave):
+    # the mixture is an exact sum over the pieces (a quadrature that ignored
+    # the knots missed it by 7e-6 at x = 0.7)
+    u, G = _concave_table()
+    for x in (0.2, 0.7, 1.15):
+        assert abs(poisson_mixture_cdf(x, concave, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= 1e-15
+
+    # 2000 pieces, more than quad's default subinterval limit of 200
     u = np.linspace(0.0, 1.0, 2001)
     G = 2 * u - u**2
     big = table_generator(_write_table(tmp_path / "big.csv", u, G))
     x = 1 / 3 + 0.01
-    assert abs(poisson_mixture_cdf(x, big, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= CDF_TOL
+    assert abs(poisson_mixture_cdf(x, big, 3.0) - _exact_table_mixture(x, 3.0, u, G)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 10.0, 30.0])
+def test_mixture_cdf_array_matches_example_closed_form(lam):
+    # g(u) = 2(1-u): the mixture is (1/2 lam) sum_{k<=K} P(k+1, 2 lam), P the
+    # regularized lower gamma function; the grid holds every lattice point
+    # k/lam up to 2.5 and points between them
+    xs = np.concatenate((np.linspace(-0.3, 2.5, 57), np.arange(0, int(2.5 * lam) + 1) / lam))
+    expect = [
+        0.0 if x < 0 else min(1.0, float(np.sum(special.gammainc(np.arange(lattice_floor(lam * x) + 1) + 1.0, 2 * lam))) / (2 * lam))
+        for x in xs.tolist()
+    ]
+    got = poisson_mixture_cdf(xs, EXAMPLE, lam)
+    assert got.shape == xs.shape
+    assert float(np.max(np.abs(got - expect))) <= CDF_TOL
+
+
+_X = st.one_of(
+    st.floats(-3.0, 5.0, allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1 / 3, 2.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(_X, min_size=1, max_size=10), lam=st.sampled_from([0.5, 3.0, 10.0]), table=st.booleans())
+def test_mixture_cdf_array_equals_scalar_calls(concave, xs, lam, table):
+    gen = concave if table else EXAMPLE
+    vals = poisson_mixture_cdf(np.array(xs), gen, lam)
+    scalars = [poisson_mixture_cdf(x, gen, lam) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert vals.tolist() == scalars
+    assert poisson_mixture_cdf(np.array(xs).reshape(-1, 1), gen, lam).ravel().tolist() == scalars
+
+
+def test_mixture_cdf_non_finite_x():
+    assert poisson_mixture_cdf(math.inf, EXAMPLE, 3.0) == 1.0
+    assert poisson_mixture_cdf(-math.inf, EXAMPLE, 3.0) == 0.0
+    # lambda x beyond the float range counts as +inf
+    assert poisson_mixture_cdf(1e308, EXAMPLE, 30.0) == 1.0
+    with pytest.raises(ValidationError, match="NaN"):
+        poisson_mixture_cdf(np.array([0.5, math.nan]), EXAMPLE, 3.0)
+    for lam in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="lambda"):
+            poisson_mixture_cdf(0.5, EXAMPLE, lam)
+
+
+def test_table_limit_chars_match_knot_split_quadrature(concave):
+    # reference: quadrature of the generator's own g over (0,1], split at the knots
+    u, _ = _concave_table()
+    knots = u[1:-1]
+
+    def reference(h):
+        parts = (
+            quad(lambda v: part(h(float(concave.g(v)))), 0.0, 1.0, points=knots, limit=300, epsabs=1e-12)[0]
+            for part in (np.real, np.imag)
+        )
+        return complex(*parts)
+
+    for t in (-3.0, -1.0, 0.5, 3.0):
+        w = 3.0 * (np.exp(1j * t / 3.0) - 1.0)
+        assert abs(limit_char_natural(t, concave, 3.0) - reference(lambda s: np.exp(w * s))) <= CHAR_TOL
+        assert abs(limit_char_grouped(t, concave) - reference(lambda s: np.exp(1j * t * s))) <= CHAR_TOL
 
 
 # ---------- smoothing-based bias bound ----------
@@ -265,6 +340,45 @@ def test_optimal_T_minimizes_dominant_terms():
     grid = T_star * np.logspace(-1.0, 1.0, 2001)
     vals = [esseen_bias_bound(m, n, float(T), PARAMS) for T in grid]
     assert abs(float(grid[int(np.argmin(vals))]) - T_star) / T_star < 0.01
+
+
+def _scalar_bounds(m, n, params):
+    # (T, bias bound, auto-regime MSE bound) of one m in Python floats
+    base = (24.0 * params.tau) ** (1.0 / 3.0)
+    smoothing = m >= n ** (1.0 / 3.0)
+    T = base * (n / m) ** (1.0 / 3.0) if smoothing else params.c ** (-1.0 / 3.0) * base * m ** (2.0 / 3.0)
+    r = m / n
+    bias = (
+        (4.0 / (9.0 * math.pi)) * r * r * T**3
+        + (1.0 / (2.0 * math.pi)) * r * T * T
+        + (params.c / (2.0 * math.pi)) * T * T / (m * m)
+        + 24.0 * params.tau / (math.pi * T)
+    )
+    lead = (9.0 / (4.0 * math.pi**2)) * (24.0 * params.tau) ** (4.0 / 3.0) * (m / n) ** (2.0 / 3.0)
+    return T, bias, (lead if smoothing else 0.0) + 1.0 / (4.0 * m)
+
+
+def test_bounds_take_arrays_and_match_the_scalar_formulas():
+    n = 999999
+    ms = np.arange(1, 3001)
+    T = optimal_T(ms, n, PARAMS)
+    got = np.column_stack([T, esseen_bias_bound(ms, n, T, PARAMS), mse_bound(ms, n, PARAMS)])
+    expect = np.array([_scalar_bounds(m, n, PARAMS) for m in ms.tolist()])
+    assert float(np.max(np.abs(got - expect) / np.abs(expect))) <= 1e-15
+    # both regimes occur (n^(1/3) ~ 100) and a scalar still gives a float
+    assert type(optimal_T(40, 3000, PARAMS)) is float
+    assert type(esseen_bias_bound(40, 3000, 10.0, PARAMS)) is float
+    assert type(mse_bound(40, 3000, PARAMS)) is float
+    assert mse_bound(ms[:2], n, PARAMS, regime="variance").tolist() == [0.25, 0.125]
+
+
+def test_bounds_reject_bad_group_counts_and_cutoffs():
+    with pytest.raises(ValidationError, match="m must be >= 1, got 0"):
+        mse_bound(np.array([3, 0, 5]), 1000, PARAMS)
+    with pytest.raises(ValidationError, match="m must be >= 1, got 0.5"):
+        optimal_T(0.5, 1000, PARAMS)
+    with pytest.raises(ValidationError, match="T must be positive"):
+        esseen_bias_bound(np.array([10, 20]), 1000, np.array([1.0, 0.0]), PARAMS)
 
 
 # ---------- MSE bounds and the optimal group count ----------

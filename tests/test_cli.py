@@ -1,13 +1,28 @@
 """Command-line front end: output contracts, exit codes, error JSON."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy
 
-from structdist import STREAM_VERSION, StudyConfig, run_mse_study
-from structdist.cli import main
+from structdist import (
+    NATURAL,
+    STREAM_VERSION,
+    EstimatorOutput,
+    GroupingScheme,
+    RngStream,
+    StudyConfig,
+    cells_from_generator,
+    draw_multinomial,
+    example_generator,
+    grouped_estimator,
+    poisson_mixture_cdf,
+    run_mse_study,
+    table_generator,
+)
+from structdist.cli import _jump_rows, main
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
 
@@ -68,6 +83,49 @@ def test_limit_json_document(capsys):
     assert doc["rows"][0][1] == pytest.approx(MIX_THIRD, abs=1e-9)
 
 
+def test_json_documents_are_compact_and_sidecars_indented(capsys):
+    _, out, _ = run_cli(["limit", "--lambda", "3", "--x-grid", "0.5,1", "--format", "json"], capsys)
+    assert out == json.dumps(json.loads(out)) + "\n"
+    _, _, err = run_cli(["limit", "--lambda", "3", "--x-grid", "0.5,1"], capsys)
+    assert err == json.dumps(json.loads(err), indent=2) + "\n"
+
+
+def test_limit_non_finite_x(capsys):
+    code, out, _ = run_cli(["limit", "--lambda", "3", "--x-grid=-inf,0.5,inf", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r[1] for r in rows] == [0.0, pytest.approx(MIX_THIRD, abs=1e-9), 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limit", "--lambda", "3"], ["simulate", "--M", "100", "--n", "300", "--reps", "2"]],
+    ids=["limit", "simulate"],
+)
+def test_nan_x_is_a_validation_error(argv, capsys):
+    code, error, out = fail_cli(argv + ["--x-grid", "0.5,nan"], capsys)
+    assert code == 2 and error["type"] == "ValidationError"
+    assert "NaN" in error["message"]
+    assert out == ""
+
+
+def test_limit_records_its_method(tmp_path, capsys):
+    table = tmp_path / "steps.csv"
+    table.write_text("0,0\n0.25,0\n0.5,0.5\n1,1\n")  # slopes 0, 2, 1
+    argv = ["limit", "--lambda", "3", "--x-grid", "0.2,0.5,1.4", "--format", "json"]
+    doc = json.loads(run_cli(argv + ["--generator", f"table:{table}"], capsys)[1])
+    assert doc["method"] == "exact_sum"
+
+    def poisson_cdf(K, mu):
+        return math.exp(-mu) * sum(mu**j / math.factorial(j) for j in range(K + 1))
+
+    # widths 1/4, 1/4, 1/2 times P(Poisson(3 slope) <= K), K = floor(3x) = 0, 1, 4
+    expect = [0.25 + 0.25 * poisson_cdf(K, 6.0) + 0.5 * poisson_cdf(K, 3.0) for K in (0, 1, 4)]
+    assert [r[1] for r in doc["rows"]] == pytest.approx(expect, abs=1e-15)
+    assert [r[1] for r in doc["rows"]] == poisson_mixture_cdf(np.array([0.2, 0.5, 1.4]), table_generator(str(table)), 3.0).tolist()
+    assert json.loads(run_cli(argv, capsys)[1])["method"] == "quadrature"
+
+
 def test_limit_requires_lambda(capsys):
     code, error, _ = fail_cli(["limit", "--x-grid", "1.0"], capsys)
     assert code == 2
@@ -99,6 +157,29 @@ def test_estimate_writes_file_and_sidecar(tmp_path, capsys):
     assert meta["kind"] == ["grouped", "multinomial"]
     assert meta["m"] == 4 and meta["k"] == 3
     assert meta["lambda_hat"] == 3.0
+    assert_stream_meta(meta)
+
+
+def test_estimate_writes_the_exact_share_at_each_jump(capsys):
+    argv = ["estimate", "--M", "1000", "--n", "3000", "--m", "40", "--seed", "5", "--format", "json"]
+    rows = json.loads(run_cli(argv, capsys)[1])["rows"][1:]
+    xs, F = [r[0] for r in rows], [r[1] for r in rows]
+    # a cumulative float sum of the 1/40 masses wrote 0.9250000000000005 here
+    assert 0.925 in F and 0.9250000000000005 not in F
+    cells = cells_from_generator(example_generator(), 1000)
+    vec = draw_multinomial(cells, 3000, RngStream(5).generator())
+    est = grouped_estimator(vec, GroupingScheme(1000, 40, 25), n=3000)
+    assert xs == est.cdf.locations.tolist()
+    assert F == est(np.array(xs)).tolist()
+
+
+def test_jump_rows_prepend_zero_anchor():
+    rows = _jump_rows(EstimatorOutput(np.array([3, 1]), 2, (NATURAL, "multinomial")))
+    # anchor sits 2% of the span left of the first jump, at height zero
+    assert rows[0] == (0.96, 0.0)
+    assert rows[1:] == [(1.0, 0.5), (3.0, 1.0)]
+    # a single jump: the anchor sits 2% of its location to the left
+    assert _jump_rows(EstimatorOutput(np.array([5, 5]), 2, (NATURAL, "multinomial"))) == [(4.9, 0.0), (5.0, 1.0)]
 
 
 def test_estimate_is_deterministic(tmp_path, capsys):
@@ -242,6 +323,12 @@ def test_bounds_table(capsys):
     assert "vacuous" in meta["note"]
 
 
+def test_bounds_rejects_nonpositive_m(capsys):
+    code, error, out = fail_cli(["bounds", "--n", "100", "--m-values", "3,0"], capsys)
+    assert code == 2 and error["message"] == "m must be >= 1, got 0"
+    assert out == ""
+
+
 # ---------- ingest ----------
 
 def test_ingest_end_to_end(tmp_path, capsys):
@@ -267,8 +354,9 @@ def test_ingest_missing_file_is_io_error(tmp_path, capsys):
 # ---------- reproduce-figures ----------
 
 def test_reproduce_figures_outputs(tmp_path, capsys):
-    code, _, _ = run_cli(["reproduce-figures", "--out-dir", str(tmp_path), "--seed", "1"], capsys)
+    code, out, _ = run_cli(["reproduce-figures", "--out-dir", str(tmp_path), "--seed", "1"], capsys)
     assert code == 0
+    assert_stream_meta(json.loads(out))
     for name in ("natural.csv", "grouped_m40.csv", "grouped_m10.csv"):
         assert (tmp_path / name).exists()
 

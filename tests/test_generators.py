@@ -167,6 +167,14 @@ def test_table_generator_round_trip(tmp_path):
     )
 
 
+def test_table_generator_pieces_are_its_widths_and_slopes(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text("0,0\n0.25,0\n0.5,0.5\n1,1\n")
+    assert table_generator(str(path)).pieces == ((0.25, 0.0), (0.25, 2.0), (0.5, 1.0))
+    # smooth generators have none, so their limit laws stay quadratures
+    assert example_generator().pieces == () and uniform_generator().pieces == ()
+
+
 def test_limit_sdf_bracketing_matches_closed_form(tmp_path):
     # the table generator's exact piecewise-constant limit against the smooth closed form
     tab = table_generator(_write_table(tmp_path / "table.csv"))

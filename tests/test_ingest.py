@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from structdist import (
+    Corpus,
     RngStream,
     ValidationError,
     cells_from_generator,
@@ -66,6 +67,31 @@ def test_corpora_and_their_estimates_compare_by_value():
     assert (a == b) is True
     assert (a == tokenize("a b c c")) is False
     assert (estimate_from_corpus(a, 3)[0] == estimate_from_corpus(b, 3)[0]) is True
+
+
+def test_corpus_derives_vocab_and_counts_from_its_tokens():
+    corpus = Corpus(("b", "a", "b"))
+    assert corpus.vocab == {"b": 0, "a": 1}  # first-occurrence order
+    assert corpus.counts.tolist() == [2, 1] and corpus.counts.dtype == np.int64
+    assert corpus == tokenize("b a b")
+    # vocabulary and counts can no longer be passed in, so they cannot
+    # disagree with the tokens (the tokens give a: 2, b: 1 here)
+    with pytest.raises(TypeError):
+        Corpus(("a", "a", "b"), {"a": 0, "b": 1}, [1, 2])
+
+
+def test_corpus_vocab_and_counts_match_a_per_token_loop():
+    rng = np.random.default_rng(11)
+    words = np.array(["w%d" % i for i in range(300)])[rng.zipf(1.3, 5000) % 300]
+    corpus = tokenize(" ".join(words))
+    vocab, counts = {}, []
+    for w in corpus.tokens:
+        if w not in vocab:
+            vocab[w] = len(counts)
+            counts.append(0)
+        counts[vocab[w]] += 1
+    assert list(corpus.vocab.items()) == list(vocab.items())
+    np.testing.assert_array_equal(corpus.counts, counts)
 
 
 # ---------- corpus estimator ----------

@@ -49,14 +49,6 @@ def test_vectorized_evaluation_matches_scalar():
         assert v == cdf(float(x))
 
 
-def test_csv_rows_prepends_zero_anchor():
-    cdf = StepCdf.from_values([1.0, 3.0])
-    rows = cdf.csv_rows()
-    # anchor sits 2% of the span left of the first jump, at height zero
-    assert rows[0] == (0.96, 0.0)
-    assert rows[1:] == [(1.0, 0.5), (3.0, 1.0)]
-
-
 def test_equality_and_hash_by_value():
     a = StepCdf.from_values([1.0, 2.0])
     b = StepCdf([1.0, 2.0], [0.5, 0.5])
