@@ -162,7 +162,8 @@ def _cmd_simulate(args) -> None:
         seed=args.seed,
         poissonized=args.poissonized,
     )
-    est = run_mse_study(config).estimates[0]
+    report = run_mse_study(config)
+    est = report.estimates[0]
     rows = [(r, x, float(est[j, r])) for r in range(config.reps) for j, x in enumerate(config.x_grid)]
     meta = {
         "command": "simulate",
@@ -174,6 +175,7 @@ def _cmd_simulate(args) -> None:
         "seed": args.seed,
         "poissonized": args.poissonized,
         "x_grid": list(config.x_grid),
+        "timings": report.timings,
         **_stream_meta(),
     }
     _emit(("rep", "x", "estimate"), rows, meta, args.out, args.format)
@@ -206,6 +208,7 @@ def _cmd_mse(args) -> None:
         "command": "mse",
         "config": {**cfg, "schema": SCHEMA_VERSION},
         "wall_time": report.wall_time,
+        "timings": report.timings,
         **_stream_meta(),
     }
     _emit(("m", "x", "F", "mean", "bias", "var", "mse", "se_mean", "se_var"), rows, meta, args.out, args.format)

@@ -31,8 +31,10 @@ def _lattice_index(x_grid, n: int, size: int) -> np.ndarray:
 
 
 def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The estimate at each x: the share of the counts that are <= its K."""
-    return np.count_nonzero(counts[:, None] <= K, axis=0) / counts.size
+    """The estimate at each x: the share of the counts that are <= its K.
+    counts may carry leading axes (one row per replication); the result
+    then has those axes followed by one entry per K."""
+    return np.count_nonzero(counts[..., None, :] <= K[:, None], axis=-1) / counts.shape[-1]
 
 
 @dataclass(frozen=True)

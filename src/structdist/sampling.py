@@ -37,14 +37,21 @@ _U64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible random stream: base seed plus a replication substream index."""
+    """A reproducible random stream: base seed plus a replication substream
+    index, each an integer in [0, 2**64 - 1]; anything else is rejected
+    rather than wrapped, so two different seeds never share a stream."""
 
     seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _U64)
-        object.__setattr__(self, "stream_index", int(self.stream_index) & _U64)
+        seed, index = int(self.seed), int(self.stream_index)
+        if not (0 <= seed <= _U64 and 0 <= index <= _U64):
+            raise ValidationError(
+                f"seed and stream index must lie in [0, 2**64 - 1], got seed={seed}, stream_index={index}"
+            )
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream_index", index)
 
     def generator(self) -> Generator:
         return Generator(PCG64(SeedSequence(entropy=[self.seed, self.stream_index])))
@@ -73,7 +80,7 @@ class CountsVector:
             raise ValidationError("counts must be a 1-D vector")
         if self.kind not in (MULTINOMIAL, POISSONIZED):
             raise ValidationError(f"unknown counts kind {self.kind!r}")
-        if np.any(counts < 0):
+        if counts.min(initial=0) < 0:
             raise ValidationError("counts must be nonnegative")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")

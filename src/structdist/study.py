@@ -3,20 +3,25 @@ replications, m-sweeps, coupled Poissonization-gap measurement, and
 Poisson tail audits.
 
 Replications are independent: replication r always draws from substream r of
-the config seed, so any execution order yields the same draws. This
-implementation runs them serially and reduces in replication order, which
-makes the floating-point sums deterministic as well.
+the config seed, so any execution order yields the same draws. The studies
+handle them in slabs: the draws of up to a few thousand consecutive
+replications are written row by row into one int64 count matrix, which is
+then grouped, evaluated and reduced with whole-array numpy. Every reduction
+keeps a fixed order (a slab's rows are the replications in order, running
+sums carry across slabs), so the floating-point results do not depend on
+where the slabs break.
 
-Every study runs on one kernel that sees integer counts only: a draw over a
-grouped model (`group_model`, a `CellModel` of equal blocks), then the
-estimate at x as the share of group counts <= K = lattice_floor(x n / m),
-computed by the `estimators` helpers that `EstimatorOutput` evaluates with
-(`poisson_mixture_cdf` uses the same index). Block sums of multinomial
-(independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
-draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
-with every law kept; `poissonization_gap` draws coupled cells, which its
-natural gap needs. No replication builds an `EstimatorOutput` or a
-`StepCdf`. The seeded stream is the one `sampling.STREAM_VERSION` names.
+Every study runs on one slab kernel that sees integer counts only: a draw
+over a grouped model (`group_model`, a `CellModel` of equal blocks), row-wise
+block sums for each group count m, then the estimate at x as the share of
+group counts <= K = lattice_floor(x n / m), computed by the `estimators`
+helpers that `EstimatorOutput` evaluates with (`poisson_mixture_cdf` uses the
+same index). Block sums of multinomial (independent Poisson) counts are
+multinomial (Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks
+and `consistency_trend` at its m groups with every law kept;
+`poissonization_gap` draws coupled cells, which its natural gap needs. No
+replication builds an `EstimatorOutput` or a `StepCdf`. The seeded stream is
+the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .errors import ValidationError
 from .estimators import _estimate, _lattice_index
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
 from .model import CellModel, GroupingScheme, group_model
-from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized, group_counts
+from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
 
 
 def divisors_of(M: int) -> list[int]:
@@ -114,6 +119,10 @@ class MseReport:
     # per-replication estimates, indexed (m, x, rep) in config order
     estimates: np.ndarray = field(compare=False, repr=False)
     wall_time: float = field(compare=False, default=0.0)
+    # what the run cost: seconds per stage (cells_s: generator, cells and
+    # limit; draw_s; evaluate_s: grouping and estimates; summarize_s) and
+    # the numbers of draws and slabs
+    timings: dict = field(compare=False, repr=False, default_factory=dict)
 
     def cell(self, m: int, x: float) -> MseCell:
         for c in self.cells:
@@ -122,20 +131,27 @@ class MseReport:
         raise KeyError((m, x))
 
 
-def _summarize(m: int, x: float, fx: float, vals: np.ndarray) -> MseCell:
-    reps = vals.size
-    mean = float(np.mean(vals))
-    bias = mean - fx
-    mse = float(np.mean((vals - fx) ** 2))
+def _summarize(config: StudyConfig, fx: tuple[float, ...], estimates: np.ndarray) -> tuple[MseCell, ...]:
+    """One MseCell per (m, x) in config order, each moment taken by one
+    reduction over the replication axis of the (m, x, reps) estimates."""
+    reps = config.reps
+    f = np.asarray(fx)
+    mean = estimates.mean(axis=-1)
+    mse = ((estimates - f[:, None]) ** 2).mean(axis=-1)
     if reps > 1:
-        var = float(np.var(vals, ddof=1))
-        se_mean = math.sqrt(var / reps)
-        m4 = float(np.mean((vals - mean) ** 4))
+        var = estimates.var(axis=-1, ddof=1)
+        se_mean = np.sqrt(var / reps)
+        m4 = ((estimates - mean[..., None]) ** 4).mean(axis=-1)
         # Var(s^2) = (m4 - sigma^4 (reps-3)/(reps-1)) / reps, plugged in
-        se_var = math.sqrt(max(0.0, (m4 - var * var * (reps - 3) / (reps - 1)) / reps))
+        se_var = np.sqrt(np.maximum(0.0, (m4 - var * var * (reps - 3) / (reps - 1)) / reps))
     else:
-        var = se_mean = se_var = 0.0
-    return MseCell(m=m, x=x, mean_hat=mean, bias_hat=bias, var_hat=var, mse_hat=mse, se_mean=se_mean, se_var=se_var)
+        var = se_mean = se_var = np.zeros_like(mean)
+    cols = [a.tolist() for a in (mean, mean - f, var, mse, se_mean, se_var)]
+    return tuple(
+        MseCell(m, x, *(c[i][j] for c in cols))
+        for i, m in enumerate(config.m_values)
+        for j, x in enumerate(config.x_grid)
+    )
 
 
 def decomposition_residual(cell: MseCell, reps: int) -> float:
@@ -144,20 +160,62 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
     return abs(cell.mse_hat - cell.bias_hat**2 - cell.var_hat * (reps - 1) / reps)
 
 
-# ---------- the replication kernel: integer counts only ----------
+# ---------- the slab kernel: integer counts only ----------
 
-def _replications(draw, model: CellModel, n: int, seed: int, reps: int, rung: int = 0):
-    """The draws of a rung's replications, replication r from substream rung * reps + r of the seed."""
+# Cap on a slab's rows times its width, the elements of its largest array:
+# counts per draw times x values evaluated (the comparisons behind an
+# estimate). It bounds a slab's memory for any reps.
+_SLAB = 1 << 22
+
+
+def _slabs(draw, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0):
+    """A rung's replications in slabs of at most max(1, _SLAB // width) rows.
+
+    Yields (rows, counts): the slice of replication indices the slab holds
+    and, for each CountsVector a draw returns, an int64 matrix with one row
+    per replication. Replication r draws from substream rung * reps + r of
+    the seed through the public draw, so every draw is checked as a
+    CountsVector before it is copied into its row."""
     base = RngStream(seed)
-    for r in range(rung * reps, (rung + 1) * reps):
-        yield draw(model, n, base.substream(r).generator())
+    size = max(1, _SLAB // width)
+    for start in range(0, reps, size):
+        rows = range(start, min(reps, start + size))
+        counts = None
+        for i, r in enumerate(rows):
+            out = draw(model, n, base.substream(rung * reps + r).generator())
+            vecs = out if isinstance(out, tuple) else (out,)
+            if counts is None:
+                counts = [np.empty((len(rows), model.M), dtype=np.int64) for _ in vecs]
+            for mat, vec in zip(counts, vecs):
+                mat[i] = vec.counts
+        yield slice(rows.start, rows.stop), counts
 
 
-def _natural_gap(nu: np.ndarray, rho: np.ndarray) -> int:
-    """M times the sup distance between the natural estimators of nu and rho:
-    both step on the integer counts, so it is max_k |#{nu_j <= k} - #{rho_j <= k}|."""
-    size = int(max(nu.max(), rho.max())) + 1
-    return int(np.abs(np.cumsum(np.bincount(nu, minlength=size) - np.bincount(rho, minlength=size))).max())
+def _group(counts: np.ndarray, m: int) -> np.ndarray:
+    """Row-wise block sums: each row of an (R, L) count matrix in m equal blocks."""
+    return counts.reshape(counts.shape[0], m, -1).sum(axis=2)
+
+
+def _natural_gap(nu: np.ndarray, rho: np.ndarray):
+    """M times the sup distance between the natural estimators of nu and rho,
+    per row of any leading axes: both step on the integer counts, so it is
+    max_k |#{nu_j <= k} - #{rho_j <= k}|. Cells with nu_j = rho_j cancel at
+    every k, so only the others enter. Their counts, sorted within each row,
+    step the difference by +1 (nu) or -1 (rho), and its value at k is the
+    running sum after the last count equal to k. A row's steps sum to 0, so
+    one running sum over the rows in order serves them all."""
+    width = nu.shape[-1]
+    cells = np.flatnonzero(nu != rho)
+    row = np.concatenate((cells, cells)) // width
+    count = np.concatenate((nu.ravel()[cells], rho.ravel()[cells]))
+    order = np.lexsort((count, row))
+    row, count = row[order], count[order]
+    running = np.abs(np.cumsum(np.where(order < cells.size, 1, -1)))
+    last = np.ones(row.size, dtype=bool)
+    last[:-1] = (row[1:] != row[:-1]) | (count[1:] != count[:-1])
+    gaps = np.zeros(nu.size // width, dtype=np.int64)
+    np.maximum.at(gaps, row[last], running[last])
+    return gaps.reshape(nu.shape[:-1])
 
 
 def _sup_to_cdf(counts: np.ndarray, n: int, F) -> float:
@@ -189,21 +247,26 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     fx = tuple(float(F(x)) for x in config.x_grid)
     L = math.lcm(*config.m_values)
     blocks = group_model(cells, GroupingScheme(config.M, L, config.M // L))
-    per_m = [(GroupingScheme(L, m, L // m), _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
+    per_m = [(m, _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     draw = draw_poissonized if config.poissonized else draw_multinomial
-    draws = np.empty((len(per_m), len(config.x_grid), config.reps))
-    for r, vec in enumerate(_replications(draw, blocks, config.n, config.seed, config.reps)):
-        for i, (scheme, K) in enumerate(per_m):
-            draws[i, :, r] = _estimate(group_counts(vec, scheme).counts, K)
-    out = [
-        _summarize(m, x, fx[j], draws[i, j])
-        for i, m in enumerate(config.m_values)
-        for j, x in enumerate(config.x_grid)
-    ]
-    draws.flags.writeable = False
-    return MseReport(
-        config=config, f_values=fx, cells=tuple(out), estimates=draws, wall_time=time.perf_counter() - t0
-    )
+    estimates = np.empty((len(per_m), len(config.x_grid), config.reps))
+    mark = time.perf_counter()
+    timings = {"cells_s": mark - t0, "draw_s": 0.0, "evaluate_s": 0.0, "summarize_s": 0.0,
+               "draws": config.reps, "slabs": 0}
+    for rows, (counts,) in _slabs(draw, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
+        drawn = time.perf_counter()
+        for i, (m, K) in enumerate(per_m):
+            estimates[i, :, rows] = _estimate(_group(counts, m), K).T
+        timings["draw_s"] += drawn - mark
+        mark = time.perf_counter()
+        timings["evaluate_s"] += mark - drawn
+        timings["slabs"] += 1
+    cells_out = _summarize(config, fx, estimates)
+    estimates.flags.writeable = False
+    end = time.perf_counter()
+    timings["summarize_s"] = end - mark
+    return MseReport(config=config, f_values=fx, cells=cells_out, estimates=estimates,
+                     wall_time=end - t0, timings=timings)
 
 
 # ---------- audits and sweeps built on the core study ----------
@@ -308,16 +371,18 @@ def poissonization_gap(
     for rung_idx, n in enumerate(ns):
         M = max(1, round(n / lam))
         m = nearest_divisor(M, max(1, round(n ** (2.0 / 5.0))))
-        scheme = GroupingScheme(M, m, M // m)
         cells = cells_from_generator(gen, M)
         K = _lattice_index(config.x_grid, n, m)
         sq = np.zeros(len(config.x_grid))
         gap_sum = violations = 0
-        for nu, rho in _replications(draw_coupled, cells, n, config.seed, config.reps, rung_idx):
-            gap = _natural_gap(nu.counts, rho.counts)
-            gap_sum += gap
-            violations += gap > abs(rho.N_realized - n)
-            sq += (_estimate(group_counts(nu, scheme).counts, K) - _estimate(group_counts(rho, scheme).counts, K)) ** 2
+        width = M * len(config.x_grid)
+        for _, (nu, rho) in _slabs(draw_coupled, cells, n, config.seed, config.reps, width, rung_idx):
+            gaps = _natural_gap(nu, rho)
+            gap_sum += int(gaps.sum())
+            violations += int(np.count_nonzero(gaps > np.abs(rho.sum(axis=1) - n)))
+            diff = _estimate(_group(nu, m), K) - _estimate(_group(rho, m), K)
+            # a running sum in replication order, carried across slabs
+            sq = np.cumsum(np.vstack((sq, diff**2)), axis=0)[-1]
         sq /= config.reps
         rungs.append(
             GapRung(M=M, n=n, m=m, mean_sq_gap=tuple(float(v) for v in sq),
@@ -385,6 +450,9 @@ def consistency_trend(
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
         groups = group_model(cells_from_generator(gen, M), GroupingScheme(M, m, M // m))
-        total = sum(_sup_to_cdf(vec.counts, n, F) for vec in _replications(draw, groups, n, seed, reps, rung_idx))
+        total = 0
+        for _, (counts,) in _slabs(draw, groups, n, seed, reps, m, rung_idx):
+            for row in counts:
+                total += _sup_to_cdf(row, n, F)
         out.append(total / reps)
     return tuple(out)

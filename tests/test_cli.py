@@ -256,6 +256,29 @@ def test_simulate_rows_are_the_study_estimates(capsys):
     assert [(int(r), float(x), float(v)) for r, x, v in rows] == expect
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_is_a_validation_error(seed, capsys):
+    """--seed -1 used to write the same rows as --seed 18446744073709551615
+    while the sidecar recorded a different seed."""
+    argv = ["simulate", "--M", "1000", "--n", "3000", "--m", "40", "--reps", "5", "--x-grid", "0.5", "--seed", seed]
+    code, error, out = fail_cli(argv, capsys)
+    assert code == 2 and error["type"] == "ValidationError"
+    assert "2**64 - 1" in error["message"] and out == ""
+    code, out, _ = run_cli(argv[:-1] + ["18446744073709551615"], capsys)
+    assert code == 0 and out
+
+
+def test_study_sidecars_report_stage_timings(tmp_path, capsys):
+    stages = {"cells_s", "draw_s", "evaluate_s", "summarize_s"}
+    _, _, err = run_cli(["simulate", "--M", "100", "--n", "300", "--m", "20", "--reps", "3", "--seed", "2"], capsys)
+    _, _, err_mse = run_cli(["mse", "--config", write_config(tmp_path)], capsys)
+    for meta, reps in ((json.loads(err), 3), (json.loads(err_mse), 5)):
+        timings = meta["timings"]
+        assert set(timings) == stages | {"draws", "slabs"}
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert timings["draws"] == reps and timings["slabs"] == 1
+
+
 # ---------- mse ----------
 
 def write_config(tmp_path, **overrides):

@@ -29,6 +29,7 @@ from structdist import (
     lattice_floor,
     natural_estimator,
 )
+from structdist.estimators import _estimate, _lattice_index
 
 
 def test_natural_estimator_single_cell():
@@ -185,6 +186,23 @@ def test_k1_grouping_is_natural_bit_for_bit(counts, n, poissonized):
 
 
 # ---------- regime diagnostics ----------
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.lists(st.integers(0, 40), min_size=6, max_size=6), min_size=1, max_size=5),
+    xs=st.lists(st.one_of(st.floats(-1.0, 30.0), st.just(math.inf), st.just(-math.inf)), min_size=1, max_size=6),
+    n=st.integers(1, 200),
+)
+def test_estimate_on_rows_equals_row_by_row_calls(counts, xs, n):
+    """A leading replication axis evaluates each row as a 1-D call would."""
+    counts = np.array(counts, dtype=np.int64)
+    K = _lattice_index(xs, n, counts.shape[1])
+    rows = _estimate(counts, K)
+    assert rows.shape == (counts.shape[0], len(xs))
+    for r in range(counts.shape[0]):
+        assert np.array_equal(rows[r], _estimate(counts[r], K))
+    assert np.array_equal(_estimate(counts.reshape(1, *counts.shape), K)[0], rows)
+
 
 def test_check_regime_frozen_ratios():
     rec = check_regime(1000, 3000, 40)

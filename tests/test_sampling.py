@@ -39,6 +39,25 @@ def test_substreams_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_stream_rejects_seeds_outside_64_bits(seed, index):
+    """-1 and 2**64 - 1 used to be masked onto one stream; now each side of
+    the range is an error, for the seed and the substream index alike."""
+    with pytest.raises(ValidationError, match=r"\[0, 2\*\*64 - 1\]"):
+        RngStream(seed, index)
+    if index == 0:
+        with pytest.raises(ValidationError):
+            RngStream(0).substream(seed)
+
+
+def test_stream_keeps_the_64_bit_range_ends():
+    for value in (0, 2**64 - 1):
+        stream = RngStream(value, value)
+        assert (stream.seed, stream.stream_index) == (value, value)
+        stream.generator()
+    assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
 def test_draws_accept_stream_or_live_generator():
     vec_a = draw_multinomial(CELLS6, 60, RngStream(5))
     vec_b = draw_multinomial(CELLS6, 60, RngStream(5).generator())

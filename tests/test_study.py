@@ -1,10 +1,14 @@
 """Monte Carlo study engine: determinism, aggregation identities, audits."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, poisson
 
+import structdist.study as study
 from structdist import (
     GroupingScheme,
     RngStream,
@@ -179,6 +183,92 @@ def test_study_means_match_exact_marginals(poissonized):
             assert abs(cell.mean_hat - exact_mean(q, n, x, poissonized)) <= 4.0 * cell.se_mean, (m, x)
 
 
+@st.composite
+def small_studies(draw):
+    """A StudyConfig with M <= 60, up to 3 of M's divisors as m_values, up to
+    12 reps and a sorted x-grid that includes lattice points and +-inf."""
+    M = draw(st.integers(1, 60))
+    m_values = draw(st.lists(st.sampled_from(divisors_of(M)), min_size=1, max_size=3, unique=True))
+    xs = draw(st.lists(st.one_of(st.floats(-0.5, 4.0), st.integers(0, 32).map(lambda k: k / 8),
+                                 st.sampled_from((-np.inf, np.inf))), min_size=1, max_size=5))
+    return StudyConfig("example", M=M, n=draw(st.integers(1, 300)), m_values=m_values, x_grid=sorted(xs),
+                       reps=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**64 - 1)),
+                       poissonized=draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=small_studies())
+def test_slab_estimates_are_the_grouped_estimator_on_each_draw(cfg):
+    """estimates[i, :, r] is the grouped estimator, at the i-th m, of the
+    draw over the lcm(m_values) blocks on substream r, bit for bit."""
+    est = run_mse_study(cfg).estimates
+    L = int(np.lcm.reduce(cfg.m_values))
+    blocks = grouped_example(cfg.M, L)
+    draw = draw_poissonized if cfg.poissonized else draw_multinomial
+    for r in range(cfg.reps):
+        vec = draw(blocks, cfg.n, RngStream(cfg.seed).substream(r))
+        for i, m in enumerate(cfg.m_values):
+            assert np.array_equal(est[i, :, r], grouped_estimator(vec, GroupingScheme(L, m, L // m))(cfg.x_grid))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_slab_boundaries_leave_every_study_unchanged(monkeypatch, rows):
+    """With _SLAB shrunk so that 10 reps span >= 3 slabs of at most `rows`
+    rows, all three studies report exactly what one slab gives."""
+    cfg = StudyConfig("example", M=120, n=360, m_values=(4, 6, 12), x_grid=X7, reps=10, seed=3, poissonized=True)
+    gap_cfg = StudyConfig("example", M=40, n=120, m_values=(1,), x_grid=(0.5, 1.0, 1.5), reps=10, seed=4)
+    ladder = ((60, 180, 6), (120, 360, 6))
+    calls = {
+        "mse": (lambda: run_mse_study(cfg), 12 * len(X7)),
+        "gap": (lambda: poissonization_gap(gap_cfg, n_ladder=(120, 240)), 40 * 3),
+        "trend": (lambda: consistency_trend(ladder, "example", reps=10, seed=5), 6),
+    }
+    whole = {name: call() for name, (call, _) in calls.items()}
+    assert whole["mse"].timings["slabs"] == 1 and whole["mse"].timings["draws"] == 10
+
+    sizes = []
+    slabs = study._slabs
+
+    def spy(*args, **kwargs):
+        for span, counts in slabs(*args, **kwargs):
+            sizes.append(span.stop - span.start)
+            yield span, counts
+
+    monkeypatch.setattr(study, "_slabs", spy)
+    for name, (call, width) in calls.items():
+        monkeypatch.setattr(study, "_SLAB", rows * width)
+        sizes.clear()
+        split = call()
+        assert len(sizes) >= 3 and max(sizes) <= rows, name
+        assert split == whole[name], name
+        if name == "mse":
+            assert split.timings["slabs"] == len(sizes)
+            assert np.array_equal(split.estimates, whole[name].estimates)
+
+
+def per_cell_summary(m, x, fx, vals):
+    """The per-cell reductions the vectorized summary must reproduce bit for bit."""
+    reps = vals.size
+    mean = float(np.mean(vals))
+    mse = float(np.mean((vals - fx) ** 2))
+    if reps == 1:
+        return (m, x, mean, mean - fx, 0.0, mse, 0.0, 0.0)
+    var = float(np.var(vals, ddof=1))
+    m4 = float(np.mean((vals - mean) ** 4))
+    se_var = math.sqrt(max(0.0, (m4 - var * var * (reps - 3) / (reps - 1)) / reps))
+    return (m, x, mean, mean - fx, var, mse, math.sqrt(var / reps), se_var)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 333])
+def test_summary_matches_per_cell_reductions(reps):
+    cfg = StudyConfig("example", M=1000, n=3000, m_values=(10, 40, 100), x_grid=X7, reps=reps, seed=reps,
+                      poissonized=True)
+    rep = run_mse_study(cfg)
+    expect = [per_cell_summary(m, x, rep.f_values[j], rep.estimates[i, j])
+              for i, m in enumerate(cfg.m_values) for j, x in enumerate(cfg.x_grid)]
+    assert [dataclasses.astuple(c) for c in rep.cells] == expect
+
+
 def test_report_equality_ignores_wall_time():
     cfg = StudyConfig("example", M=100, n=300, m_values=(10,), x_grid=(1.0,), reps=3, seed=6)
     rep1, rep2 = run_mse_study(cfg), run_mse_study(cfg)
@@ -284,6 +374,28 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
         assert np.array_equal(halves[-1], est(xs))
         np.testing.assert_allclose(halves[-1][agree], est.cdf(np.asarray(xs))[agree], rtol=0, atol=1e-15)
     assert np.array_equal(rung.mean_sq_gap, (halves[0] - halves[1]) ** 2)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_gap_sums_replications_in_order(monkeypatch, rows):
+    """Each rung's mean squared grouped gap is a running sum over the
+    replications in order, whole or in slabs of 7 rows, as a row-by-row loop
+    over the public draw and grouped estimator adds it up (a pairwise sum
+    differs in the last bits on this config)."""
+    cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=66, seed=1)
+    ladder = (3000, 12000)
+    if rows is not None:
+        monkeypatch.setattr(study, "_SLAB", rows * 4000 * len(X7))
+    rungs = poissonization_gap(cfg, n_ladder=ladder).rungs
+    base = RngStream(cfg.seed)
+    for i, (rung, n) in enumerate(zip(rungs, ladder)):
+        cells = cells_from_generator(example_generator(), rung.M)
+        scheme = GroupingScheme(rung.M, rung.m, rung.M // rung.m)
+        sq = np.zeros(len(X7))
+        for r in range(cfg.reps):
+            nu, rho = draw_coupled(cells, n, base.substream(i * cfg.reps + r))
+            sq += (grouped_estimator(nu, scheme)(X7) - grouped_estimator(rho, scheme)(X7)) ** 2
+        assert rung.mean_sq_gap == tuple(sq / cfg.reps)
 
 
 def test_gap_ladder_single_rung_has_no_exponent():
