@@ -41,10 +41,10 @@ from .generators import (
 from .ingest import Corpus, estimate_from_corpus, tokenize
 from .model import (
     CellModel,
-    GroupingScheme,
     StepCdf,
+    divisors_of,
     group_model,
-    grouping_permutation,
+    nearest_divisor,
     structural_cdf,
     sup_distance,
     sup_distance_to_function,
@@ -58,7 +58,6 @@ from .sampling import (
     draw_coupled,
     draw_multinomial,
     draw_poissonized,
-    group_counts,
 )
 from .study import (
     GapRung,
@@ -72,8 +71,6 @@ from .study import (
     VarianceAuditRow,
     consistency_trend,
     decomposition_residual,
-    divisors_of,
-    nearest_divisor,
     poisson_tail_audit,
     poissonization_gap,
     run_mse_study,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,12 +31,11 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import EstimatorOutput, grouped_estimator
+from .estimators import EstimatorOutput, check_regime, grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
-from .model import GroupingScheme, grouping_permutation
 from .sampling import STREAM_VERSION, RngStream, draw_multinomial, draw_poissonized
-from .study import StudyConfig, check_group_count, run_mse_study
+from .study import StudyConfig, run_mse_study
 
 SCHEMA_VERSION = 1
 
@@ -128,12 +128,11 @@ def _cmd_estimate(args) -> None:
     gen = by_name(args.generator)
     cells = cells_from_generator(gen, args.M)
     m = args.m if args.m is not None else args.M
-    check_group_count(args.M, m)
-    scheme = GroupingScheme(args.M, m, args.M // m, ordered=args.ordered)
     rng = RngStream(args.seed).generator()
     vec = draw_poissonized(cells, args.n, rng) if args.poissonized else draw_multinomial(cells, args.n, rng)
-    perm = grouping_permutation(cells, scheme) if args.ordered else None
-    est = grouped_estimator(vec, scheme, n=args.n, permutation=perm)
+    if args.ordered:
+        vec = dataclasses.replace(vec, counts=vec.counts[np.argsort(cells.p, kind="stable")])
+    est = grouped_estimator(vec, m)
     meta = {
         "command": "estimate",
         "kind": list(est.kind),
@@ -141,10 +140,11 @@ def _cmd_estimate(args) -> None:
         "M": args.M,
         "n": args.n,
         "m": m,
-        "k": scheme.k,
+        "k": args.M // m,
         "ordered": args.ordered,
         "seed": args.seed,
         "lambda_hat": args.n / args.M,
+        "regime": check_regime(args.M, args.n, m),
         **_stream_meta(),
     }
     _emit(("x", "F"), _jump_rows(est), meta, args.out, args.format)
@@ -175,6 +175,7 @@ def _cmd_simulate(args) -> None:
         "seed": args.seed,
         "poissonized": args.poissonized,
         "x_grid": list(config.x_grid),
+        "regime": check_regime(args.M, args.n, m),
         "timings": report.timings,
         **_stream_meta(),
     }
@@ -207,6 +208,7 @@ def _cmd_mse(args) -> None:
     meta = {
         "command": "mse",
         "config": {**cfg, "schema": SCHEMA_VERSION},
+        "regimes": {str(m): check_regime(config.M, config.n, m) for m in config.m_values},
         "wall_time": report.wall_time,
         "timings": report.timings,
         **_stream_meta(),
@@ -280,7 +282,7 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
         _fail(4, "IOError", f"cannot create {out_dir}: {e}")
     written = []
     for fname, m in FIGURE_SPECS:
-        est = grouped_estimator(vec, GroupingScheme(M, m, M // m), n=n)
+        est = grouped_estimator(vec, m)
         xs = np.union1d(est.cdf.locations, [gen.tau])
         span = max(xs[-1] - xs[0], 1.0)
         anchor = xs[0] - max(1e-6, 0.02 * span)

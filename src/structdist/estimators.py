@@ -7,6 +7,8 @@ sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is kept as
 its integer counts and evaluated on that lattice: at x it is the share of
 counts <= K = lattice_floor(x n / size). This module owns the convention;
 the study kernel evaluates every replication through the same two helpers.
+The natural estimator is the grouped one with m = size; groups are blocks
+of the counts in the order given (sort them first to order by probability).
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import numpy as np
 
 from .asymptotics import lattice_floor
 from .errors import ValidationError
-from .model import GroupingScheme, StepCdf
-from .sampling import CountsVector, group_counts
+from .model import StepCdf, _block_sums
+from .sampling import CountsVector
 
 NATURAL = "natural"
 GROUPED = "grouped"
@@ -70,33 +72,20 @@ class EstimatorOutput:
         return self.n == other.n and self.kind == other.kind and np.array_equal(self.counts, other.counts)
 
 
-def natural_estimator(counts: CountsVector, M: int | None = None, n: int | None = None) -> EstimatorOutput:
-    """Empirical CDF of (M/n) * count_j, each cell carrying mass 1/M."""
-    M = counts.size if M is None else M
-    n = counts.n if n is None else n
-    if counts.size != M:
-        raise ValidationError(f"counts length {counts.size} does not match M={M}")
-    if counts.n != n:
-        raise ValidationError(f"counts were drawn with n={counts.n}, not n={n}")
-    return EstimatorOutput(counts.counts, n, (NATURAL, counts.kind))
-
-
-def grouped_estimator(
-    counts: CountsVector,
-    scheme: GroupingScheme,
-    n: int | None = None,
-    permutation=None,
-) -> EstimatorOutput:
+def grouped_estimator(counts: CountsVector, m: int) -> EstimatorOutput:
     """Empirical CDF of (m/n) * grouped-count_j, each group carrying mass 1/m.
 
-    With k=1 this reproduces natural_estimator bit for bit: the grouping is
-    the identity on the integer counts, so counts, n and kind agree.
+    The groups are m contiguous equal blocks of the counts in the order
+    given; m must divide counts.size. With m = counts.size every block is
+    one cell, so the output is the natural estimator.
     """
-    n = counts.n if n is None else n
-    if counts.n != n:
-        raise ValidationError(f"counts were drawn with n={counts.n}, not n={n}")
-    grouped = group_counts(counts, scheme, permutation=permutation)
-    return EstimatorOutput(grouped.counts, n, (NATURAL if scheme.k == 1 else GROUPED, grouped.kind))
+    grouped = _block_sums(counts.counts, m)
+    return EstimatorOutput(grouped, counts.n, (NATURAL if m == counts.size else GROUPED, counts.kind))
+
+
+def natural_estimator(counts: CountsVector) -> EstimatorOutput:
+    """Empirical CDF of (M/n) * count_j, each cell carrying mass 1/M."""
+    return grouped_estimator(counts, counts.size)
 
 
 def check_regime(M: int, n: int, m: int, alpha: float = 0.1, threshold: float = 5.0) -> dict:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import EstimatorOutput, check_regime, grouped_estimator
-from .model import GroupingScheme
 from .sampling import MULTINOMIAL, CountsVector
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excluded
@@ -91,15 +90,13 @@ def estimate_from_corpus(corpus: Corpus, m: int) -> tuple[EstimatorOutput, dict]
     pad = (-corpus.M) % m
     padded = np.concatenate([np.zeros(pad, dtype=np.int64), np.sort(corpus.counts, kind="stable")])
     M_padded = corpus.M + pad
-    scheme = GroupingScheme(M=M_padded, m=m, k=M_padded // m)
-    vec = CountsVector(MULTINOMIAL, padded, n=corpus.n)
-    est = grouped_estimator(vec, scheme, n=corpus.n)
+    est = grouped_estimator(CountsVector(MULTINOMIAL, padded, n=corpus.n), m)
     diagnostics = {
         "n": corpus.n,
         "M": corpus.M,
         "lambda_hat": corpus.n / corpus.M,
         "m": m,
-        "k": scheme.k,
+        "k": M_padded // m,
         "phantom_cells": pad,
         "regime": check_regime(M_padded, corpus.n, m),
         "caveat": (

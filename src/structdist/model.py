@@ -1,10 +1,12 @@
-"""Core domain types: cell-probability models, grouping schemes, step CDFs.
+"""Core domain types (cell-probability models, step CDFs) and the one
+grouping operation: the sums of m contiguous equal blocks of a vector.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,29 +52,6 @@ class CellModel:
         if not isinstance(other, CellModel):
             return NotImplemented
         return self.M == other.M and np.array_equal(self.p, other.p)
-
-
-@dataclass(frozen=True)
-class GroupingScheme:
-    """Partition of M cells into m contiguous groups of equal size k, M = k*m.
-
-    With ordered=True the cells are sorted by ascending probability before
-    the blocks are cut; the same permutation must then be applied to any
-    count vector grouped under this scheme (see grouping_permutation).
-    """
-
-    M: int
-    m: int
-    k: int
-    ordered: bool = False
-
-    def __post_init__(self):
-        if self.M < 1 or self.m < 1 or self.k < 1:
-            raise ValidationError(f"M, m, k must be positive, got ({self.M}, {self.m}, {self.k})")
-        if self.k * self.m != self.M:
-            raise ValidationError(f"scheme requires M = k*m exactly, got {self.k}*{self.m} != {self.M}")
-        if self.m > self.M:
-            raise ValidationError(f"m={self.m} exceeds M={self.M}")
 
 
 class StepCdf:
@@ -165,26 +144,37 @@ def structural_cdf(cells: CellModel) -> StepCdf:
     return StepCdf.from_values(cells.M * cells.p)
 
 
-def grouping_permutation(cells: CellModel, scheme: GroupingScheme) -> np.ndarray:
-    """The cell permutation the scheme applies before cutting blocks.
-
-    Identity unless scheme.ordered, in which case cells are sorted by
-    ascending probability (stable). Computed once on the model and reused
-    for count vectors so model and counts always group consistently.
-    """
-    if scheme.M != cells.M:
-        raise ValidationError(f"scheme.M={scheme.M} does not match cells.M={cells.M}")
-    if scheme.ordered:
-        return np.argsort(cells.p, kind="stable")
-    return np.arange(cells.M)
+def divisors_of(M: int) -> list[int]:
+    """The positive divisors of M >= 1, ascending."""
+    if M < 1:
+        raise ValidationError(f"M must be a positive integer, got {M}")
+    small = [d for d in range(1, int(math.isqrt(M)) + 1) if M % d == 0]
+    return sorted(set(small + [M // d for d in small]))
 
 
-def group_model(cells: CellModel, scheme: GroupingScheme) -> CellModel:
-    """The grouped model: m cells whose probabilities are the block sums q_j
-    of the cell probabilities over groups of size k."""
-    perm = grouping_permutation(cells, scheme)
-    q = cells.p[perm].reshape(scheme.m, scheme.k).sum(axis=1)
-    return CellModel(scheme.m, q)
+def nearest_divisor(M: int, m: int) -> int:
+    """The divisor of M >= 1 closest to m (ties go to the smaller divisor)."""
+    return min(divisors_of(M), key=lambda d: (abs(d - m), d))
+
+
+def check_group_count(M: int, m: int) -> None:
+    """Reject a group count m that is not a positive divisor of M >= 1,
+    naming the nearest divisor (nearest_divisor itself rejects M < 1)."""
+    if M < 1 or m < 1 or M % m != 0:
+        raise ValidationError(f"m={m} does not divide M={M}; nearest divisor is {nearest_divisor(M, max(m, 1))}")
+
+
+def _block_sums(a: np.ndarray, m: int) -> np.ndarray:
+    """Sums over m contiguous equal blocks of the last axis of `a`, in the
+    order given; leading axes (one row per replication) are kept."""
+    check_group_count(a.shape[-1], m)
+    return a.reshape(*a.shape[:-1], m, -1).sum(axis=-1)
+
+
+def group_model(cells: CellModel, m: int) -> CellModel:
+    """The grouped model: m cells whose probabilities q_j are the block sums
+    of the cell probabilities over m contiguous groups of size M/m."""
+    return CellModel(m, _block_sums(cells.p, m))
 
 
 def sup_distance(a: StepCdf, b: StepCdf) -> float:

@@ -1,5 +1,7 @@
 """Seeded sampling of multinomial and Poissonized cell counts.
 
+A CountsVector keeps the cell order of its model; grouped_estimator groups it.
+
 Replications are addressed by (seed, stream_index): the pair feeds a
 SeedSequence, whose avalanche mixing makes the substreams independent and
 individually reproducible, bit for bit, across runs and platforms.
@@ -20,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .errors import ValidationError
-from .model import CellModel, GroupingScheme
+from .model import CellModel
 
 MULTINOMIAL = "multinomial"
 POISSONIZED = "poissonized"
@@ -142,22 +144,3 @@ def draw_coupled(cells: CellModel, n: int, rng) -> tuple[CountsVector, CountsVec
         CountsVector(MULTINOMIAL, nu, n=n, N_realized=n),
         CountsVector(POISSONIZED, rho, n=n, N_realized=N),
     )
-
-
-def group_counts(counts: CountsVector, scheme: GroupingScheme, permutation=None) -> CountsVector:
-    """Block sums of size k. For ordered schemes the caller must pass the
-    permutation computed on the *model* (grouping_permutation), so counts and
-    probabilities are always grouped by the same cell ordering."""
-    if counts.size != scheme.M:
-        raise ValidationError(f"counts length {counts.size} does not match scheme.M={scheme.M}")
-    if permutation is None:
-        if scheme.ordered:
-            raise ValidationError("ordered scheme: pass the model's grouping_permutation")
-        arranged = counts.counts
-    else:
-        permutation = np.asarray(permutation)
-        if permutation.shape != (scheme.M,):
-            raise ValidationError("permutation must have length scheme.M")
-        arranged = counts.counts[permutation]
-    grouped = arranged.reshape(scheme.m, scheme.k).sum(axis=1)
-    return CountsVector(counts.kind, grouped, n=counts.n, N_realized=counts.N_realized)

@@ -13,10 +13,11 @@ where the slabs break.
 
 Every study runs on one slab kernel that sees integer counts only: a draw
 over a grouped model (`group_model`, a `CellModel` of equal blocks), row-wise
-block sums for each group count m, then the estimate at x as the share of
-group counts <= K = lattice_floor(x n / m), computed by the `estimators`
-helpers that `EstimatorOutput` evaluates with (`poisson_mixture_cdf` uses the
-same index). Block sums of multinomial (independent Poisson) counts are
+block sums for each group count m (the one block sum in `model`, which
+`group_model` and `grouped_estimator` use too), then the estimate at x as
+the share of group counts <= K = lattice_floor(x n / m), computed by the
+`estimators` helpers that `EstimatorOutput` evaluates with
+(`poisson_mixture_cdf` uses the same index). Block sums of multinomial (independent Poisson) counts are
 multinomial (Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks
 and `consistency_trend` at its m groups with every law kept;
 `poissonization_gap` draws coupled cells, which its natural gap needs. No
@@ -26,6 +27,7 @@ the one `sampling.STREAM_VERSION` names.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,31 +38,16 @@ from .asymptotics import bernstein_poisson_tail
 from .errors import ValidationError
 from .estimators import _estimate, _lattice_index
 from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
-from .model import CellModel, GroupingScheme, group_model
+from .model import CellModel, _block_sums, check_group_count, group_model, nearest_divisor
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
 
 
-def divisors_of(M: int) -> list[int]:
-    """The positive divisors of M >= 1, ascending."""
-    if M < 1:
-        raise ValidationError(f"M must be a positive integer, got {M}")
-    small = [d for d in range(1, int(math.isqrt(M)) + 1) if M % d == 0]
-    return sorted(set(small + [M // d for d in small]))
-
-
-def nearest_divisor(M: int, m: int) -> int:
-    """The divisor of M >= 1 closest to m (ties go to the smaller divisor)."""
-    return min(divisors_of(M), key=lambda d: (abs(d - m), d))
-
-
-def check_group_count(M: int, m: int) -> None:
-    """Reject a group count m that is not a positive divisor of M (M >= 1),
-    naming the nearest divisor in the message."""
-    if m < 1 or M % m != 0:
-        raise ValidationError(f"m={m} does not divide M={M}; nearest divisor is {nearest_divisor(M, max(m, 1))}")
-
-
 # ---------- configuration and report types ----------
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -77,8 +64,22 @@ class StudyConfig:
     poissonized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
+        # values parsed from JSON arrive unchecked: 3.5, "no" or NaN must not
+        # be truncated, read as truthy or run
+        if not isinstance(self.generator, str):
+            raise ValidationError(f"generator must be a name string, got {self.generator!r}")
+        for name in ("M", "n", "reps", "seed"):
+            _check_integer(name, getattr(self, name))
+        if not isinstance(self.poissonized, bool):
+            raise ValidationError(f"poissonized must be true or false, got {self.poissonized!r}")
+        m_values, x_grid = tuple(self.m_values), tuple(self.x_grid)
+        for m in m_values:
+            _check_integer("every m", m)
+        for x in x_grid:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
+                raise ValidationError(f"every x must be a real number other than NaN, got {x!r}")
+        object.__setattr__(self, "m_values", tuple(int(m) for m in m_values))
+        object.__setattr__(self, "x_grid", tuple(float(x) for x in x_grid))
         if self.M < 1:
             raise ValidationError(f"M must be a positive integer, got {self.M}")
         if self.n < 1:
@@ -191,11 +192,6 @@ def _slabs(draw, model: CellModel, n: int, seed: int, reps: int, width: int, run
         yield slice(rows.start, rows.stop), counts
 
 
-def _group(counts: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise block sums: each row of an (R, L) count matrix in m equal blocks."""
-    return counts.reshape(counts.shape[0], m, -1).sum(axis=2)
-
-
 def _natural_gap(nu: np.ndarray, rho: np.ndarray):
     """M times the sup distance between the natural estimators of nu and rho,
     per row of any leading axes: both step on the integer counts, so it is
@@ -246,7 +242,7 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     F = limit_sdf(gen)
     fx = tuple(float(F(x)) for x in config.x_grid)
     L = math.lcm(*config.m_values)
-    blocks = group_model(cells, GroupingScheme(config.M, L, config.M // L))
+    blocks = group_model(cells, L)
     per_m = [(m, _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     draw = draw_poissonized if config.poissonized else draw_multinomial
     estimates = np.empty((len(per_m), len(config.x_grid), config.reps))
@@ -256,7 +252,7 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     for rows, (counts,) in _slabs(draw, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
         drawn = time.perf_counter()
         for i, (m, K) in enumerate(per_m):
-            estimates[i, :, rows] = _estimate(_group(counts, m), K).T
+            estimates[i, :, rows] = _estimate(_block_sums(counts, m), K).T
         timings["draw_s"] += drawn - mark
         mark = time.perf_counter()
         timings["evaluate_s"] += mark - drawn
@@ -380,7 +376,7 @@ def poissonization_gap(
             gaps = _natural_gap(nu, rho)
             gap_sum += int(gaps.sum())
             violations += int(np.count_nonzero(gaps > np.abs(rho.sum(axis=1) - n)))
-            diff = _estimate(_group(nu, m), K) - _estimate(_group(rho, m), K)
+            diff = _estimate(_block_sums(nu, m), K) - _estimate(_block_sums(rho, m), K)
             # a running sum in replication order, carried across slabs
             sq = np.cumsum(np.vstack((sq, diff**2)), axis=0)[-1]
         sq /= config.reps
@@ -449,7 +445,7 @@ def consistency_trend(
     draw = draw_poissonized if poissonized else draw_multinomial
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
-        groups = group_model(cells_from_generator(gen, M), GroupingScheme(M, m, M // m))
+        groups = group_model(cells_from_generator(gen, M), m)
         total = 0
         for _, (counts,) in _slabs(draw, groups, n, seed, reps, m, rung_idx):
             for row in counts:

@@ -18,7 +18,6 @@ from structdist import (
     BoundParams,
     CellModel,
     CountsVector,
-    GroupingScheme,
     RngStream,
     StudyConfig,
     by_name,
@@ -140,7 +139,7 @@ def test_criterion_03_k1_grouping_equals_natural(criterion_log):
         M = int(g.integers(1, 51))
         cells = CellModel(M, g.dirichlet(np.ones(M)))
         vec = draw_multinomial(cells, int(g.integers(1, 200)), g)
-        identical &= natural_estimator(vec).cdf == grouped_estimator(vec, GroupingScheme(M, M, 1)).cdf
+        identical &= natural_estimator(vec).cdf == grouped_estimator(vec, M).cdf
 
     # exhaustive check at M=3, n=4: all 15 count vectors
     states = 0
@@ -149,7 +148,7 @@ def test_criterion_03_k1_grouping_equals_natural(criterion_log):
             continue
         states += 1
         vec = CountsVector(MULTINOMIAL, np.array(c), n=4)
-        identical &= natural_estimator(vec).cdf == grouped_estimator(vec, GroupingScheme(3, 3, 1)).cdf
+        identical &= natural_estimator(vec).cdf == grouped_estimator(vec, 3).cdf
     ok = identical and states == 15
     verdict(
         criterion_log, 3, ok,
@@ -193,9 +192,10 @@ def test_criterion_06_ordered_grouping_deviation(criterion_log):
     for name in ("example", "uniform"):
         cells = cells_from_generator(by_name(name), 1000)
         FM = structural_cdf(cells)
+        ordered = CellModel(1000, cells.p[np.argsort(cells.p, kind="stable")])
         for m in divisors_of(1000):
             k = 1000 // m
-            Fm = structural_cdf(group_model(cells, GroupingScheme(1000, m, k, ordered=True)))
+            Fm = structural_cdf(group_model(ordered, m))
             d = sup_distance(FM, Fm)
             bound = k / 1000.0 + 1.0 / m
             worst = min(worst, bound - d)
@@ -222,7 +222,7 @@ def test_criterion_07_characteristic_function_convergence(criterion_log):
         gaps_grp = []
         for M in (10**2, 10**4, 10**6):  # grouped: m = sqrt(M), n/m -> inf
             m = math.isqrt(M)
-            gm = group_model(cells_from_generator(GEN, M), GroupingScheme(M, m, M // m))
+            gm = group_model(cells_from_generator(GEN, M), m)
             gaps_grp.append(abs(phi_m(t, gm, 3 * M) - lim_grp))
         for gaps in (gaps_nat, gaps_grp):
             ok &= all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.02

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from structdist import (
     BoundParams,
     CellModel,
-    GroupingScheme,
     RngStream,
     ValidationError,
     bernstein_poisson_tail,
@@ -103,7 +102,7 @@ def test_phi_m_uniform_cells_closed_form():
 
 
 def test_phi_m_modulus_and_symmetry():
-    gm = group_model(cells_from_generator(EXAMPLE, 100), GroupingScheme(100, 20, 5))
+    gm = group_model(cells_from_generator(EXAMPLE, 100), 20)
     for t in (-3.0, -1.0, 0.5, 2.0, 7.0):
         val = phi_m(t, gm, 300)
         assert abs(val) <= 1.0 + 1e-12
@@ -431,7 +430,7 @@ def test_bernstein_frozen_value_and_cap():
 
 
 def test_union_bound_matches_formula():
-    gm = group_model(cells_from_generator(EXAMPLE, 1000), GroupingScheme(1000, 40, 25))
+    gm = group_model(cells_from_generator(EXAMPLE, 1000), 40)
     c = float(np.max(40 * gm.p))
     n, delta = 6000, 0.5
     expect = min(1.0, 2 * 40 * math.exp(-(n / 40) * delta**2 / (2 * c + delta)))
@@ -447,7 +446,7 @@ def test_union_bound_single_group_is_bernstein_like():
 
 
 def test_union_bound_vanishes_in_n():
-    gm = group_model(cells_from_generator(EXAMPLE, 1000), GroupingScheme(1000, 40, 25))
+    gm = group_model(cells_from_generator(EXAMPLE, 1000), 40)
     vals = [poissonization_union_bound(gm, n, 0.5) for n in (10**4, 10**5, 10**6)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-20

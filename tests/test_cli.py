@@ -11,11 +11,12 @@ from structdist import (
     NATURAL,
     STREAM_VERSION,
     EstimatorOutput,
-    GroupingScheme,
     RngStream,
     StudyConfig,
     cells_from_generator,
+    check_regime,
     draw_multinomial,
+    draw_poissonized,
     example_generator,
     grouped_estimator,
     poisson_mixture_cdf,
@@ -168,9 +169,30 @@ def test_estimate_writes_the_exact_share_at_each_jump(capsys):
     assert 0.925 in F and 0.9250000000000005 not in F
     cells = cells_from_generator(example_generator(), 1000)
     vec = draw_multinomial(cells, 3000, RngStream(5).generator())
-    est = grouped_estimator(vec, GroupingScheme(1000, 40, 25), n=3000)
+    est = grouped_estimator(vec, 40)
     assert xs == est.cdf.locations.tolist()
     assert F == est(np.array(xs)).tolist()
+
+
+@pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
+def test_estimate_ordered_groups_counts_in_probability_order(poissonized, tmp_path, capsys):
+    """--ordered groups the drawn counts after sorting the cells by
+    ascending probability (stable), the order the model's blocks use."""
+    table = tmp_path / "bumps.csv"
+    table.write_text("0,0\n0.25,0.125\n0.5,0.625\n0.75,0.75\n1,1\n")  # slopes 1/2, 2, 1/2, 1
+    argv = ["estimate", "--generator", f"table:{table}", "--M", "1000", "--n", "3000", "--m", "40",
+            "--seed", "3", "--ordered", "--format", "json"]
+    doc = json.loads(run_cli(argv + (["--poissonized"] if poissonized else []), capsys)[1])
+    cells = cells_from_generator(table_generator(str(table)), 1000)
+    rng = RngStream(3).generator()
+    vec = (draw_poissonized if poissonized else draw_multinomial)(cells, 3000, rng)
+    grouped = vec.counts[np.argsort(cells.p, kind="stable")].reshape(40, 25).sum(axis=1)
+    est = EstimatorOutput(grouped, 3000, ("grouped", vec.kind))
+    assert doc["rows"] == [list(r) for r in _jump_rows(est)]
+    assert doc["kind"] == list(est.kind) and doc["k"] == 25 and doc["ordered"] is True
+    # the density is not monotone, so grouping in cell order gives other rows
+    unsorted = EstimatorOutput(vec.counts.reshape(40, 25).sum(axis=1), 3000, est.kind)
+    assert doc["rows"] != [list(r) for r in _jump_rows(unsorted)]
 
 
 def test_jump_rows_prepend_zero_anchor():
@@ -279,6 +301,17 @@ def test_study_sidecars_report_stage_timings(tmp_path, capsys):
         assert timings["draws"] == reps and timings["slabs"] == 1
 
 
+def test_sidecars_report_the_regime_of_each_group_count(tmp_path, capsys):
+    _, _, err = run_cli(["estimate", "--M", "1000", "--n", "3000", "--m", "40", "--seed", "1"], capsys)
+    assert json.loads(err)["regime"] == check_regime(1000, 3000, 40)
+    _, _, err = run_cli(["simulate", "--M", "100", "--n", "300", "--m", "20", "--reps", "3"], capsys)
+    assert json.loads(err)["regime"] == check_regime(100, 300, 20)
+    _, _, err = run_cli(["mse", "--config", write_config(tmp_path, m_values=[10, 100])], capsys)
+    regimes = json.loads(err)["regimes"]
+    assert regimes == {"10": check_regime(100, 300, 10), "100": check_regime(100, 300, 100)}
+    assert regimes["100"]["note"].startswith("natural-estimator regime")
+
+
 # ---------- mse ----------
 
 def write_config(tmp_path, **overrides):
@@ -320,6 +353,40 @@ def test_mse_rejects_unknown_fields(tmp_path, capsys):
     code, error, _ = fail_cli(["mse", "--config", path], capsys)
     assert code == 2
     assert "bootstrap" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("poissonized", "no", "poissonized must be true or false"),
+        ("poissonized", 1, "poissonized must be true or false"),
+        ("m_values", [3.5], "every m must be an integer, got 3.5"),
+        ("m_values", [True], "every m must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("M", 12.0, "M must be an integer, got 12.0"),
+        ("n", "300", "n must be an integer"),
+        ("reps", 2.5, "reps must be an integer, got 2.5"),
+        ("generator", 5, "generator must be a name string, got 5"),
+        ("x_grid", [float("nan")], "other than NaN, got nan"),
+        ("x_grid", ["a"], "every x must be a real number"),
+        ("x_grid", [None], "every x must be a real number"),
+    ],
+    ids=["poissonized-str", "poissonized-int", "m-float", "m-bool", "seed-float", "M-float", "n-str",
+         "reps-float", "generator-int", "x-nan", "x-str", "x-null"],
+)
+def test_mse_rejects_mistyped_config_values(field, value, needle, tmp_path, capsys):
+    """Each of these used to run (truncated, read as truthy, or with NaN rows)
+    or exit 1 with a traceback."""
+    code, error, out = fail_cli(["mse", "--config", write_config(tmp_path, **{field: value})], capsys)
+    assert code == 2 and error["type"] == "ValidationError"
+    assert needle in error["message"] and out == ""
+
+
+def test_mse_accepts_infinite_and_integer_x(tmp_path, capsys):
+    path = write_config(tmp_path, x_grid=[float("-inf"), 1, float("inf")], poissonized=False)
+    code, out, err = run_cli(["mse", "--config", path, "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert [r[2] for r in json.loads(out)["rows"]] == [0.0, 0.5, 1.0]
 
 
 def test_mse_missing_config_is_io_error(tmp_path, capsys):

@@ -13,10 +13,8 @@ from structdist import (
     MULTINOMIAL,
     NATURAL,
     POISSONIZED,
-    CellModel,
     CountsVector,
     EstimatorOutput,
-    GroupingScheme,
     RngStream,
     StepCdf,
     ValidationError,
@@ -25,7 +23,6 @@ from structdist import (
     draw_multinomial,
     example_generator,
     grouped_estimator,
-    grouping_permutation,
     lattice_floor,
     natural_estimator,
 )
@@ -55,17 +52,9 @@ def test_natural_estimator_jump_lattice():
     assert abs(est.cdf.masses.sum() - 1.0) < 1e-12
 
 
-def test_natural_estimator_dimension_checks():
-    vec = CountsVector(MULTINOMIAL, [2, 3], n=5)
-    with pytest.raises(ValidationError):
-        natural_estimator(vec, M=3)
-    with pytest.raises(ValidationError):
-        natural_estimator(vec, n=6)
-
-
 def test_grouped_estimator_masses_and_scale():
     vec = CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24)
-    est = grouped_estimator(vec, GroupingScheme(6, 3, 2))
+    est = grouped_estimator(vec, 3)
     # grouped counts (3, 7, 14), locations (m/n)*count
     np.testing.assert_allclose(est.cdf.locations, np.array([3.0, 7.0, 14.0]) * 3 / 24)
     np.testing.assert_array_equal(est.cdf.masses, [1 / 3, 1 / 3, 1 / 3])
@@ -76,24 +65,14 @@ def test_grouped_estimator_masses_and_scale():
 def test_grouped_estimator_k1_reduces_to_natural():
     vec = draw_multinomial(cells_from_generator(example_generator(), 20), 55, RngStream(3))
     a = natural_estimator(vec)
-    b = grouped_estimator(vec, GroupingScheme(20, 20, 1))
+    b = grouped_estimator(vec, 20)
     assert a.cdf == b.cdf
-    assert b.kind[0] == NATURAL  # k=1 grouping is the natural estimator, and says so
-
-
-def test_grouped_estimator_ordered_scheme_needs_permutation():
-    cells = CellModel(4, [0.4, 0.1, 0.3, 0.2])
-    scheme = GroupingScheme(4, 2, 2, ordered=True)
-    vec = CountsVector(MULTINOMIAL, [8, 1, 5, 2], n=16)
-    with pytest.raises(ValidationError):
-        grouped_estimator(vec, scheme)
-    est = grouped_estimator(vec, scheme, permutation=grouping_permutation(cells, scheme))
-    np.testing.assert_allclose(est.cdf.locations, np.array([3.0, 13.0]) * 2 / 16)
+    assert b.kind[0] == NATURAL  # one cell per group is the natural estimator, and says so
 
 
 def test_estimator_from_pregrouped_counts_matches_grouping_path():
     vec = CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24)
-    grouped_here = grouped_estimator(vec, GroupingScheme(6, 3, 2))
+    grouped_here = grouped_estimator(vec, 3)
     # block sums [3, 7, 14] scaled by m/n = 3/24
     direct = StepCdf.from_values(np.array([3, 7, 14]) * 3 / 24)
     assert grouped_here.cdf == direct
@@ -109,7 +88,7 @@ def test_estimator_output_is_callable():
 
 def test_estimator_output_keeps_counts_n_and_kind_only():
     assert [f.name for f in dataclasses.fields(EstimatorOutput)] == ["counts", "n", "kind"]
-    est = grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24), GroupingScheme(6, 3, 2))
+    est = grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24), 3)
     assert est.size == est.counts.size == 3
     # cdf is built on demand from the float jump values count * (size / n)
     assert est.cdf == StepCdf.from_values(est.counts * (3 / 24))
@@ -118,7 +97,7 @@ def test_estimator_output_keeps_counts_n_and_kind_only():
 def test_estimator_counts_a_lattice_count_the_float_comparison_drops():
     # m=10, n=3000: 525 * (10/3000) rounds above 1.75, but 525 = 1.75 * 3000 / 10
     counts = [525, 525, 250, 250, 250, 250, 250, 250, 250, 200]
-    est = grouped_estimator(CountsVector(MULTINOMIAL, counts, n=3000), GroupingScheme(10, 10, 1))
+    est = grouped_estimator(CountsVector(MULTINOMIAL, counts, n=3000), 10)
     assert 525 * (10 / 3000) > 1.75
     assert est(1.75) == 1.0
     assert est.cdf(1.75) == pytest.approx(0.8)  # the float comparison leaves both 525s out
@@ -126,7 +105,7 @@ def test_estimator_counts_a_lattice_count_the_float_comparison_drops():
 
 def test_estimator_evaluates_at_the_lattice_index():
     vec = draw_multinomial(cells_from_generator(example_generator(), 1000), 3000, RngStream(5))
-    est = grouped_estimator(vec, GroupingScheme(1000, 40, 25))
+    est = grouped_estimator(vec, 40)
     xs = np.array([[-0.5, 0.0, 0.25], [1.0, 1.75, 7.0]])
     expect = [[np.count_nonzero(est.counts <= lattice_floor(x * 3000 / 40)) / 40 for x in row] for row in xs]
     np.testing.assert_array_equal(est(xs), expect)
@@ -148,7 +127,7 @@ def test_estimator_outputs_compare_by_value():
     assert (a == b) is True
     assert (a == natural_estimator(CountsVector(MULTINOMIAL, [1, 3, 2], n=6))) is False
     assert (a == natural_estimator(CountsVector(POISSONIZED, [1, 2, 3], n=6))) is False
-    assert (a == grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3], n=6), GroupingScheme(3, 3, 1))) is True
+    assert (a == grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3], n=6), 3)) is True
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,7 +157,7 @@ def test_k1_grouping_is_natural_bit_for_bit(counts, n, poissonized):
     assume(poissonized or sum(counts) > 0)
     vec = CountsVector(POISSONIZED, counts, n=n) if poissonized else CountsVector(MULTINOMIAL, counts, n=sum(counts))
     a = natural_estimator(vec)
-    b = grouped_estimator(vec, GroupingScheme(len(counts), len(counts), 1))
+    b = grouped_estimator(vec, len(counts))
     assert a.counts.dtype == b.counts.dtype and np.array_equal(a.counts, b.counts)
     assert (a.n, a.kind) == (b.n, b.kind)
     assert a.cdf == b.cdf

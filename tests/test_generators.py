@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from structdist import (
-    GroupingScheme,
     NumericError,
     SmoothGenerator,
     ValidationError,
@@ -90,7 +89,7 @@ def test_block_probabilities_hit_density_midpoints():
     # for a quadratic G the block increment equals the midpoint density value
     gen = example_generator()
     cells = cells_from_generator(gen, 1000)
-    gm = group_model(cells, GroupingScheme(1000, 40, 25))
+    gm = group_model(cells, 40)
     mids = (np.arange(40) + 0.5) / 40
     np.testing.assert_allclose(40 * gm.p, gen.g(mids), atol=1e-12)
 
@@ -126,7 +125,7 @@ def test_density_sup_gap_zero_for_uniform():
 def test_density_l2_gap_matches_linear_constant(m):
     # for |g'| = 2 the integrated squared gap is exactly (2^2/12)/m^2
     gen = example_generator()
-    gm = group_model(cells_from_generator(gen, 1000), GroupingScheme(1000, m, 1000 // m))
+    gm = group_model(cells_from_generator(gen, 1000), m)
     gap = density_l2_gap(gm, gen.g)
     assert gap == pytest.approx(1.0 / (3.0 * m * m), rel=1e-6)
 

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structdist import (
     CellModel,
-    GroupingScheme,
     StepCdf,
     ValidationError,
+    divisors_of,
     group_model,
-    grouping_permutation,
     structural_cdf,
     sup_distance,
     sup_distance_to_function,
@@ -112,6 +112,46 @@ def test_sup_distance_to_function_extra_grid_points():
     assert d == 1.0
 
 
+# Step CDFs with jumps on the quarter lattice in [-2.5, 2.5]: equal values
+# are frequent, so ties, shared jumps and coinciding CDFs all occur.
+quarter_values = st.lists(st.integers(-10, 10), min_size=1, max_size=30).map(lambda v: np.array(v) / 4)
+step_cdfs = quarter_values.map(StepCdf.from_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=step_cdfs, b=step_cdfs, c=step_cdfs)
+def test_sup_distance_is_a_metric(a, b, c):
+    assert sup_distance(a, b) == sup_distance(b, a)
+    assert sup_distance(a, a) == 0.0
+    assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=step_cdfs, b=step_cdfs)
+def test_sup_distance_matches_a_dense_grid(a, b):
+    # every jump is a multiple of 1/4, so the eighths hit each jump and a
+    # point of every interval between jumps, where both CDFs are constant
+    grid = np.arange(-24, 25) / 8
+    assert sup_distance(a, b) == float(np.abs(a(grid) - b(grid)).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=quarter_values,
+    weights=st.lists(st.integers(1, 9), min_size=30, max_size=30),
+)
+def test_from_values_keeps_the_mass_and_merges_ties(values, weights):
+    w = np.array(weights[: values.size], dtype=float)
+    w /= w.sum()
+    cdf = StepCdf.from_values(values, weights=w)
+    np.testing.assert_array_equal(cdf.locations, np.unique(values))
+    for loc, mass in zip(cdf.locations, cdf.masses):
+        assert mass == pytest.approx(w[values == loc].sum(), abs=1e-15)
+    assert abs(cdf.masses.sum() - w.sum()) <= 1e-12
+    assert cdf(np.inf) == cdf(cdf.locations[-1]) == pytest.approx(1.0, abs=1e-12)
+    assert cdf.before(cdf.locations[0]) == 0.0
+
+
 # ---------- cell and grouped models ----------
 
 def test_cell_model_validation():
@@ -132,40 +172,35 @@ def test_structural_cdf_scales_by_M():
 
 
 def test_grouping_scheme_requires_exact_factorization():
-    GroupingScheme(6, 3, 2)
-    with pytest.raises(ValidationError):
-        GroupingScheme(6, 4, 2)
-    with pytest.raises(ValidationError):
-        GroupingScheme(6, 3, 0)
+    cells = CellModel(6, [1 / 6] * 6)
+    assert [group_model(cells, m).M for m in divisors_of(6)] == [1, 2, 3, 6]
+    for m, nearest in ((4, 3), (0, 1), (-2, 1), (7, 6)):
+        with pytest.raises(ValidationError, match=f"m={m} does not divide M=6; nearest divisor is {nearest}$"):
+            group_model(cells, m)
 
 
 def test_group_model_sums_adjacent_blocks():
     cells = CellModel(4, [0.1, 0.2, 0.3, 0.4])
-    gm = group_model(cells, GroupingScheme(4, 2, 2))
+    gm = group_model(cells, 2)
     assert isinstance(gm, CellModel) and gm.M == 2
     np.testing.assert_allclose(gm.p, [0.3, 0.7])
     cdf = structural_cdf(gm)
     np.testing.assert_allclose(cdf.locations, [0.6, 1.4])
+    assert group_model(cells, 4) == cells  # m = M: one cell per group
 
 
 def test_ordered_scheme_sorts_cells_before_grouping():
+    # group_model cuts blocks in the order given; an ordered grouping sorts first
     cells = CellModel(4, [0.4, 0.1, 0.3, 0.2])
-    scheme = GroupingScheme(4, 2, 2, ordered=True)
-    perm = grouping_permutation(cells, scheme)
-    np.testing.assert_array_equal(cells.p[perm], [0.1, 0.2, 0.3, 0.4])
-    gm = group_model(cells, scheme)
-    np.testing.assert_allclose(gm.p, [0.3, 0.7])
-
-
-def test_grouping_permutation_checks_M():
-    cells = CellModel(4, [0.25] * 4)
-    with pytest.raises(ValidationError):
-        grouping_permutation(cells, GroupingScheme(6, 3, 2))
+    np.testing.assert_allclose(group_model(cells, 2).p, [0.5, 0.5])
+    ordered = CellModel(4, cells.p[np.argsort(cells.p, kind="stable")])
+    np.testing.assert_array_equal(ordered.p, [0.1, 0.2, 0.3, 0.4])
+    np.testing.assert_allclose(group_model(ordered, 2).p, [0.3, 0.7])
 
 
 def test_grouped_model_validation():
     # a grouped model is a CellModel over the m groups and validates as one
     with pytest.raises(ValidationError):
         CellModel(2, [0.6, 0.6])
-    gm = group_model(CellModel(6, [0.1] * 4 + [0.3, 0.3]), GroupingScheme(6, 3, 2))
+    gm = group_model(CellModel(6, [0.1] * 4 + [0.3, 0.3]), 3)
     assert gm == CellModel(3, [0.2, 0.2, 0.6])

@@ -9,7 +9,6 @@ from structdist import (
     POISSONIZED,
     CellModel,
     CountsVector,
-    GroupingScheme,
     RngStream,
     ValidationError,
     cells_from_generator,
@@ -17,9 +16,8 @@ from structdist import (
     draw_multinomial,
     draw_poissonized,
     example_generator,
-    group_counts,
+    grouped_estimator,
     group_model,
-    grouping_permutation,
 )
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
@@ -143,8 +141,7 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
     """Two routes to Poissonized group counts must agree in distribution:
     drawing Poisson(n*q_j) directly, versus grouping the coupled rho."""
     cells = cells_from_generator(example_generator(), 12)
-    scheme = GroupingScheme(12, 4, 3)
-    gm = group_model(cells, scheme)
+    gm = group_model(cells, 4)
     n, reps = 60, 10_000
     direct = np.empty(reps)
     via_coupling = np.empty(reps)
@@ -153,7 +150,7 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
         gen = base.substream(r).generator()
         direct[r] = draw_poissonized(gm, n, gen).counts[0]
         _, rho = draw_coupled(cells, n, gen)
-        via_coupling[r] = group_counts(rho, scheme).counts[0]
+        via_coupling[r] = grouped_estimator(rho, 4).counts[0]
     stat, _ = ks_2samp(direct, via_coupling)
     assert stat < 1.628 * np.sqrt(2.0 / reps)  # 1% critical value
     expect = n * gm.p[0]
@@ -165,39 +162,26 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
 
 def test_group_counts_block_sums():
     vec = CountsVector(MULTINOMIAL, [1, 2, 3, 4], n=10)
-    out = group_counts(vec, GroupingScheme(4, 2, 2))
+    out = grouped_estimator(vec, 2)
     np.testing.assert_array_equal(out.counts, [3, 7])
-    assert out.n == 10 and out.kind == MULTINOMIAL
+    assert out.n == 10 and out.kind[1] == MULTINOMIAL
 
 
 def test_group_counts_k1_is_identity():
     vec = draw_multinomial(CELLS6, 30, RngStream(8))
-    out = group_counts(vec, GroupingScheme(6, 6, 1))
+    out = grouped_estimator(vec, 6)
     np.testing.assert_array_equal(out.counts, vec.counts)
 
 
 def test_group_counts_preserves_poisson_metadata():
     vec = draw_poissonized(CELLS6, 30, RngStream(9))
-    out = group_counts(vec, GroupingScheme(6, 3, 2))
-    assert out.N_realized == vec.N_realized
-    assert out.kind == POISSONIZED
-
-
-def test_ordered_scheme_needs_model_permutation():
-    cells = CellModel(4, [0.4, 0.1, 0.3, 0.2])
-    scheme = GroupingScheme(4, 2, 2, ordered=True)
-    vec = CountsVector(MULTINOMIAL, [8, 1, 5, 2], n=16)
-    with pytest.raises(ValidationError):
-        group_counts(vec, scheme)  # silently unordered grouping would be wrong
-    perm = grouping_permutation(cells, scheme)
-    out = group_counts(vec, scheme, permutation=perm)
-    # cells sorted ascending by p -> count order (1, 2, 5, 8)
-    np.testing.assert_array_equal(out.counts, [3, 13])
+    out = grouped_estimator(vec, 3)
+    assert out.counts.sum() == vec.N_realized and out.n == 30
+    assert out.kind[1] == POISSONIZED
 
 
 def test_group_counts_length_checks():
     vec = CountsVector(MULTINOMIAL, [1, 2, 3], n=6)
-    with pytest.raises(ValidationError):
-        group_counts(vec, GroupingScheme(4, 2, 2))
-    with pytest.raises(ValidationError):
-        group_counts(vec, GroupingScheme(3, 3, 1), permutation=[0, 1])
+    for m in (2, 4, 0):
+        with pytest.raises(ValidationError, match="does not divide M=3"):
+            grouped_estimator(vec, m)

@@ -10,7 +10,6 @@ from scipy.stats import binom, poisson
 
 import structdist.study as study
 from structdist import (
-    GroupingScheme,
     RngStream,
     StudyConfig,
     ValidationError,
@@ -22,7 +21,6 @@ from structdist import (
     draw_multinomial,
     draw_poissonized,
     example_generator,
-    group_counts,
     group_model,
     grouped_estimator,
     lattice_floor,
@@ -44,7 +42,7 @@ X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
 def grouped_example(M, m):
     """The example model grouped into m blocks: a CellModel with M = m."""
-    return group_model(cells_from_generator(example_generator(), M), GroupingScheme(M, m, M // m))
+    return group_model(cells_from_generator(example_generator(), M), m)
 
 
 def exact_mean(q, n, x, poissonized):
@@ -157,7 +155,7 @@ def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     for r in range(cfg.reps):
         vec = draw(blocks, n, base.substream(r).generator())
         for i, m in enumerate(LCM_MS):
-            grouped = grouped_estimator(vec, GroupingScheme(200, m, 200 // m), n=n)
+            grouped = grouped_estimator(vec, m)
             K = np.array([lattice_floor(x * n / m) for x in LCM_XS])
             np.testing.assert_allclose(est[i, :, r], grouped.cdf(K * (m / n)), rtol=0, atol=1e-15)
             assert np.array_equal(est[i, :, r], grouped(LCM_XS))
@@ -208,7 +206,7 @@ def test_slab_estimates_are_the_grouped_estimator_on_each_draw(cfg):
     for r in range(cfg.reps):
         vec = draw(blocks, cfg.n, RngStream(cfg.seed).substream(r))
         for i, m in enumerate(cfg.m_values):
-            assert np.array_equal(est[i, :, r], grouped_estimator(vec, GroupingScheme(L, m, L // m))(cfg.x_grid))
+            assert np.array_equal(est[i, :, r], grouped_estimator(vec, m)(cfg.x_grid))
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -363,14 +361,13 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
     assert rung.mean_sup_gap_natural == gap / M and rung.bound_violations == 0
 
     m = rung.m
-    scheme = GroupingScheme(M, m, M // m)
     K = _lattice_index(xs, n, m)
     ks = np.arange(K.max() + 2)
     agree = K == np.array([ks[ks * (m / n) <= x].max() for x in xs])
     halves = []
     for vec in (nu, rho):
-        halves.append(_estimate(group_counts(vec, scheme).counts, K))
-        est = grouped_estimator(vec, scheme, n=n)
+        halves.append(_estimate(vec.counts.reshape(m, -1).sum(axis=1), K))
+        est = grouped_estimator(vec, m)
         assert np.array_equal(halves[-1], est(xs))
         np.testing.assert_allclose(halves[-1][agree], est.cdf(np.asarray(xs))[agree], rtol=0, atol=1e-15)
     assert np.array_equal(rung.mean_sq_gap, (halves[0] - halves[1]) ** 2)
@@ -390,11 +387,10 @@ def test_gap_sums_replications_in_order(monkeypatch, rows):
     base = RngStream(cfg.seed)
     for i, (rung, n) in enumerate(zip(rungs, ladder)):
         cells = cells_from_generator(example_generator(), rung.M)
-        scheme = GroupingScheme(rung.M, rung.m, rung.M // rung.m)
         sq = np.zeros(len(X7))
         for r in range(cfg.reps):
             nu, rho = draw_coupled(cells, n, base.substream(i * cfg.reps + r))
-            sq += (grouped_estimator(nu, scheme)(X7) - grouped_estimator(rho, scheme)(X7)) ** 2
+            sq += (grouped_estimator(nu, rung.m)(X7) - grouped_estimator(rho, rung.m)(X7)) ** 2
         assert rung.mean_sq_gap == tuple(sq / cfg.reps)
 
 
@@ -429,7 +425,7 @@ def test_consistency_trend_replays_group_draws(poissonized):
     base = RngStream(seed)
     ref = []
     for r in range(reps):
-        est = grouped_estimator(draw(groups, n, base.substream(reps + r)), GroupingScheme(m, m, 1))
+        est = grouped_estimator(draw(groups, n, base.substream(reps + r)), m)
         ref.append(sup_distance_to_function(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
 
