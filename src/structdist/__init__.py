@@ -2,6 +2,8 @@
 with many rare cells: natural and grouped estimators, their limit laws,
 bias/MSE bounds, and a seeded Monte Carlo study harness."""
 
+from types import ModuleType as _ModuleType
+
 from .asymptotics import (
     BoundParams,
     OptimalGroupCount,
@@ -15,7 +17,6 @@ from .asymptotics import (
     optimal_m,
     phi_m,
     poisson_mixture_cdf,
-    poissonization_union_bound,
 )
 from .errors import NumericError, StructDistError, ValidationError
 from .estimators import (
@@ -30,11 +31,8 @@ from .generators import (
     SmoothGenerator,
     by_name,
     cells_from_generator,
-    density_l2_gap,
-    density_sup_gap,
     example_generator,
     limit_sdf,
-    step_density,
     table_generator,
     uniform_generator,
 )
@@ -80,4 +78,5 @@ from .study import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; importing them also binds the submodules, which are not API
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

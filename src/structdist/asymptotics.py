@@ -36,14 +36,12 @@ class BoundParams:
     lambda_: limit of n/M.  tau: uniform bound on the limit density.
     c: the L2 constant in the step-density approximation integral(f_m - g)^2
     <= c/m^2; the midpoint-rule constant for a Lipschitz density is
-    (sup|g'|)^2 / 12, which `for_generator` uses as default.  alpha: the
-    exponent in the rate condition, restricted to (0, 1/6).
+    (sup|g'|)^2 / 12, which `for_generator` uses.
     """
 
     lambda_: float
     tau: float
     c: float
-    alpha: float = 0.1
 
     def __post_init__(self):
         if self.lambda_ <= 0:
@@ -52,12 +50,10 @@ class BoundParams:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if self.c <= 0:
             raise ValidationError(f"c must be positive, got {self.c}")
-        if not 0 < self.alpha < 1 / 6:
-            raise ValidationError(f"alpha must lie in (0, 1/6), got {self.alpha}")
 
     @classmethod
-    def for_generator(cls, gen: SmoothGenerator, lambda_: float, alpha: float = 0.1) -> "BoundParams":
-        return cls(lambda_=lambda_, tau=gen.tau, c=gen.g_deriv_bound**2 / 12.0, alpha=alpha)
+    def for_generator(cls, gen: SmoothGenerator, lambda_: float) -> "BoundParams":
+        return cls(lambda_=lambda_, tau=gen.tau, c=gen.g_deriv_bound**2 / 12.0)
 
 
 # Relative distance within which lattice_floor treats y as an integer: a few
@@ -286,19 +282,3 @@ def bernstein_poisson_tail(mean: float, epsilon: float) -> float:
     val = 2.0 * math.exp(-(epsilon**2) / (2.0 + epsilon / math.sqrt(mean)))
     return min(1.0, val)
 
-
-def poissonization_union_bound(model: CellModel, n: int, delta: float) -> float:
-    """Union bound over the m groups on max_j |(m/n) count_j - m q_j| >= delta
-    for Poissonized group counts: 2 m exp(-(n/m) delta^2 / (2c + delta)) with
-    c = max_j m q_j, capped at 1. At m=1 this is the single-cell Bernstein
-    form with the deviation rescaled to the z scale."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
-    m = model.M
-    c = float(np.max(m * model.p))
-    if c == 0.0:
-        return 0.0  # all groups empty with probability 1, no deviation possible
-    val = 2.0 * m * math.exp(-(n / m) * delta**2 / (2.0 * c + delta))
-    return min(1.0, val)

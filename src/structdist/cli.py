@@ -8,13 +8,15 @@ compact JSON), as an indented sidecar (<out>.json, or stderr when writing
 CSV to stdout) otherwise.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-validation failure,
-4 IO failure. Failures print a machine-readable JSON object on stderr.
+4 IO failure. Failures print a machine-readable JSON object on stderr. All
+JSON is strict: a non-finite float is written as the string "inf" or "-inf".
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,13 +77,33 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return vals
 
 
+def _finite(v):
+    """v with every non-finite float replaced by its str: "inf", "-inf" or "nan"."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
+def _dumps(obj, **kw) -> str:
+    """json.dumps writing non-finite floats as strings (strict JSON); only a
+    document the encoder rejects for them is walked in Python."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kw)
+    except ValueError:
+        return json.dumps(_finite(obj), allow_nan=False, **kw)
+
+
 def _emit(columns: Sequence[str], rows, meta: dict, out: Optional[str], fmt: str):
     """Write the table. csv: rows to --out or stdout, metadata as a JSON
     sidecar (<out>.json, or stderr for stdout). json: one document with the
     metadata and rows embedded, written compactly so the C encoder runs."""
     meta = {"schema": SCHEMA_VERSION, **meta}
     if fmt == "json":
-        doc = json.dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]})
+        doc = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]})
         if out is None:
             sys.stdout.write(doc + "\n")
         else:
@@ -90,7 +112,7 @@ def _emit(columns: Sequence[str], rows, meta: dict, out: Optional[str], fmt: str
     lines = [",".join(columns)]
     lines += [",".join(_cell_str(v) for v in r) for r in rows]
     text = "\n".join(lines) + "\n"
-    sidecar = json.dumps(meta, indent=2) + "\n"
+    sidecar = _dumps(meta, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         sys.stderr.write(sidecar)
@@ -195,6 +217,8 @@ def _cmd_mse(args) -> None:
         raise ValidationError("config must be a JSON object")
     if cfg.pop("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValidationError(f"unsupported config schema (expected {SCHEMA_VERSION})")
+    if isinstance(cfg.get("x_grid"), list):  # an echoed config writes infinite x as "inf"/"-inf"
+        cfg["x_grid"] = [float(x) if x in ("inf", "-inf") else x for x in cfg["x_grid"]]
     try:
         config = StudyConfig(**cfg)
     except TypeError as e:
@@ -217,7 +241,7 @@ def _cmd_mse(args) -> None:
 
 
 def _cmd_bounds(args) -> None:
-    params = BoundParams(lambda_=args.lam, tau=args.tau, c=args.c, alpha=args.alpha)
+    params = BoundParams(lambda_=args.lam, tau=args.tau, c=args.c)
     ref = optimal_m(args.n, params)
     ms = _parse_ints(args.m_values)
     T = optimal_T(ms, args.n, params)
@@ -229,7 +253,6 @@ def _cmd_bounds(args) -> None:
         "n": args.n,
         "tau": args.tau,
         "c": args.c,
-        "alpha": args.alpha,
         "lambda": args.lam,
         "optimal_m": ref.m_n,
         "optimal_m_bound_value": ref.bound_value,
@@ -352,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-values", required=True, help="comma-separated group counts")
     p.add_argument("--tau", type=float, default=2.0, help="density bound (default: example model, 2)")
     p.add_argument("--c", type=float, default=1.0 / 3.0, help="step-density L2 constant (default: example model, 1/3)")
-    p.add_argument("--alpha", type=float, default=0.1, help="rate exponent in (0, 1/6) (default 0.1)")
     p.add_argument("--lambda", dest="lam", type=float, default=3.0, help="n/M limit (default 3)")
     _add_common(p)
     p.set_defaults(fn=_cmd_bounds)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad config or
-inputs), NumericError -> 3 (a numeric audit failed, e.g. a generator whose
+inputs), NumericError -> 3 (a numeric check failed, e.g. a generator whose
 increments go negative), and OSError -> 4.
 """
 
@@ -15,4 +15,4 @@ class ValidationError(StructDistError, ValueError):
 
 
 class NumericError(StructDistError, ArithmeticError):
-    """A numeric validation failed (non-monotone generator, bad density audit, ...)."""
+    """A numeric validation failed (non-monotone generator, decreasing table, ...)."""

@@ -25,6 +25,10 @@ from .sampling import CountsVector
 NATURAL = "natural"
 GROUPED = "grouped"
 
+# check_regime's rate exponent (in (0, 1/6)) and the ratio above which a flag reads true
+REGIME_ALPHA = 0.1
+REGIME_THRESHOLD = 5.0
+
 
 def _lattice_index(x_grid, n: int, size: int) -> np.ndarray:
     """K = lattice_floor(x n / size) per x: the largest count the estimate at x
@@ -88,21 +92,19 @@ def natural_estimator(counts: CountsVector) -> EstimatorOutput:
     return grouped_estimator(counts, counts.size)
 
 
-def check_regime(M: int, n: int, m: int, alpha: float = 0.1, threshold: float = 5.0) -> dict:
+def check_regime(M: int, n: int, m: int) -> dict:
     """Finite-sample diagnostics for the asymptotic regime conditions.
 
     Reports lambda_hat = n/M and the ratios n/(m log m) and
-    n/(m (log m)^(1/(2 alpha))). The boolean flags compare the ratios to a
-    heuristic threshold (default 5.0) and are diagnostic only: the
+    n/(m (log m)^(1/(2 REGIME_ALPHA))). The boolean flags compare the ratios
+    to the heuristic REGIME_THRESHOLD and are diagnostic only: the
     underlying conditions are asymptotic and admit no finite-n verdict.
     """
     if M < 1 or n < 1 or m < 1:
         raise ValidationError("M, n, m must be positive")
-    if not 0 < alpha < 1 / 6:
-        raise ValidationError(f"alpha must lie in (0, 1/6), got {alpha}")
     log_m = math.log(m)
     ratio_grouping = math.inf if m == 1 else n / (m * log_m)
-    ratio_rate = math.inf if m == 1 else n / (m * log_m ** (1.0 / (2.0 * alpha)))
+    ratio_rate = math.inf if m == 1 else n / (m * log_m ** (1.0 / (2.0 * REGIME_ALPHA)))
     note = ""
     if m == M:
         note = "natural-estimator regime (k=1); grouping consistency theory does not apply"
@@ -110,9 +112,9 @@ def check_regime(M: int, n: int, m: int, alpha: float = 0.1, threshold: float = 
         "lambda_hat": n / M,
         "ratio_grouping": ratio_grouping,
         "ratio_rate": ratio_rate,
-        "in_regime_grouping": ratio_grouping > threshold,
-        "in_regime_rate": ratio_rate > threshold,
-        "threshold": threshold,
-        "alpha": alpha,
+        "in_regime_grouping": ratio_grouping > REGIME_THRESHOLD,
+        "in_regime_rate": ratio_rate > REGIME_THRESHOLD,
+        "threshold": REGIME_THRESHOLD,
+        "alpha": REGIME_ALPHA,
         "note": note,
     }

@@ -17,22 +17,17 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import CellModel
 
-AUDIT_GRID = 10_000  # grid size for the numeric generator audit
-
 
 @dataclass(frozen=True)
 class SmoothGenerator:
     """A generating distribution G with density g and its analytic bounds.
 
     G and g both take arrays. tau bounds |g| and g_deriv_bound bounds |g'|;
-    both are treated as known analytic inputs (the error bounds consume
-    them), but `audit` checks them numerically on a grid. `limit_cdf` is the
-    exact CDF of g(U); limit_sdf needs it. `bounded_density` is False for
-    generators whose density blows up (they remain usable for sampling but
-    sit outside the error-bound hypotheses). `pieces` lists the (width,
-    slope) pairs of a piecewise-constant density in order over (0,1]; where
-    it is set the limit laws are exact finite sums over the pieces instead
-    of quadratures over u. It is empty for a smooth density.
+    both are known analytic inputs that the error bounds consume unchecked.
+    `limit_cdf` is the exact CDF of g(U); limit_sdf needs it. `pieces` lists
+    the (width, slope) pairs of a piecewise-constant density in order over
+    (0,1]; where it is set the limit laws are exact finite sums over the
+    pieces instead of quadratures over u. It is empty for a smooth density.
     """
 
     name: str
@@ -41,42 +36,7 @@ class SmoothGenerator:
     tau: float
     g_deriv_bound: float
     limit_cdf: Optional[Callable[[float], float]] = None
-    bounded_density: bool = True
     pieces: tuple[tuple[float, float], ...] = ()
-
-    def audit(self, grid: int = AUDIT_GRID, slack: float = 1e-9) -> dict:
-        """Numerically verify the declared invariants of (G, g, tau, g_deriv_bound).
-
-        Returns a record of the measured quantities; raises NumericError if
-        G fails to be a distribution function on [0,1] or the declared
-        bounds are violated beyond `slack`.
-        """
-        u = np.linspace(0.0, 1.0, grid + 1)
-        Gu = np.asarray(self.G(u), dtype=float)
-        if abs(Gu[0]) > 1e-12 or abs(Gu[-1] - 1.0) > 1e-12:
-            raise NumericError(f"generator {self.name!r}: G(0)={Gu[0]!r}, G(1)={Gu[-1]!r}; expected 0 and 1")
-        if np.any(np.diff(Gu) < -1e-12):
-            raise NumericError(f"generator {self.name!r}: G is not nondecreasing on the audit grid")
-        # density is defined on (0,1]; skip u=0
-        gu = np.asarray(self.g(u[1:]), dtype=float)
-        g_max = float(np.max(gu))
-        g_min = float(np.min(gu))
-        slopes = np.diff(gu) / np.diff(u[1:])
-        slope_max = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-        if self.bounded_density and g_max > self.tau + slack:
-            raise NumericError(f"generator {self.name!r}: observed sup g = {g_max} exceeds declared tau = {self.tau}")
-        if self.bounded_density and slope_max > self.g_deriv_bound + max(slack, 1e-6 * slope_max):
-            raise NumericError(
-                f"generator {self.name!r}: observed sup |g'| ~ {slope_max} exceeds declared bound {self.g_deriv_bound}"
-            )
-        # inf_g is exposed without a verdict: some bound hypotheses want the
-        # density bounded away from zero, and that call is the consumer's.
-        return {
-            "sup_g": g_max,
-            "inf_g": g_min,
-            "sup_abs_g_slope": slope_max,
-            "in_bound_hypotheses": bool(self.bounded_density),
-        }
 
 
 def example_generator() -> SmoothGenerator:
@@ -205,59 +165,3 @@ def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:
     if gen.limit_cdf is None:
         raise ValidationError(f"generator {gen.name!r} has no limit_cdf; supply the exact CDF of g(U)")
     return gen.limit_cdf
-
-
-def step_density(model: CellModel) -> Callable[[np.ndarray], np.ndarray]:
-    """The step density: value M*p_j on ((j-1)/M, j/M] (m*q_j on ((j-1)/m, j/m]
-    for a grouped model)."""
-    size = model.M
-    heights = size * model.p
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0) or np.any(t > 1):
-            raise ValidationError("step density is defined on (0, 1]")
-        # t in ((j-1)/M, j/M] maps to block j; ceil with an exactness guard
-        idx = np.clip(np.ceil(t * size - 1e-12).astype(int) - 1, 0, size - 1)
-        out = heights[idx]
-        return float(out) if np.ndim(t) == 0 else out
-
-    return f
-
-
-def density_sup_gap(model: CellModel, density, points_per_cell: int = 4) -> float:
-    """sup_t |f_M(t) - g(t)| over (0,1], sampled at cell endpoints and interior points.
-
-    Exact for monotone g (per-cell sup of |const - monotone| sits at a cell
-    endpoint); interior points cover mild non-monotonicity.
-    """
-    f = step_density(model)
-    size = model.M
-    offs = np.linspace(0.0, 1.0, points_per_cell + 1)[1:]  # (0,1] offsets within each cell
-    t = ((np.arange(size)[:, None] + offs[None, :]) / size).ravel()
-    g = np.asarray(density(t), dtype=float)
-    return float(np.max(np.abs(f(t) - g)))
-
-
-def density_l2_gap(model: CellModel, density) -> float:
-    """integral over (0,1] of (f_M(t) - g(t))^2, by per-cell quadrature.
-
-    The error-bound constant c promises this is <= c/size^2; for a density
-    with |g'| <= L and cell averages as heights, equality holds at
-    c = L^2/12 when g is linear.
-    """
-    from scipy.integrate import quad
-
-    f = step_density(model)
-    size = model.M
-    edges = np.arange(size + 1) / size
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        # stay strictly inside the cell: f is discontinuous at edges
-        total += quad(
-            lambda t: (float(f(t)) - float(density(t))) ** 2,
-            a + 1e-15,
-            b,
-            epsabs=1e-12,
-        )[0]
-    return total

@@ -52,9 +52,9 @@ class Corpus:
         return self.counts.size
 
 
-def tokenize(data: bytes | str, lowercase: bool = True) -> Corpus:
-    """Lowercase and split on non-alphanumeric runs; vocabulary indices are
-    assigned in order of first occurrence.
+def tokenize(data: bytes | str) -> Corpus:
+    """Fold to lower case and split on non-alphanumeric runs; vocabulary
+    indices are assigned in order of first occurrence.
 
     Bytes input must be valid UTF-8 (rejected with the offending byte
     offset); text with no alphanumeric content is rejected as empty.
@@ -66,9 +66,7 @@ def tokenize(data: bytes | str, lowercase: bool = True) -> Corpus:
             raise ValidationError(f"invalid UTF-8 at byte offset {e.start}") from e
     else:
         text = data
-    if lowercase:
-        text = text.lower()
-    tokens = _WORD.findall(text)
+    tokens = _WORD.findall(text.lower())
     if not tokens:
         raise ValidationError("empty corpus: no alphanumeric tokens found")
     return Corpus(tuple(tokens))

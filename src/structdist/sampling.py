@@ -36,6 +36,12 @@ STREAM_VERSION = 3
 
 _U64 = (1 << 64) - 1
 
+# The largest n a draw accepts: numpy draws counts in int64 and rejects
+# Poisson means near 2**63, and its multivariate hypergeometric (which
+# draw_coupled uses) needs a total below 10**9.
+MAX_N = 2**62
+MAX_COUPLED_N = 10**9 - 1
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -99,6 +105,13 @@ class CountsVector:
         return int(self.counts.size)
 
 
+def _check_n(n: int, limit: int = MAX_N) -> None:
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if n > limit:
+        raise ValidationError(f"n must be <= {limit}, got {n}")
+
+
 def _live(rng) -> Generator:
     """Draw ops take a fresh RngStream (single consumer) or an already
     running Generator when one replication needs several sequential draws."""
@@ -107,16 +120,14 @@ def _live(rng) -> Generator:
 
 def draw_multinomial(cells: CellModel, n: int, rng) -> CountsVector:
     """One Multinomial(n, p) count vector."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_n(n)
     counts = _live(rng).multinomial(n, cells.p)
     return CountsVector(MULTINOMIAL, counts, n=n, N_realized=n)
 
 
 def draw_poissonized(cells: CellModel, n: int, rng) -> CountsVector:
     """Independent Poisson(n * p_j) counts; the total is the realized N."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_n(n)
     counts = _live(rng).poisson(n * cells.p)
     return CountsVector(POISSONIZED, counts, n=n, N_realized=int(counts.sum()))
 
@@ -127,10 +138,10 @@ def draw_coupled(cells: CellModel, n: int, rng) -> tuple[CountsVector, CountsVec
 
     The construction guarantees sum_j |nu_j - rho_j| = |N - n| exactly for
     every realization, which is what the Poissonization coupling bound needs.
-    Marginally rho_j are independent Poisson(n * p_j).
+    Marginally rho_j are independent Poisson(n * p_j). n is at most
+    MAX_COUPLED_N.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_n(n, MAX_COUPLED_N)
     gen = _live(rng)
     nu = gen.multinomial(n, cells.p)
     N = int(gen.poisson(n))

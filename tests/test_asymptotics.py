@@ -31,7 +31,6 @@ from structdist import (
     optimal_m,
     phi_m,
     poisson_mixture_cdf,
-    poissonization_union_bound,
     table_generator,
     uniform_generator,
 )
@@ -57,11 +56,14 @@ def test_bound_params_validation():
     with pytest.raises(ValidationError):
         BoundParams(lambda_=0.0, tau=2.0, c=1.0)
     with pytest.raises(ValidationError):
-        BoundParams(lambda_=3.0, tau=2.0, c=1.0, alpha=0.2)  # alpha must stay below 1/6
+        BoundParams(lambda_=3.0, tau=0.0, c=1.0)
+    with pytest.raises(ValidationError):
+        BoundParams(lambda_=3.0, tau=2.0, c=0.0)
 
 
 def test_bound_params_from_generator():
-    p = BoundParams.for_generator(EXAMPLE, lambda_=3.0)
+    p = BoundParams.for_generator(EXAMPLE, 3.0)
+    assert p.lambda_ == 3.0
     assert p.tau == 2.0
     assert p.c == pytest.approx(1.0 / 3.0)  # |g'|^2 / 12
 
@@ -427,26 +429,3 @@ def test_bernstein_frozen_value_and_cap():
     assert bernstein_poisson_tail(4.0, 3.0) == pytest.approx(2.0 * math.exp(-18.0 / 7.0), rel=1e-12)
     assert bernstein_poisson_tail(4.0, 1e-9) == 1.0  # capped
     assert bernstein_poisson_tail(100.0, 3.0) < bernstein_poisson_tail(100.0, 2.0)
-
-
-def test_union_bound_matches_formula():
-    gm = group_model(cells_from_generator(EXAMPLE, 1000), 40)
-    c = float(np.max(40 * gm.p))
-    n, delta = 6000, 0.5
-    expect = min(1.0, 2 * 40 * math.exp(-(n / 40) * delta**2 / (2 * c + delta)))
-    assert poissonization_union_bound(gm, n, delta) == pytest.approx(expect, rel=1e-12)
-    assert 0.0 < poissonization_union_bound(gm, n, delta) < 1.0
-
-
-def test_union_bound_single_group_is_bernstein_like():
-    gm = CellModel(1, [1.0])
-    n, delta = 100, 0.4
-    expect = min(1.0, 2.0 * math.exp(-n * delta**2 / (2.0 + delta)))
-    assert poissonization_union_bound(gm, n, delta) == pytest.approx(expect, rel=1e-12)
-
-
-def test_union_bound_vanishes_in_n():
-    gm = group_model(cells_from_generator(EXAMPLE, 1000), 40)
-    vals = [poissonization_union_bound(gm, n, 0.5) for n in (10**4, 10**5, 10**6)]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 1e-20

@@ -24,6 +24,7 @@ from structdist import (
     table_generator,
 )
 from structdist.cli import _jump_rows, main
+from structdist.sampling import MAX_N
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
 
@@ -389,6 +390,17 @@ def test_mse_accepts_infinite_and_integer_x(tmp_path, capsys):
     assert [r[2] for r in json.loads(out)["rows"]] == [0.0, 0.5, 1.0]
 
 
+def test_mse_reruns_its_echoed_config(tmp_path, capsys):
+    path = write_config(tmp_path, x_grid=[float("-inf"), 1.0, float("inf")], m_values=[1, 10])
+    _, out, _ = run_cli(["mse", "--config", path, "--format", "json"], capsys)
+    doc = strict_json(out)
+    assert doc["config"]["x_grid"] == ["-inf", 1.0, "inf"]
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(doc["config"]))
+    _, again, _ = run_cli(["mse", "--config", str(echoed), "--format", "json"], capsys)
+    assert strict_json(again)["rows"] == doc["rows"]
+
+
 def test_mse_missing_config_is_io_error(tmp_path, capsys):
     code, error, _ = fail_cli(["mse", "--config", str(tmp_path / "absent.json")], capsys)
     assert code == 4
@@ -446,7 +458,7 @@ def test_ingest_missing_file_is_io_error(tmp_path, capsys):
 def test_reproduce_figures_outputs(tmp_path, capsys):
     code, out, _ = run_cli(["reproduce-figures", "--out-dir", str(tmp_path), "--seed", "1"], capsys)
     assert code == 0
-    assert_stream_meta(json.loads(out))
+    assert_stream_meta(strict_json(out))
     for name in ("natural.csv", "grouped_m40.csv", "grouped_m10.csv"):
         assert (tmp_path / name).exists()
 
@@ -471,6 +483,77 @@ def test_reproduce_figures_is_seed_deterministic(tmp_path, capsys):
     a = (tmp_path / "a" / "grouped_m10.csv").read_bytes()
     b = (tmp_path / "b" / "grouped_m10.csv").read_bytes()
     assert a == b
+
+
+# ---------- strict JSON ----------
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def strict_json_argv(command, tmp_path):
+    """One run per subcommand that meets a non-finite float where it can:
+    check_regime's ratios at m = 1 and echoed infinite x values."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat the end")
+    return {
+        "estimate": ["estimate", "--M", "1", "--n", "1"],
+        "simulate": ["simulate", "--M", "4", "--n", "2", "--reps", "2", "--x-grid=-inf,0.5,inf"],
+        "mse": ["mse", "--config", write_config(tmp_path, m_values=[1, 10], x_grid=[float("-inf"), 1.0, float("inf")])],
+        "bounds": ["bounds", "--n", "3000", "--m-values", "1,40"],
+        "limit": ["limit", "--lambda", "3", "--x-grid=-inf,0.5,inf"],
+        "ingest": ["ingest", "--text", str(corpus), "--m", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "mse", "bounds", "limit", "ingest"])
+def test_documents_and_sidecars_are_strict_json(command, tmp_path, capsys):
+    argv = strict_json_argv(command, tmp_path)
+    _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    doc = strict_json(out)
+    _, _, err = run_cli(argv, capsys)
+    assert strict_json(err).keys() == doc.keys() - {"columns", "rows"}
+    run_cli(argv + ["--out", str(tmp_path / "t.csv")], capsys)
+    assert strict_json((tmp_path / "t.csv.json").read_text()).keys() == doc.keys() - {"columns", "rows"}
+
+
+def test_non_finite_floats_are_written_as_strings(tmp_path, capsys):
+    _, out, _ = run_cli(["estimate", "--M", "1", "--n", "1", "--format", "json"], capsys)
+    regime = strict_json(out)["regime"]
+    assert regime["ratio_grouping"] == regime["ratio_rate"] == "inf"
+    _, out, _ = run_cli(strict_json_argv("simulate", tmp_path) + ["--format", "json"], capsys)
+    doc = strict_json(out)
+    assert doc["x_grid"] == ["-inf", 0.5, "inf"]
+    assert [r[1] for r in doc["rows"][:3]] == ["-inf", 0.5, "inf"]
+    assert [r[2] for r in doc["rows"][::3]] == [0.0, 0.0]
+    _, out, _ = run_cli(strict_json_argv("limit", tmp_path) + ["--format", "json"], capsys)
+    assert strict_json(out)["rows"] == [["-inf", 0.0], [0.5, pytest.approx(MIX_THIRD, abs=1e-9)], ["inf", 1.0]]
+
+
+# ---------- sample-size limits ----------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--M", "10", "--n", "9223372036854775808"],
+        ["estimate", "--M", "10", "--n", "100000000000000000000", "--poissonized"],
+        ["simulate", "--M", "10", "--n", "100000000000000000000", "--reps", "2"],
+    ],
+    ids=["multinomial", "poissonized", "simulate"],
+)
+def test_n_above_the_draw_limit_is_a_validation_error(argv, capsys):
+    code, error, out = fail_cli(argv, capsys)
+    assert code == 2 and error["type"] == "ValidationError"
+    assert error["message"] == f"n must be <= {MAX_N}, got {argv[4]}"
+    assert out == ""
+
+
+def test_estimate_at_the_draw_limit(capsys):
+    code, out, _ = run_cli(["estimate", "--M", "10", "--n", str(MAX_N), "--m", "2", "--format", "json"], capsys)
+    assert code == 0 and strict_json(out)["rows"][-1][1] == 1.0
 
 
 # ---------- parser-level errors ----------

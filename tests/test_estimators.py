@@ -191,6 +191,7 @@ def test_check_regime_frozen_ratios():
     assert rec["in_regime_grouping"] is True
     assert rec["in_regime_rate"] is False  # n = 3000 is far from the rate regime
     assert rec["note"] == ""
+    assert rec["alpha"] == 0.1 and rec["threshold"] == 5.0  # the sidecars echo both
 
 
 def test_check_regime_edge_cases():
@@ -198,5 +199,3 @@ def test_check_regime_edge_cases():
     assert "natural-estimator" in check_regime(100, 300, 100)["note"]
     with pytest.raises(ValidationError):
         check_regime(0, 10, 1)
-    with pytest.raises(ValidationError):
-        check_regime(100, 300, 10, alpha=0.5)

@@ -1,4 +1,4 @@
-"""Generator-to-cells pipeline: audits, frozen cell vectors, limit CDFs."""
+"""Generator-to-cells pipeline: declared bounds, frozen cell vectors, limit CDFs."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,9 @@ from structdist import (
     ValidationError,
     by_name,
     cells_from_generator,
-    density_l2_gap,
-    density_sup_gap,
     example_generator,
     group_model,
     limit_sdf,
-    step_density,
     table_generator,
     uniform_generator,
 )
@@ -45,23 +42,16 @@ def test_generators_take_arrays():
     np.testing.assert_array_equal(example_generator().G(u), [0.0, 0.4375, 1.0])
 
 
-def test_audit_reports_observed_bounds():
-    rec = example_generator().audit(64)
-    # finest grid point of the density 2(1-u) on (0,1] is u=1/64
-    assert rec["sup_g"] == pytest.approx(2.0 * (1.0 - 1.0 / 64.0))
-    assert rec["inf_g"] == 0.0
-    assert rec["sup_abs_g_slope"] == pytest.approx(2.0)
-    assert rec["in_bound_hypotheses"] is True
+@pytest.mark.parametrize("gen", [example_generator(), uniform_generator()], ids=lambda g: g.name)
+def test_declared_bounds_hold_on_the_density(gen):
+    # tau and g_deriv_bound feed the error bounds through BoundParams.for_generator
+    u = np.linspace(0.0, 1.0, 10_001)[1:]
+    g = gen.g(u)
+    assert np.max(np.abs(g)) <= gen.tau
+    assert np.max(np.abs(np.diff(g) / np.diff(u))) <= gen.g_deriv_bound * (1.0 + 1e-9)
 
 
-def test_audit_rejects_understated_tau():
-    gen = example_generator()
-    lying = SmoothGenerator(gen.name, gen.G, gen.g, tau=1.5, g_deriv_bound=2.0)
-    with pytest.raises(NumericError):
-        lying.audit()
-
-
-def test_audit_rejects_non_distribution_G():
+def test_cells_from_generator_rejects_non_monotone_G():
     # G oscillates below zero slope yet still spans (0,0)-(1,1)
     wiggly = SmoothGenerator(
         "wiggly",
@@ -70,8 +60,6 @@ def test_audit_rejects_non_distribution_G():
         tau=1.0 + 0.6 * np.pi,
         g_deriv_bound=1.2 * np.pi**2,
     )
-    with pytest.raises(NumericError):
-        wiggly.audit()
     with pytest.raises(NumericError):
         cells_from_generator(wiggly, 50)  # some increment is negative
 
@@ -83,7 +71,7 @@ def test_by_name_resolves_and_rejects():
         by_name("cauchy")
 
 
-# ---------- step density against the smooth density ----------
+# ---------- block probabilities against the smooth density ----------
 
 def test_block_probabilities_hit_density_midpoints():
     # for a quadratic G the block increment equals the midpoint density value
@@ -92,42 +80,6 @@ def test_block_probabilities_hit_density_midpoints():
     gm = group_model(cells, 40)
     mids = (np.arange(40) + 0.5) / 40
     np.testing.assert_allclose(40 * gm.p, gen.g(mids), atol=1e-12)
-
-
-def test_step_density_evaluation():
-    gen = example_generator()
-    cells = cells_from_generator(gen, 4)
-    f = step_density(cells)
-    # value on ((j-1)/4, j/4] is 4*p_j = g at the cell midpoint
-    assert f(0.25) == pytest.approx(4 * cells.p[0])
-    assert f(0.26) == pytest.approx(4 * cells.p[1])
-    assert f(1.0) == pytest.approx(4 * cells.p[3])
-    with pytest.raises(ValidationError):
-        f(0.0)
-    with pytest.raises(ValidationError):
-        f(1.1)
-
-
-@pytest.mark.parametrize("M", [50, 400])
-def test_density_sup_gap_shrinks_like_one_over_M(M):
-    gen = example_generator()
-    gap = density_sup_gap(cells_from_generator(gen, M), gen.g)
-    # linear density, midpoint heights: worst gap is half a cell's swing
-    assert gap == pytest.approx(1.0 / M, rel=1e-9)
-
-
-def test_density_sup_gap_zero_for_uniform():
-    gen = uniform_generator()
-    assert density_sup_gap(cells_from_generator(gen, 32), gen.g) == 0.0
-
-
-@pytest.mark.parametrize("m", [10, 100])
-def test_density_l2_gap_matches_linear_constant(m):
-    # for |g'| = 2 the integrated squared gap is exactly (2^2/12)/m^2
-    gen = example_generator()
-    gm = group_model(cells_from_generator(gen, 1000), m)
-    gap = density_l2_gap(gm, gen.g)
-    assert gap == pytest.approx(1.0 / (3.0 * m * m), rel=1e-6)
 
 
 # ---------- limiting structural CDF ----------

@@ -19,6 +19,7 @@ from structdist import (
     grouped_estimator,
     group_model,
 )
+from structdist.sampling import MAX_COUPLED_N, MAX_N
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
 
@@ -112,6 +113,16 @@ def test_poissonized_moments_and_realized_total():
     assert abs(last.var(ddof=1) - mean) < 5 * mean * np.sqrt(2.0 / (reps - 1))
 
 
+@pytest.mark.parametrize("M", [1, 10])
+def test_draws_reach_the_largest_n(M):
+    cells = CellModel(M, np.full(M, 1.0 / M))
+    assert int(draw_multinomial(cells, MAX_N, RngStream(0)).counts.sum()) == MAX_N
+    assert draw_poissonized(cells, MAX_N, RngStream(0)).N_realized > 0
+    for draw in (draw_multinomial, draw_poissonized):
+        with pytest.raises(ValidationError, match=f"n must be <= {MAX_N}, got {MAX_N + 1}"):
+            draw(cells, MAX_N + 1, RngStream(0))
+
+
 # ---------- the coupling ----------
 
 def test_coupled_l1_identity_exact():
@@ -123,6 +134,17 @@ def test_coupled_l1_identity_exact():
         assert int(np.abs(nu.counts - rho.counts).sum()) == abs(rho.N_realized - 40)
         assert int(nu.counts.sum()) == 40
         assert int(rho.counts.sum()) == rho.N_realized
+
+
+def test_coupled_draw_reaches_its_largest_n():
+    cells = CellModel(10, np.full(10, 0.1))
+    # seed 1 draws N < n, so the removal path (the hypergeometric draw) runs
+    nu, rho = draw_coupled(cells, MAX_COUPLED_N, RngStream(1))
+    assert rho.N_realized < nu.n == MAX_COUPLED_N
+    assert int(np.abs(nu.counts - rho.counts).sum()) == MAX_COUPLED_N - rho.N_realized
+    for n in (MAX_COUPLED_N + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"n must be <= {MAX_COUPLED_N}"):
+            draw_coupled(cells, n, RngStream(1))
 
 
 def test_coupled_poisson_marginal_moments():
