@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import CellModel
+from .model import PROB_TOL, CellModel, _block_sums, group_model
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,44 @@ def cells_from_generator(gen: SmoothGenerator, M: int) -> CellModel:
         j = int(np.argmin(p))
         raise NumericError(f"generator {gen.name!r} is not monotone: p[{j}] = {p[j]} < 0 at M={M}")
     return CellModel(M, p)
+
+
+# Grid points of G that _grouped_cells reads at once: whole groups, at
+# least one, so a chunk is longer only when a single group is. At 2^14 a
+# chunk's float arrays stay under 128 KiB, which glibc's allocator serves
+# from its heap instead of mapping fresh pages for each: the sweep's
+# cells_s (M = 333333, 9009 groups) read 2.9 ms per call at 2^14 against
+# 3.3 ms at 2^13 and 5.1 ms at 2^15 (three runs of 15 study calls each,
+# 2-vCPU VM).
+_GRID_CHUNK = 1 << 14
+
+
+def _grouped_cells(gen: SmoothGenerator, M: int, m: int) -> CellModel:
+    """group_model(cells_from_generator(gen, M), m), the same floats, built
+    a chunk of whole groups at a time.
+
+    Each chunk reads G on its part of the grid j/M, checks its cells as
+    cells_from_generator does (every one >= 0) and takes their block sums,
+    each group's cells summed alone and in order, as group_model does; no
+    M-length array is built unless one group holds more than _GRID_CHUNK
+    cells. Where a check fails or the groups' mass is near the tolerance,
+    the M-cell path itself runs, so a model it rejects is rejected with its
+    own error.
+    """
+    if M >= 1 and m >= 1 and M % m == 0:
+        k = M // m
+        step = max(1, _GRID_CHUNK // k)  # groups per chunk
+        p = np.empty(m)
+        for start in range(0, m, step):
+            stop = min(m, start + step)
+            cells = np.diff(np.asarray(gen.G(np.arange(start * k, stop * k + 1) / M), dtype=float))
+            if not np.all(cells >= 0):
+                break
+            p[start:stop] = _block_sums(cells, stop - start)
+        else:  # every chunk passed
+            if abs(float(np.sum(p)) - 1.0) <= PROB_TOL / 2:
+                return CellModel(m, p)
+    return group_model(cells_from_generator(gen, M), m)
 
 
 def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:

@@ -171,6 +171,23 @@ def _block_sums(a: np.ndarray, m: int) -> np.ndarray:
     return a.reshape(*a.shape[:-1], m, -1).sum(axis=-1)
 
 
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums of the last axis of `a` after a leading zero, so that
+    every block sum is the difference of two entries (_prefix_block_sums)."""
+    c = np.zeros((*a.shape[:-1], a.shape[-1] + 1), dtype=a.dtype)
+    np.cumsum(a, axis=-1, out=c[..., 1:])
+    return c
+
+
+def _prefix_block_sums(c: np.ndarray, m: int) -> np.ndarray:
+    """_block_sums(a, m) from c = _prefix_sums(a): one strided difference,
+    O(m) per row however short the blocks are (exact for integer a)."""
+    L = c.shape[-1] - 1
+    check_group_count(L, m)
+    k = L // m
+    return c[..., k::k] - c[..., :L:k]
+
+
 def group_model(cells: CellModel, m: int) -> CellModel:
     """The grouped model: m cells whose probabilities q_j are the block sums
     of the cell probabilities over m contiguous groups of size M/m."""

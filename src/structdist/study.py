@@ -12,14 +12,19 @@ sums carry across slabs), so the floating-point results do not depend on
 where the slabs break.
 
 Every study runs on one slab kernel that sees integer counts only: a draw
-over a grouped model (`group_model`, a `CellModel` of equal blocks), row-wise
-block sums for each group count m (the one block sum in `model`, which
-`group_model` and `grouped_estimator` use too), then the estimate at x as
-the share of group counts <= K = lattice_floor(x n / m), computed by the
-`estimators` helpers that `EstimatorOutput` evaluates with
-(`poisson_mixture_cdf` uses the same index). Block sums of multinomial (independent Poisson) counts are
+over a grouped model (a `CellModel` of equal blocks), row-wise group counts
+for each group count m, then the estimate at x as the share of group counts
+<= K = lattice_floor(x n / m), computed by the `estimators` helpers that
+`EstimatorOutput` evaluates with (`poisson_mixture_cdf` uses the same
+index). Block sums of multinomial (independent Poisson) counts are
 multinomial (Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks
-and `consistency_trend` at its m groups with every law kept;
+and `consistency_trend` at its m groups with every law kept. Both take that
+model from the generator a chunk of the grid j/M at a time
+(`generators._grouped_cells`: the floats of `group_model` over
+`cells_from_generator`, checked the same way), so neither holds all M
+cells at once unless one group has more than 2^14 of them. `run_mse_study`
+then groups each slab once per m by strided differences of one running
+sum (`model._prefix_block_sums`).
 `poissonization_gap` draws coupled cells, which its natural gap needs. No
 replication builds an `EstimatorOutput` or a `StepCdf`. The seeded stream is
 the one `sampling.STREAM_VERSION` names.
@@ -37,8 +42,8 @@ import numpy as np
 from .asymptotics import bernstein_poisson_tail
 from .errors import ValidationError
 from .estimators import _estimate, _lattice_index
-from .generators import SmoothGenerator, by_name, cells_from_generator, limit_sdf
-from .model import CellModel, _block_sums, check_group_count, group_model, nearest_divisor
+from .generators import SmoothGenerator, _grouped_cells, by_name, cells_from_generator, limit_sdf
+from .model import CellModel, _block_sums, _prefix_block_sums, _prefix_sums, check_group_count, nearest_divisor
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
 
 
@@ -120,9 +125,9 @@ class MseReport:
     # per-replication estimates, indexed (m, x, rep) in config order
     estimates: np.ndarray = field(compare=False, repr=False)
     wall_time: float = field(compare=False, default=0.0)
-    # what the run cost: seconds per stage (cells_s: generator, cells and
-    # limit; draw_s; evaluate_s: grouping and estimates; summarize_s) and
-    # the numbers of draws and slabs
+    # what the run cost: seconds per stage (cells_s: generator, the block
+    # model with its check of the cell grid, and limit; draw_s; evaluate_s:
+    # grouping and estimates; summarize_s) and the numbers of draws and slabs
     timings: dict = field(compare=False, repr=False, default_factory=dict)
 
     def cell(self, m: int, x: float) -> MseCell:
@@ -238,11 +243,10 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     t0 = time.perf_counter()
     if gen is None:
         gen = by_name(config.generator)
-    cells = cells_from_generator(gen, config.M)
+    L = math.lcm(*config.m_values)
+    blocks = _grouped_cells(gen, config.M, L)
     F = limit_sdf(gen)
     fx = tuple(float(F(x)) for x in config.x_grid)
-    L = math.lcm(*config.m_values)
-    blocks = group_model(cells, L)
     per_m = [(m, _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     draw = draw_poissonized if config.poissonized else draw_multinomial
     estimates = np.empty((len(per_m), len(config.x_grid), config.reps))
@@ -251,8 +255,9 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
                "draws": config.reps, "slabs": 0}
     for rows, (counts,) in _slabs(draw, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
         drawn = time.perf_counter()
+        prefix = _prefix_sums(counts)
         for i, (m, K) in enumerate(per_m):
-            estimates[i, :, rows] = _estimate(_block_sums(counts, m), K).T
+            estimates[i, :, rows] = _estimate(_prefix_block_sums(prefix, m), K).T
         timings["draw_s"] += drawn - mark
         mark = time.perf_counter()
         timings["evaluate_s"] += mark - drawn
@@ -340,6 +345,11 @@ class PoissonizationGapReport:
     config: StudyConfig
     rungs: tuple[GapRung, ...]
     decay_exponent: Optional[float]  # fitted decay rate of avg sq gap in n; None for < 2 rungs
+    # what the run cost, summed over the rungs: seconds per stage (cells_s:
+    # generator and cells; draw_s: coupled draws; gap_s: natural gaps and
+    # their bound; evaluate_s: grouped estimates and squared gaps) and the
+    # numbers of draws and slabs
+    timings: dict = field(compare=False, repr=False, default_factory=dict)
 
 
 def poissonization_gap(
@@ -357,12 +367,15 @@ def poissonization_gap(
     on the x_grid. With >= 2 rungs the decay exponent of the average squared
     gap is fitted in log-log scale.
     """
+    mark = time.perf_counter()
     if gen is None:
         gen = by_name(config.generator)
     lam = config.n / config.M
     ns = [int(v) for v in (n_ladder if n_ladder is not None else [config.n])]
     if any(v < 1 for v in ns):
         raise ValidationError(f"n ladder must be positive, got {ns}")
+    timings = {"cells_s": 0.0, "draw_s": 0.0, "gap_s": 0.0, "evaluate_s": 0.0,
+               "draws": len(ns) * config.reps, "slabs": 0}
     rungs = []
     for rung_idx, n in enumerate(ns):
         M = max(1, round(n / lam))
@@ -372,13 +385,22 @@ def poissonization_gap(
         sq = np.zeros(len(config.x_grid))
         gap_sum = violations = 0
         width = M * len(config.x_grid)
+        timings["cells_s"] += time.perf_counter() - mark
+        mark = time.perf_counter()
         for _, (nu, rho) in _slabs(draw_coupled, cells, n, config.seed, config.reps, width, rung_idx):
+            drawn = time.perf_counter()
             gaps = _natural_gap(nu, rho)
             gap_sum += int(gaps.sum())
             violations += int(np.count_nonzero(gaps > np.abs(rho.sum(axis=1) - n)))
+            gapped = time.perf_counter()
             diff = _estimate(_block_sums(nu, m), K) - _estimate(_block_sums(rho, m), K)
             # a running sum in replication order, carried across slabs
             sq = np.cumsum(np.vstack((sq, diff**2)), axis=0)[-1]
+            timings["draw_s"] += drawn - mark
+            mark = time.perf_counter()
+            timings["gap_s"] += gapped - drawn
+            timings["evaluate_s"] += mark - gapped
+            timings["slabs"] += 1
         sq /= config.reps
         rungs.append(
             GapRung(M=M, n=n, m=m, mean_sq_gap=tuple(float(v) for v in sq),
@@ -389,7 +411,7 @@ def poissonization_gap(
     if len(rungs) >= 2 and all(r.mean_sq_gap_avg > 0 for r in rungs):
         slope = np.polyfit(np.log([r.n for r in rungs]), np.log([r.mean_sq_gap_avg for r in rungs]), 1)[0]
         exponent = float(-slope)
-    return PoissonizationGapReport(config=config, rungs=tuple(rungs), decay_exponent=exponent)
+    return PoissonizationGapReport(config=config, rungs=tuple(rungs), decay_exponent=exponent, timings=timings)
 
 
 # ---------- Poisson tail audit ----------
@@ -445,7 +467,7 @@ def consistency_trend(
     draw = draw_poissonized if poissonized else draw_multinomial
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
-        groups = group_model(cells_from_generator(gen, M), m)
+        groups = _grouped_cells(gen, M, m)
         total = 0
         for _, (counts,) in _slabs(draw, groups, n, seed, reps, m, rung_idx):
             for row in counts:

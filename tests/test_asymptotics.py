@@ -88,6 +88,24 @@ def test_lattice_floor_guard_is_a_few_ulps():
     assert lattice_floor(0.9999999991 * 999999 / 3) == 333332
 
 
+# y = a n / (b m) is an integer or at least 1/(b m) from one. Here
+# 4 eps (b m + a n) < 1, so the guard 4 eps (1 + y) is narrower than that
+# gap and the float product's few ulps of error: lattice_floor must give
+# the exact floor.
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(1, 10**4), b=st.integers(1, 10**4), m=st.integers(1, 10**4), n=st.integers(1, 10**9))
+def test_lattice_floor_is_the_exact_floor_of_a_rational_x_n_over_m(a, b, m, n):
+    # x = a / b as the studies compute K = lattice_floor(x * n / m)
+    assert lattice_floor((a / b) * n / m) == (a * n) // (b * m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(1, 10**4), a=st.integers(1, 10**4), b=st.integers(1, 10**4))
+def test_lattice_floor_is_the_exact_floor_of_k_times_a_ratio(k, a, b):
+    # covers 3 * (4/3) = 4
+    assert lattice_floor(k * (a / b)) == (k * a) // b
+
+
 # ---------- finite characteristic function ----------
 
 def test_phi_m_at_zero_is_one():

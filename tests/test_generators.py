@@ -15,6 +15,7 @@ from structdist import (
     table_generator,
     uniform_generator,
 )
+from structdist.generators import _GRID_CHUNK, _grouped_cells
 
 
 # ---------- the two built-in generators ----------
@@ -178,3 +179,71 @@ def test_table_generator_rejections(tmp_path):
     bad.write_text("0,0\n0.5,0.9\n0.7,0.5\n1,1\n")  # G decreases
     with pytest.raises(NumericError):
         table_generator(str(bad))
+
+
+# ---------- grouped cells without the M-cell vector ----------
+
+def _jittered_table(path, seed, n_knots=64):
+    # a piecewise-linear G with jittered knots and random slopes, whose
+    # group probabilities differ in the last bit between block sums of the
+    # cells and direct differences of G on the group grid
+    rng = np.random.default_rng(seed)
+    i = np.arange(1, n_knots, dtype=float)
+    u = np.concatenate(([0.0], (i + rng.uniform(-0.3, 0.3, i.size)) / n_knots, [1.0]))
+    G = np.concatenate(([0.0], np.cumsum(np.diff(u) * rng.uniform(0.0, 3.0, n_knots))))
+    G /= G[-1]
+    G[-1] = 1.0
+    path.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(u, G)))
+    return table_generator(str(path))
+
+
+GROUPINGS = [(333333, 9009), (1000, 200), (1000, 40), (1000, 1000), (250, 10), (1000, 25), (4000, 50),
+             (90, 5), (48, 3),  # see test_telescoped_groups_differ_from_the_cell_sums
+             (3 * _GRID_CHUNK, 3), (100_000, 2), (100_000, 1)]  # groups longer than a chunk
+
+
+@pytest.mark.parametrize("M, m", GROUPINGS, ids=lambda v: str(v))
+def test_grouped_cells_are_the_grouped_cell_model_bit_for_bit(tmp_path, M, m):
+    for gen in (example_generator(), uniform_generator(), _jittered_table(tmp_path / "t0.csv", 0),
+                _jittered_table(tmp_path / "t15.csv", 15)):
+        assert _grouped_cells(gen, M, m) == group_model(cells_from_generator(gen, M), m), gen.name
+
+
+@pytest.mark.parametrize("gen, M, m", [(example_generator(), 90, 5), (uniform_generator(), 48, 3)],
+                         ids=["example", "uniform"])
+def test_telescoped_groups_differ_from_the_cell_sums(gen, M, m):
+    # why _grouped_cells sums the cells: G(i/m) - G((i-1)/m) is the same
+    # probability rounded once, not through the sum, and can differ in the
+    # last bit, which the draws would then see
+    grouped = group_model(cells_from_generator(gen, M), m).p
+    telescoped = cells_from_generator(gen, m).p
+    assert not np.array_equal(telescoped, grouped)
+    np.testing.assert_allclose(telescoped, grouped, rtol=0, atol=1e-15)
+    assert np.array_equal(_grouped_cells(gen, M, m).p, grouped)
+
+
+def _dip(M, j):
+    # G(u) = u except at the grid point j/M, pushed below G((j-1)/M): the one
+    # decrease sits inside a group, so G is monotone on every coarser grid
+    return SmoothGenerator("dip", G=lambda x: np.where(x == j / M, (j - 2) / M, x),
+                           g=lambda u: np.ones_like(u), tau=1.0, g_deriv_bound=0.0)
+
+
+def _heavy():
+    # total mass 1 + 1e-9: every cell is fine, their sum is not
+    return SmoothGenerator("heavy", G=lambda x: x * (1.0 + 1e-9), g=lambda u: np.ones_like(u),
+                           tau=1.0, g_deriv_bound=0.0)
+
+
+@pytest.mark.parametrize("gen, error", [(_dip(1000, 31), NumericError), (_heavy(), ValidationError)],
+                         ids=["dip", "heavy"])
+def test_grouped_cells_reject_what_the_cells_reject(gen, error):
+    with pytest.raises(error) as ref:
+        cells_from_generator(gen, 1000)
+    for m in (1, 10, 40, 1000):
+        with pytest.raises(error) as got:
+            _grouped_cells(gen, 1000, m)
+        assert str(got.value) == str(ref.value)
+    if error is NumericError:
+        assert cells_from_generator(gen, 40).M == 40  # fine on the group grid
+

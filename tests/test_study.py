@@ -1,7 +1,10 @@
 """Monte Carlo study engine: determinism, aggregation identities, audits."""
 
 import dataclasses
+import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from scipy.stats import binom, poisson
 
 import structdist.study as study
 from structdist import (
+    NumericError,
     RngStream,
+    SmoothGenerator,
     StudyConfig,
     ValidationError,
     cells_from_generator,
@@ -35,6 +40,7 @@ from structdist import (
     variance_audit,
 )
 from structdist.estimators import _estimate, _lattice_index
+from structdist.sampling import STREAM_VERSION
 from structdist.study import _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
@@ -442,3 +448,94 @@ def test_consistency_trend_rejects_non_divisor_m():
         consistency_trend(((100, 300, 10), (100, 300, 12)), "example", reps=5, seed=1)
     with pytest.raises(ValidationError, match="m=0 does not divide M=100"):
         consistency_trend(((100, 300, 0),), "example", reps=5, seed=1)
+
+
+# ---------- the block model comes from the generator ----------
+
+def test_studies_reject_a_dip_inside_one_group_like_the_cells(monkeypatch):
+    """G dips below its previous grid value at 31/1000 only, inside a group
+    of every m below, so it is monotone on each group grid; the studies
+    still check the cell grid and fail with the cells' own error."""
+    dip = SmoothGenerator("dip", G=lambda x: np.where(x == 0.031, 0.029, x),
+                          g=lambda u: np.ones_like(u), tau=1.0, g_deriv_bound=0.0,
+                          limit_cdf=lambda x: float(x >= 1.0))
+    with pytest.raises(NumericError) as ref:
+        cells_from_generator(dip, 1000)
+    assert "p[30]" in str(ref.value)
+    cfg = StudyConfig("uniform", M=1000, n=3000, m_values=(10, 40), x_grid=(1.0,), reps=2, seed=1)
+    with pytest.raises(NumericError) as got:
+        run_mse_study(cfg, dip)
+    assert str(got.value) == str(ref.value)
+    monkeypatch.setattr(study, "by_name", lambda name: dip)
+    with pytest.raises(NumericError) as got:
+        consistency_trend(((1000, 3000, 40),), "dip", reps=2, seed=1)
+    assert str(got.value) == str(ref.value)
+
+
+SWEEP_MS = (3, 7, 13, 21, 33, 39, 63, 143, 273, 693, 1287, 3003, 9009)
+
+
+def _peak_bytes(run) -> int:
+    run()  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mse_study_and_trend_build_no_cell_vector():
+    # one float64 vector of the M = 333333 cells takes 8 M bytes, and the
+    # cell path peaks above that
+    M = 333333
+    cfg = StudyConfig("example", M=M, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=2, seed=1)
+    assert _peak_bytes(lambda: group_model(cells_from_generator(example_generator(), M), 9009)) > 8 * M
+    assert _peak_bytes(lambda: run_mse_study(cfg)) < 8 * M
+    assert _peak_bytes(lambda: consistency_trend(((M, 999999, 21),), "example", reps=2, seed=1)) < 8 * M
+
+
+# sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 3
+FROZEN_STREAMS = [
+    (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
+     "c8deb0506e1f7f1c9e234b8fdf5527dd8d356d8895f467094e2b7b53e90d40d7",
+     "fb901b4fccc5b4baba3f51fd1b19fda8160e9bad379c115dc199d32de0c890a1"),
+    (StudyConfig("example", M=1000, n=3000, m_values=(10, 40, 100), x_grid=X7, reps=400, seed=505,
+                 poissonized=True),
+     "b604d5d9f6d6718cc2234073ab8031167eadf1c542df675fca4a45772b394394",
+     "9bb528196818c493bf4632aef7f10e6e828a516fb07c82b00252d3b9bf3434d8"),
+    (StudyConfig("uniform", M=1000, n=3000, m_values=(10, 40, 100), x_grid=(0.5, 1.0, 1.5), reps=50, seed=5),
+     "98fe8adb898f42d6255ee1112d8af2ac6a8d0fd8c7d28bc5504ad95daf53435b",
+     "e3b207e969b4bc455aa5087f6589d21a51956b8add8ca189aa36b3b5dbc98845"),
+]
+
+
+@pytest.mark.parametrize("cfg, estimates_sha, cells_sha", FROZEN_STREAMS, ids=["sweep", "audit", "uniform"])
+def test_seeded_stream_is_frozen(cfg, estimates_sha, cells_sha):
+    """A change to the seeded stream must bump STREAM_VERSION and re-freeze
+    these digests on purpose; it cannot slip through unnoticed."""
+    assert STREAM_VERSION == 3
+    rep = run_mse_study(cfg)
+    assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha
+    assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha
+
+
+def test_seeded_trend_is_frozen():
+    assert STREAM_VERSION == 3
+    ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
+    assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.13506666666666667, 0.07734999999999997, 0.05515)
+    ladder = ((1000, 3000, 40), (1000, 3000, 200))
+    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.56875, 0.56075)
+
+
+def test_gap_report_times_its_stages():
+    cfg = StudyConfig("example", M=1000, n=3000, m_values=(10,), x_grid=(0.5, 1.0), reps=6, seed=3)
+    start = time.perf_counter()
+    rep = poissonization_gap(cfg, n_ladder=(3000, 12000))
+    wall = time.perf_counter() - start
+    t = rep.timings
+    assert set(t) == {"cells_s", "draw_s", "gap_s", "evaluate_s", "draws", "slabs"}
+    assert t["draws"] == 12 and t["slabs"] == 2
+    stages = [t[k] for k in ("cells_s", "draw_s", "gap_s", "evaluate_s")]
+    assert all(v >= 0.0 for v in stages) and sum(stages) <= wall
+    assert dataclasses.replace(rep, timings={}) == rep  # timings do not enter equality
