@@ -44,12 +44,9 @@ class BoundParams:
     c: float
 
     def __post_init__(self):
-        if self.lambda_ <= 0:
-            raise ValidationError(f"lambda must be positive, got {self.lambda_}")
-        if self.tau <= 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.c <= 0:
-            raise ValidationError(f"c must be positive, got {self.c}")
+        for name, value in (("lambda", self.lambda_), ("tau", self.tau), ("c", self.c)):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def for_generator(cls, gen: SmoothGenerator, lambda_: float) -> "BoundParams":
@@ -110,25 +107,25 @@ def phi_m(t: float, model: CellModel, n: int) -> complex:
     return complex(np.mean(np.exp(w * z)))
 
 
-def limit_char_natural(t: float, gen: SmoothGenerator, lambda_: float) -> complex:
-    """Fixed-lambda limit of phi_m: integral over u of exp(lambda g(u) (e^{it/lambda} - 1)),
-    the exact sum over the pieces for a table generator."""
-    _check_lambda(lambda_)
-    w = lambda_ * (np.exp(1j * t / lambda_) - 1.0)
+def _char(w: complex, gen: SmoothGenerator) -> complex:
+    """integral over u of exp(w g(u)): the exact sum over the pieces for a
+    table generator, a quadrature to CHAR_TOL for a smooth one."""
     if gen.pieces:
         widths, slopes = _pieces(gen)
         return complex(np.sum(widths * np.exp(w * slopes)))
     return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), CHAR_TOL)
 
 
+def limit_char_natural(t: float, gen: SmoothGenerator, lambda_: float) -> complex:
+    """Fixed-lambda limit of phi_m: integral over u of exp(lambda g(u) (e^{it/lambda} - 1))."""
+    _check_lambda(lambda_)
+    return _char(lambda_ * (np.exp(1j * t / lambda_) - 1.0), gen)
+
+
 def limit_char_grouped(t: float, gen: SmoothGenerator) -> complex:
     """n/m -> infinity limit of phi_m: the characteristic function of g(U),
-    integral over u of exp(i t g(u)), the exact sum over the pieces for a
-    table generator."""
-    if gen.pieces:
-        widths, slopes = _pieces(gen)
-        return complex(np.sum(widths * np.exp(1j * t * slopes)))
-    return _quad_complex(lambda u: np.exp(1j * t * float(gen.g(u))), CHAR_TOL)
+    integral over u of exp(i t g(u))."""
+    return _char(1j * t, gen)
 
 
 # ---------- the Poisson-mixture limit of the natural estimator ----------

@@ -33,7 +33,7 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import EstimatorOutput, check_regime, grouped_estimator
+from .estimators import EstimatorOutput, _jumps, check_regime, grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
 from .sampling import STREAM_VERSION, RngStream, draw_multinomial, draw_poissonized
@@ -131,11 +131,11 @@ def _jump_rows(est: EstimatorOutput) -> list[tuple[float, float]]:
     """(x, F) at every jump of an estimate, preceded by a zero anchor just
     left of the support: x = count * (size / n) and F the exact share of
     counts <= count, the value est(x) returns there."""
-    values, multiplicity = np.unique(est.counts, return_counts=True)
+    values, below = _jumps(est.counts)
     locs = values * (est.size / est.n)
     span = float(locs[-1] - locs[0])
     eps = max(1e-6, 0.02 * span) if span > 0 else max(1e-6, 0.02 * abs(float(locs[0])))
-    return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), (np.cumsum(multiplicity) / est.size).tolist())]
+    return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), (below / est.size).tolist())]
 
 
 def _cell_str(v) -> str:

@@ -43,6 +43,13 @@ def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.count_nonzero(counts[..., None, :] <= K[:, None], axis=-1) / counts.shape[-1]
 
 
+def _jumps(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The jump table of an estimate: its distinct counts v, ascending, and
+    the number of counts <= each v."""
+    values, multiplicity = np.unique(counts, return_counts=True)
+    return values, np.cumsum(multiplicity)
+
+
 @dataclass(frozen=True)
 class EstimatorOutput:
     """An estimated structural CDF, kept as the integer counts that induce it.

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import PROB_TOL, CellModel, _block_sums, group_model
+from .model import CellModel, _block_sums, check_group_count
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def uniform_generator() -> SmoothGenerator:
     )
 
 
-def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
+def table_generator(path: str) -> SmoothGenerator:
     """Generator from a CSV of (u, G(u)) pairs, interpolated piecewise linearly.
 
     The density is piecewise constant (the chord slopes), so the limit CDF
@@ -95,6 +95,8 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
                 raise ValidationError(f"bad table row {row!r} in {path}") from exc
     u = np.asarray(us, dtype=float)
     Gv = np.asarray(Gs, dtype=float)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Gv))):
+        raise ValidationError(f"table {path}: every u and G(u) must be finite")
     if u.size < 2 or np.any(np.diff(u) <= 0):
         raise ValidationError(f"table {path}: need >= 2 rows with strictly increasing u")
     if abs(u[0]) > 1e-12 or abs(u[-1] - 1.0) > 1e-12 or abs(Gv[0]) > 1e-12 or abs(Gv[-1] - 1.0) > 1e-12:
@@ -121,7 +123,7 @@ def table_generator(path: str, name: Optional[str] = None) -> SmoothGenerator:
     else:
         lip = 0.0
     return SmoothGenerator(
-        name or f"table:{path}",
+        f"table:{path}",
         G,
         g,
         tau=float(np.max(slopes)),
@@ -146,14 +148,7 @@ def by_name(spec: str) -> SmoothGenerator:
 
 def cells_from_generator(gen: SmoothGenerator, M: int) -> CellModel:
     """p_j = G(j/M) - G((j-1)/M); the sum telescopes to G(1) - G(0) = 1 exactly."""
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
-    grid = np.asarray(gen.G(np.arange(M + 1) / M), dtype=float)
-    p = np.diff(grid)
-    if np.any(p < 0):
-        j = int(np.argmin(p))
-        raise NumericError(f"generator {gen.name!r} is not monotone: p[{j}] = {p[j]} < 0 at M={M}")
-    return CellModel(M, p)
+    return _grouped_cells(gen, M, M)
 
 
 # Grid points of G that _grouped_cells reads at once: whole groups, at
@@ -167,31 +162,31 @@ _GRID_CHUNK = 1 << 14
 
 
 def _grouped_cells(gen: SmoothGenerator, M: int, m: int) -> CellModel:
-    """group_model(cells_from_generator(gen, M), m), the same floats, built
-    a chunk of whole groups at a time.
+    """The M cells p_j = G(j/M) - G((j-1)/M) grouped into m equal blocks,
+    built a chunk of whole groups at a time; the one place G is read.
 
-    Each chunk reads G on its part of the grid j/M, checks its cells as
-    cells_from_generator does (every one >= 0) and takes their block sums,
-    each group's cells summed alone and in order, as group_model does; no
-    M-length array is built unless one group holds more than _GRID_CHUNK
-    cells. Where a check fails or the groups' mass is near the tolerance,
-    the M-cell path itself runs, so a model it rejects is rejected with its
-    own error.
+    Each chunk reads G on its part of the grid j/M, checks that every cell
+    is >= 0 (so a NaN fails too) and takes their block sums, each group's
+    cells summed alone and in order, as group_model does. No M-length array
+    is built unless m = M or one group holds more than _GRID_CHUNK cells.
     """
-    if M >= 1 and m >= 1 and M % m == 0:
-        k = M // m
-        step = max(1, _GRID_CHUNK // k)  # groups per chunk
-        p = np.empty(m)
-        for start in range(0, m, step):
-            stop = min(m, start + step)
-            cells = np.diff(np.asarray(gen.G(np.arange(start * k, stop * k + 1) / M), dtype=float))
-            if not np.all(cells >= 0):
-                break
-            p[start:stop] = _block_sums(cells, stop - start)
-        else:  # every chunk passed
-            if abs(float(np.sum(p)) - 1.0) <= PROB_TOL / 2:
-                return CellModel(m, p)
-    return group_model(cells_from_generator(gen, M), m)
+    if M < 1:
+        raise ValidationError(f"M must be >= 1, got {M}")
+    check_group_count(M, m)
+    k = M // m
+    step = max(1, _GRID_CHUNK // k)  # groups per chunk
+    p = np.empty(m)
+    for start in range(0, m, step):
+        stop = min(m, start + step)
+        cells = np.diff(np.asarray(gen.G(np.arange(start * k, stop * k + 1) / M), dtype=float))
+        bad = np.flatnonzero(~(cells >= 0))
+        if bad.size:
+            j = int(bad[0])
+            raise NumericError(
+                f"generator {gen.name!r} is not monotone: p[{start * k + j}] = {cells[j]} is not >= 0 at M={M}"
+            )
+        p[start:stop] = _block_sums(cells, stop - start)
+    return CellModel(m, p)
 
 
 def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:

@@ -40,11 +40,12 @@ class CellModel:
             raise ValidationError(f"M must be >= 1, got {self.M}")
         if self.p.shape[0] != self.M:
             raise ValidationError(f"p has length {self.p.shape[0]}, expected M={self.M}")
-        if np.any(self.p < 0):
-            j = int(np.argmin(self.p))
-            raise ValidationError(f"cell probability p[{j}]={self.p[j]} is negative")
+        bad = np.flatnonzero(~(self.p >= 0))  # a NaN fails too
+        if bad.size:
+            j = int(bad[0])
+            raise ValidationError(f"cell probability p[{j}]={self.p[j]} is not >= 0")
         total = float(np.sum(self.p))
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValidationError(f"cell probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
         self.p.flags.writeable = False
 
@@ -72,12 +73,13 @@ class StepCdf:
             raise ValidationError("locations and masses must have equal length")
         if locations.size == 0:
             raise ValidationError("a StepCdf needs at least one jump")
-        if np.any(np.diff(locations) <= 0):
+        # written so that a NaN fails each check
+        if not np.all(np.diff(locations) > 0):
             raise ValidationError("jump locations must be strictly increasing")
-        if np.any(masses <= 0):
+        if not np.all(masses > 0):
             raise ValidationError("every jump mass must be positive")
         total = float(np.sum(masses))
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValidationError(f"jump masses sum to {total!r}, expected 1 within {PROB_TOL}")
         self.locations = locations
         self.masses = masses

@@ -20,11 +20,10 @@ index). Block sums of multinomial (independent Poisson) counts are
 multinomial (Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks
 and `consistency_trend` at its m groups with every law kept. Both take that
 model from the generator a chunk of the grid j/M at a time
-(`generators._grouped_cells`: the floats of `group_model` over
-`cells_from_generator`, checked the same way), so neither holds all M
-cells at once unless one group has more than 2^14 of them. `run_mse_study`
-then groups each slab once per m by strided differences of one running
-sum (`model._prefix_block_sums`).
+(`generators._grouped_cells`, which `cells_from_generator` runs with
+m = M), so neither holds all M cells at once unless one group has more
+than 2^14 of them. `run_mse_study` then groups each slab once per m by
+strided differences of one running sum (`model._prefix_block_sums`).
 `poissonization_gap` draws coupled cells, which its natural gap needs. No
 replication builds an `EstimatorOutput` or a `StepCdf`. The seeded stream is
 the one `sampling.STREAM_VERSION` names.
@@ -41,8 +40,8 @@ import numpy as np
 
 from .asymptotics import bernstein_poisson_tail
 from .errors import ValidationError
-from .estimators import _estimate, _lattice_index
-from .generators import SmoothGenerator, _grouped_cells, by_name, cells_from_generator, limit_sdf
+from .estimators import _estimate, _jumps, _lattice_index
+from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import CellModel, _block_sums, _prefix_block_sums, _prefix_sums, check_group_count, nearest_divisor
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
 
@@ -223,14 +222,15 @@ def _sup_to_cdf(counts: np.ndarray, n: int, F) -> float:
     """Exact sup |F_hat - F| of the grouped estimator against a continuous
     CDF F: F_hat steps only at the distinct counts v (at x = v m/n, from the
     share <= v - 1 to the share <= v) and F is monotone in between."""
-    values = np.unique(counts)
+    values, below = _jumps(counts)
     f = np.array([float(F(float(v))) for v in values * (counts.size / n)])
-    return float(max(np.abs(_estimate(counts, values) - f).max(), np.abs(_estimate(counts, values - 1) - f).max()))
+    share = np.concatenate(([0], below)) / counts.size  # before the first jump, then at each
+    return float(max(np.abs(share[1:] - f).max(), np.abs(share[:-1] - f).max()))
 
 
 # ---------- core study ----------
 
-def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) -> MseReport:
+def run_mse_study(config: StudyConfig) -> MseReport:
     """Draw counts once per replication, apply every configured grouping to
     the same draw (paired across m), and tabulate bias/var/MSE against the
     limiting CDF at each x.
@@ -241,8 +241,7 @@ def run_mse_study(config: StudyConfig, gen: Optional[SmoothGenerator] = None) ->
     cell-level draw. The estimate at x is the share of groups with
     count <= lattice_floor(x n / m)."""
     t0 = time.perf_counter()
-    if gen is None:
-        gen = by_name(config.generator)
+    gen = by_name(config.generator)
     L = math.lcm(*config.m_values)
     blocks = _grouped_cells(gen, config.M, L)
     F = limit_sdf(gen)
@@ -289,12 +288,12 @@ class VarianceAudit:
     all_ok: bool
 
 
-def variance_audit(config: StudyConfig, gen: Optional[SmoothGenerator] = None) -> VarianceAudit:
+def variance_audit(config: StudyConfig) -> VarianceAudit:
     """Check empirical Var of the Poissonized grouped estimator against the
     1/(4m) bound, with 4 standard errors of Monte Carlo slack."""
     if not config.poissonized:
         raise ValidationError("variance_audit requires poissonized=True (the bound is for Poissonized counts)")
-    report = run_mse_study(config, gen)
+    report = run_mse_study(config)
     rows = []
     for c in report.cells:
         bound = 1.0 / (4.0 * c.m)
@@ -313,12 +312,12 @@ class SweepReport:
     argmin_m: int
 
 
-def sweep_m(config: StudyConfig, gen: Optional[SmoothGenerator] = None) -> SweepReport:
+def sweep_m(config: StudyConfig) -> SweepReport:
     """MSE (averaged over the x-grid) as a function of the group count, with
     the empirical minimizer."""
     if len(config.m_values) < 3:
         raise ValidationError(f"a sweep needs at least 3 m values, got {len(config.m_values)}")
-    report = run_mse_study(config, gen)
+    report = run_mse_study(config)
     mse = []
     for m in config.m_values:
         vals = [c.mse_hat for c in report.cells if c.m == m]
@@ -352,11 +351,7 @@ class PoissonizationGapReport:
     timings: dict = field(compare=False, repr=False, default_factory=dict)
 
 
-def poissonization_gap(
-    config: StudyConfig,
-    n_ladder: Optional[Sequence[int]] = None,
-    gen: Optional[SmoothGenerator] = None,
-) -> PoissonizationGapReport:
+def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = None) -> PoissonizationGapReport:
     """Measure the multinomial-vs-Poissonized estimator gap on coupled draws.
 
     Each rung rescales M to keep lambda = n/M fixed and uses the divisor of M
@@ -368,8 +363,7 @@ def poissonization_gap(
     gap is fitted in log-log scale.
     """
     mark = time.perf_counter()
-    if gen is None:
-        gen = by_name(config.generator)
+    gen = by_name(config.generator)
     lam = config.n / config.M
     ns = [int(v) for v in (n_ladder if n_ladder is not None else [config.n])]
     if any(v < 1 for v in ns):

@@ -59,6 +59,11 @@ def test_bound_params_validation():
         BoundParams(lambda_=3.0, tau=0.0, c=1.0)
     with pytest.raises(ValidationError):
         BoundParams(lambda_=3.0, tau=2.0, c=0.0)
+    # every field must be finite; the message names it
+    for field, bad in (("lambda", float("nan")), ("tau", float("nan")), ("c", float("inf"))):
+        kw = {"lambda_": 3.0, "tau": 2.0, "c": 1.0, ("lambda_" if field == "lambda" else field): bad}
+        with pytest.raises(ValidationError, match=f"^{field} must be positive and finite, got {bad}$"):
+            BoundParams(**kw)
 
 
 def test_bound_params_from_generator():

@@ -431,6 +431,40 @@ def test_bounds_rejects_nonpositive_m(capsys):
     assert out == ""
 
 
+NAN_TABLE = "0,0\n0.5,nan\n1,1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["estimate", "--M", "10", "--n", "30"], "table"),
+        (["simulate", "--M", "10", "--n", "30", "--reps", "2"], "table"),
+        (["limit", "--lambda", "3", "--x-grid", "0.5,1"], "table"),
+        (["bounds", "--n", "100", "--m-values", "3", "--tau", "nan"], "tau"),
+        (["bounds", "--n", "100", "--m-values", "3", "--lambda", "nan"], "lambda"),
+        (["bounds", "--n", "100", "--m-values", "3", "--c", "inf"], "c"),
+    ],
+    ids=["estimate-nan-table", "simulate-nan-table", "limit-nan-table", "bounds-nan-tau", "bounds-nan-lambda",
+         "bounds-inf-c"],
+)
+def test_non_finite_inputs_exit_2_with_strict_json(tmp_path, capsys, argv, field):
+    if field == "table":
+        table = tmp_path / "nan.csv"
+        table.write_text(NAN_TABLE)
+        argv = argv + ["--generator", f"table:{table}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    error = json.loads(err, parse_constant=reject)["error"]
+    assert exc.value.code == 2 and error["type"] == "ValidationError" and out == ""
+    assert error["message"].startswith(f"{field} ")
+    assert "finite" in error["message"]
+
+
 # ---------- ingest ----------
 
 def test_ingest_end_to_end(tmp_path, capsys):

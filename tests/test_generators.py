@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from structdist import (
+    CellModel,
     NumericError,
     SmoothGenerator,
     ValidationError,
@@ -180,6 +181,11 @@ def test_table_generator_rejections(tmp_path):
     with pytest.raises(NumericError):
         table_generator(str(bad))
 
+    for row in ("0.5,nan", "nan,0.5", "0.5,inf"):  # every comparison with NaN is false
+        bad.write_text(f"0,0\n{row}\n1,1\n")
+        with pytest.raises(ValidationError, match="must be finite"):
+            table_generator(str(bad))
+
 
 # ---------- grouped cells without the M-cell vector ----------
 
@@ -204,9 +210,13 @@ GROUPINGS = [(333333, 9009), (1000, 200), (1000, 40), (1000, 1000), (250, 10), (
 
 @pytest.mark.parametrize("M, m", GROUPINGS, ids=lambda v: str(v))
 def test_grouped_cells_are_the_grouped_cell_model_bit_for_bit(tmp_path, M, m):
+    # against a whole-grid read of G written here, so the chunked reader is
+    # checked against an independent one
     for gen in (example_generator(), uniform_generator(), _jittered_table(tmp_path / "t0.csv", 0),
                 _jittered_table(tmp_path / "t15.csv", 15)):
-        assert _grouped_cells(gen, M, m) == group_model(cells_from_generator(gen, M), m), gen.name
+        cells = CellModel(M, np.diff(gen.G(np.arange(M + 1) / M)))
+        assert cells_from_generator(gen, M) == cells, gen.name
+        assert _grouped_cells(gen, M, m) == group_model(cells, m), gen.name
 
 
 @pytest.mark.parametrize("gen, M, m", [(example_generator(), 90, 5), (uniform_generator(), 48, 3)],
@@ -215,7 +225,7 @@ def test_telescoped_groups_differ_from_the_cell_sums(gen, M, m):
     # why _grouped_cells sums the cells: G(i/m) - G((i-1)/m) is the same
     # probability rounded once, not through the sum, and can differ in the
     # last bit, which the draws would then see
-    grouped = group_model(cells_from_generator(gen, M), m).p
+    grouped = group_model(CellModel(M, np.diff(gen.G(np.arange(M + 1) / M))), m).p
     telescoped = cells_from_generator(gen, m).p
     assert not np.array_equal(telescoped, grouped)
     np.testing.assert_allclose(telescoped, grouped, rtol=0, atol=1e-15)
@@ -229,14 +239,21 @@ def _dip(M, j):
                            g=lambda u: np.ones_like(u), tau=1.0, g_deriv_bound=0.0)
 
 
+def _nan(M, j):
+    # G(u) = u except at the grid point j/M, where it is NaN: both cells
+    # beside it are NaN, which no check written as "< 0" would see
+    return SmoothGenerator("nan", G=lambda x: np.where(x == j / M, np.nan, x),
+                           g=lambda u: np.ones_like(u), tau=1.0, g_deriv_bound=0.0)
+
+
 def _heavy():
     # total mass 1 + 1e-9: every cell is fine, their sum is not
     return SmoothGenerator("heavy", G=lambda x: x * (1.0 + 1e-9), g=lambda u: np.ones_like(u),
                            tau=1.0, g_deriv_bound=0.0)
 
 
-@pytest.mark.parametrize("gen, error", [(_dip(1000, 31), NumericError), (_heavy(), ValidationError)],
-                         ids=["dip", "heavy"])
+@pytest.mark.parametrize("gen, error", [(_dip(1000, 31), NumericError), (_nan(1000, 31), NumericError),
+                                        (_heavy(), ValidationError)], ids=["dip", "nan", "heavy"])
 def test_grouped_cells_reject_what_the_cells_reject(gen, error):
     with pytest.raises(error) as ref:
         cells_from_generator(gen, 1000)
@@ -245,5 +262,14 @@ def test_grouped_cells_reject_what_the_cells_reject(gen, error):
             _grouped_cells(gen, 1000, m)
         assert str(got.value) == str(ref.value)
     if error is NumericError:
+        assert "p[30] = " in str(ref.value)  # the first cell that is not >= 0
         assert cells_from_generator(gen, 40).M == 40  # fine on the group grid
+
+
+def test_grouped_cells_reject_bad_shapes_first():
+    # a bad M or m is named before G is read, so the dip is never seen
+    with pytest.raises(ValidationError, match="M must be >= 1, got 0"):
+        _grouped_cells(_dip(1000, 31), 0, 1)
+    with pytest.raises(ValidationError, match="m=7 does not divide M=1000; nearest divisor is 8"):
+        _grouped_cells(_dip(1000, 31), 1000, 7)
 

@@ -68,6 +68,8 @@ def test_equality_and_hash_by_value():
         ([1.0, 2.0], [0.0, 1.0]),          # zero mass
         ([1.0, 2.0], [0.6, 0.6]),          # masses exceed 1
         ([[1.0]], [[1.0]]),                # not 1-D
+        ([1.0, np.nan], [0.5, 0.5]),       # NaN location
+        ([1.0, 2.0], [np.nan, 1.0]),       # NaN mass
     ],
 )
 def test_stepcdf_rejects_bad_input(locations, masses):
@@ -162,6 +164,8 @@ def test_cell_model_validation():
         CellModel(2, [0.7, 0.4])           # sum != 1
     with pytest.raises(ValidationError):
         CellModel(2, [-0.1, 1.1])          # negative entry
+    with pytest.raises(ValidationError, match=r"p\[1\]=nan is not >= 0"):
+        CellModel(3, [0.5, np.nan, 0.5])   # NaN entry, the first one not >= 0
 
 
 def test_structural_cdf_scales_by_M():

@@ -462,11 +462,11 @@ def test_studies_reject_a_dip_inside_one_group_like_the_cells(monkeypatch):
     with pytest.raises(NumericError) as ref:
         cells_from_generator(dip, 1000)
     assert "p[30]" in str(ref.value)
-    cfg = StudyConfig("uniform", M=1000, n=3000, m_values=(10, 40), x_grid=(1.0,), reps=2, seed=1)
-    with pytest.raises(NumericError) as got:
-        run_mse_study(cfg, dip)
-    assert str(got.value) == str(ref.value)
     monkeypatch.setattr(study, "by_name", lambda name: dip)
+    cfg = StudyConfig("dip", M=1000, n=3000, m_values=(10, 40), x_grid=(1.0,), reps=2, seed=1)
+    with pytest.raises(NumericError) as got:
+        run_mse_study(cfg)
+    assert str(got.value) == str(ref.value)
     with pytest.raises(NumericError) as got:
         consistency_trend(((1000, 3000, 40),), "dip", reps=2, seed=1)
     assert str(got.value) == str(ref.value)
