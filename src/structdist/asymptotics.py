@@ -13,6 +13,7 @@ the bounds take arrays and evaluate each distinct quantity once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .generators import SmoothGenerator
 from .model import CellModel
 
@@ -69,14 +70,33 @@ def lattice_floor(y: float) -> int:
     return int(math.floor(y))
 
 
+def _lattice_index(xs, n, size) -> np.ndarray:
+    """K = lattice_floor(x n / size) per x, flattened: the largest count that
+    a step function with jumps at count * size / n includes at x. K = -1 for
+    x < 0 (-0.0 is not) and +inf where x n / size is +inf (x = +inf, or a
+    finite x whose product overflows); NaN is rejected. The array is of
+    integers (compared with integer counts at full speed) unless a K is inf."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    if np.isnan(xs).any():
+        raise ValidationError("x must not be NaN")
+    with np.errstate(over="ignore"):
+        y = xs * n / size
+    return np.array([-1 if x < 0 else v if v == math.inf else lattice_floor(v)
+                     for x, v in zip(xs.tolist(), y.tolist())])
+
+
 def _check_lambda(lambda_: float) -> None:
     if not 0 < lambda_ < math.inf:
         raise ValidationError(f"lambda must be positive and finite, got {lambda_}")
 
 
 def _quad_u(f, epsabs: float) -> float:
-    """integral over u in (0,1] of f(u)."""
-    return quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT)[0]
+    """integral over u in (0,1] of f(u); a quadrature that gives up (scipy
+    then appends its message to the result) raises NumericError."""
+    value, _, _, *failure = quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT, full_output=1)
+    if failure:
+        raise NumericError("quadrature over u in (0,1] failed: " + " ".join(failure[0].split()))
+    return value
 
 
 def _quad_complex(f, epsabs: float) -> complex:
@@ -135,7 +155,7 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     limiting structural CDF (Y degenerate at 0 on {Z=0}).
 
     Evaluates integral over (0,1] of P(Poisson(lambda g(u)) <= K) du with
-    K = lattice_floor(lambda x): for a table generator the exact sum of
+    K = _lattice_index(x, lambda, 1): for a table generator the exact sum of
     width * P(Poisson(lambda slope) <= K) over its pieces, for a smooth one
     a quadrature to CDF_TOL. P(Poisson(mu) <= K) = gammaincc(K+1, mu), which
     is 1 at mu=0, so the zero-density atom needs no special casing.
@@ -143,38 +163,50 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     x is a scalar (float out) or an array (array out). The CDF is constant
     between the lattice points k/lambda, so each distinct K is evaluated
     once. It is 0 for x < 0 and 1 where lambda x is +inf; NaN is rejected.
+    A quadrature that fails raises NumericError.
     """
     _check_lambda(lambda_)
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    if np.any(np.isnan(flat)):
-        raise ValidationError("x must not be NaN")
-    with np.errstate(over="ignore"):  # lambda x beyond the float range is +inf
-        y = lambda_ * flat
-    out = np.where(y == math.inf, 1.0, 0.0)
-    inside = (flat >= 0) & np.isfinite(y)
-    Ks = [lattice_floor(v) for v in y[inside].tolist()]
+    Ks = _lattice_index(xs, lambda_, 1).tolist()
     if gen.pieces:
         widths, slopes = _pieces(gen)
         mu = lambda_ * slopes
 
-        def at(K: int) -> float:
+        def at(K: float) -> float:
             return float(np.sum(widths * special.pdtr(K, mu)))
     else:
 
-        def at(K: int) -> float:
+        def at(K: float) -> float:
             return _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), CDF_TOL)
 
-    values = {K: min(1.0, max(0.0, at(K))) for K in set(Ks)}
-    out[inside] = [values[K] for K in Ks]
-    return _float_or_array(out.reshape(xs.shape))
+    values = {K: 0.0 if K < 0 else 1.0 if K == math.inf else min(1.0, max(0.0, at(K))) for K in set(Ks)}
+    return _float_or_array(np.array([values[K] for K in Ks]).reshape(xs.shape))
 
 
 # ---------- smoothing bias bound and its optimal cutoff ----------
 #
 # The bound functions take a group count m, or an array of them (T in
 # esseen_bias_bound likewise), and pick the regime per element; a scalar in
-# gives a float out.
+# gives a float out. A bound whose constants overflow the float range (tau =
+# 1e80 puts (24 tau)^4 beyond it) says nothing, so it raises NumericError.
+
+def _finite_bound(fn):
+    """fn, raising NumericError when it overflows: on Python's OverflowError
+    or a non-finite entry of its result (numpy's warnings are silenced)."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(*args, **kwargs)
+            if np.all(np.isfinite((out.m_n, out.bound_value) if isinstance(out, OptimalGroupCount) else out)):
+                return out
+        except OverflowError:
+            pass
+        raise NumericError(f"{fn.__name__}: the bound overflows the float range for these constants")
+
+    return checked
+
 
 def _group_counts(m) -> np.ndarray:
     ms = np.asarray(m, dtype=float)
@@ -183,6 +215,7 @@ def _group_counts(m) -> np.ndarray:
     return ms
 
 
+@_finite_bound
 def esseen_bias_bound(m, n: int, T, params: BoundParams):
     """The four-term smoothing bound on |E(estimate at x) - F(x)|, any x.
 
@@ -202,6 +235,7 @@ def esseen_bias_bound(m, n: int, T, params: BoundParams):
     )
 
 
+@_finite_bound
 def optimal_T(m, n: int, params: BoundParams):
     """Cutoff equating the dominant terms of the smoothing bound.
 
@@ -220,6 +254,7 @@ def optimal_T(m, n: int, params: BoundParams):
     )
 
 
+@_finite_bound
 def mse_bound(m, n: int, params: BoundParams, regime: str = "auto"):
     """Leading-order MSE bound for the grouped estimator.
 
@@ -248,6 +283,7 @@ class OptimalGroupCount:
     bound_value: float
 
 
+@_finite_bound
 def optimal_m(n: int, params: BoundParams) -> OptimalGroupCount:
     """m_n = (pi^6 / (6^3 (24 tau)^4))^(1/5) n^(2/5), the exact unconstrained
     minimizer of the smoothing-regime bound; bound_value is the documented

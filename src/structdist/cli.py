@@ -131,11 +131,10 @@ def _jump_rows(est: EstimatorOutput) -> list[tuple[float, float]]:
     """(x, F) at every jump of an estimate, preceded by a zero anchor just
     left of the support: x = count * (size / n) and F the exact share of
     counts <= count, the value est(x) returns there."""
-    values, below = _jumps(est.counts)
-    locs = values * (est.size / est.n)
+    locs, shares = _jumps(est.counts, est.n)
     span = float(locs[-1] - locs[0])
     eps = max(1e-6, 0.02 * span) if span > 0 else max(1e-6, 0.02 * abs(float(locs[0])))
-    return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), (below / est.size).tolist())]
+    return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), shares.tolist())]
 
 
 def _cell_str(v) -> str:
@@ -306,7 +305,7 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
     written = []
     for fname, m in FIGURE_SPECS:
         est = grouped_estimator(vec, m)
-        xs = np.union1d(est.cdf.locations, [gen.tau])
+        xs = np.union1d(_jumps(est.counts, n)[0], [gen.tau])
         span = max(xs[-1] - xs[0], 1.0)
         anchor = xs[0] - max(1e-6, 0.02 * span)
         rows = [(float(anchor), 0.0, float(F(anchor)))]

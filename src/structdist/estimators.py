@@ -5,8 +5,9 @@ empirical CDFs of scaled counts: with size cells (natural) or groups
 (grouped), every count c carries mass 1/size at c * size / n, so the jumps
 sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is kept as
 its integer counts and evaluated on that lattice: at x it is the share of
-counts <= K = lattice_floor(x n / size). This module owns the convention;
-the study kernel evaluates every replication through the same two helpers.
+counts <= K = lattice_floor(x n / size), by `asymptotics._lattice_index`,
+the one index of every estimate, study and the Poisson-mixture limit.
+`_estimate` and `_jumps` (the one jump table) serve the studies and the CLI.
 The natural estimator is the grouped one with m = size; groups are blocks
 of the counts in the order given (sort them first to order by probability).
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import lattice_floor
+from .asymptotics import _float_or_array, _lattice_index
 from .errors import ValidationError
 from .model import StepCdf, _block_sums
 from .sampling import CountsVector
@@ -30,12 +31,6 @@ REGIME_ALPHA = 0.1
 REGIME_THRESHOLD = 5.0
 
 
-def _lattice_index(x_grid, n: int, size: int) -> np.ndarray:
-    """K = lattice_floor(x n / size) per x: the largest count the estimate at x
-    includes (K = x itself at x = +-inf, which includes every count or none)."""
-    return np.array([lattice_floor(x * n / size) if math.isfinite(x) else x for x in x_grid])
-
-
 def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The estimate at each x: the share of the counts that are <= its K.
     counts may carry leading axes (one row per replication); the result
@@ -43,11 +38,12 @@ def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.count_nonzero(counts[..., None, :] <= K[:, None], axis=-1) / counts.shape[-1]
 
 
-def _jumps(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The jump table of an estimate: its distinct counts v, ascending, and
-    the number of counts <= each v."""
+def _jumps(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The jump table of the estimate of counts from a sample of size n: for
+    each distinct count v, ascending, its location v * (size / n) and the
+    share of the counts that are <= v."""
     values, multiplicity = np.unique(counts, return_counts=True)
-    return values, np.cumsum(multiplicity)
+    return values * (counts.size / n), np.cumsum(multiplicity) / counts.size
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,7 @@ class EstimatorOutput:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        vals = _estimate(self.counts, _lattice_index(xs.ravel().tolist(), self.n, self.size))
-        return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+        return _float_or_array(_estimate(self.counts, _lattice_index(xs, self.n, self.size)).reshape(xs.shape))
 
     def __eq__(self, other):
         if not isinstance(other, EstimatorOutput):

@@ -90,19 +90,11 @@ class StepCdf:
         self.masses.flags.writeable = False
 
     @classmethod
-    def from_values(cls, values, weights=None) -> "StepCdf":
-        """Empirical CDF of `values`, optionally weighted; equal values are merged."""
-        values = _as_float_vector(values, "values")
-        if weights is None:
-            weights = np.full(values.shape, 1.0 / values.size)
-        else:
-            weights = _as_float_vector(weights, "weights")
-        order = np.argsort(values, kind="stable")
-        v = values[order]
-        w = weights[order]
+    def from_values(cls, values) -> "StepCdf":
+        """Empirical CDF of `values`, each with mass 1/len; equal values are merged."""
+        v = np.sort(_as_float_vector(values, "values"), kind="stable")
         locs, start = np.unique(v, return_index=True)
-        masses = np.add.reduceat(w, start)
-        return cls(locs, masses)
+        return cls(locs, np.add.reduceat(np.full(v.shape, 1.0 / v.size), start))
 
     @property
     def n_jumps(self) -> int:

@@ -14,15 +14,15 @@ where the slabs break.
 Every study runs on one slab kernel that sees integer counts only: a draw
 over a grouped model (a `CellModel` of equal blocks), row-wise group counts
 for each group count m, then the estimate at x as the share of group counts
-<= K = lattice_floor(x n / m), computed by the `estimators` helpers that
-`EstimatorOutput` evaluates with (`poisson_mixture_cdf` uses the same
-index). Block sums of multinomial (independent Poisson) counts are
-multinomial (Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks
-and `consistency_trend` at its m groups with every law kept. Both take that
-model from the generator a chunk of the grid j/M at a time
-(`generators._grouped_cells`, which `cells_from_generator` runs with
-m = M), so neither holds all M cells at once unless one group has more
-than 2^14 of them. `run_mse_study` then groups each slab once per m by
+<= K = lattice_floor(x n / m), from `asymptotics._lattice_index` and
+`estimators._estimate` as `EstimatorOutput` computes it; `consistency_trend`
+reads each draw's jumps from `estimators._jumps`. Block sums of multinomial
+(independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
+draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
+with every law kept. Both take that model from the generator a chunk of the
+grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
+runs with m = M), so neither holds all M cells at once unless one group has
+more than 2^14 of them. `run_mse_study` then groups each slab once per m by
 strided differences of one running sum (`model._prefix_block_sums`).
 `poissonization_gap` draws coupled cells, which its natural gap needs. No
 replication builds an `EstimatorOutput` or a `StepCdf`. The seeded stream is
@@ -38,9 +38,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import bernstein_poisson_tail
+from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
-from .estimators import _estimate, _jumps, _lattice_index
+from .estimators import _estimate, _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import CellModel, _block_sums, _prefix_block_sums, _prefix_sums, check_group_count, nearest_divisor
 from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
@@ -222,9 +222,9 @@ def _sup_to_cdf(counts: np.ndarray, n: int, F) -> float:
     """Exact sup |F_hat - F| of the grouped estimator against a continuous
     CDF F: F_hat steps only at the distinct counts v (at x = v m/n, from the
     share <= v - 1 to the share <= v) and F is monotone in between."""
-    values, below = _jumps(counts)
-    f = np.array([float(F(float(v))) for v in values * (counts.size / n)])
-    share = np.concatenate(([0], below)) / counts.size  # before the first jump, then at each
+    locations, shares = _jumps(counts, n)
+    f = np.array([float(F(x)) for x in locations.tolist()])
+    share = np.concatenate(([0.0], shares))  # before the first jump, then at each
     return float(max(np.abs(share[1:] - f).max(), np.abs(share[:-1] - f).max()))
 
 

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from structdist import (
     BoundParams,
     CellModel,
+    NumericError,
     RngStream,
     ValidationError,
     bernstein_poisson_tail,
@@ -394,6 +395,26 @@ def test_bounds_take_arrays_and_match_the_scalar_formulas():
     assert type(esseen_bias_bound(40, 3000, 10.0, PARAMS)) is float
     assert type(mse_bound(40, 3000, PARAMS)) is float
     assert mse_bound(ms[:2], n, PARAMS, regime="variance").tolist() == [0.25, 0.125]
+
+
+@pytest.mark.parametrize("tau", [1e80, 1e200, 1e308])
+def test_bounds_that_overflow_are_numeric_errors(tau):
+    """(24 tau)^4 in optimal_m overflows from tau = 1e80 on, 24 tau itself at
+    1e308; no bound returns inf, nan or the 0.0 an overflowed power gives."""
+    params = BoundParams(lambda_=3.0, tau=tau, c=1.0 / 3.0)
+    with pytest.raises(NumericError, match="optimal_m: the bound overflows"):
+        optimal_m(100, params)
+    if tau == 1e308:
+        for bound in (lambda: optimal_T(3, 100, params), lambda: esseen_bias_bound(3, 100, 1.0, params),
+                      lambda: mse_bound(np.array([3, 50]), 100, params)):
+            with pytest.raises(NumericError, match="overflows the float range"):
+                bound()
+
+
+def test_failed_mixture_quadrature_is_a_numeric_error():
+    # at lambda = 1e308 the integrand is a cliff that quad cannot resolve
+    with pytest.raises(NumericError, match="quadrature over u in \\(0,1\\] failed"):
+        poisson_mixture_cdf(1.0, EXAMPLE, 1e308)
 
 
 def test_bounds_reject_bad_group_counts_and_cutoffs():

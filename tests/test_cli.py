@@ -465,6 +465,30 @@ def test_non_finite_inputs_exit_2_with_strict_json(tmp_path, capsys, argv, field
     assert "finite" in error["message"]
 
 
+def test_simulate_estimates_0_below_zero_and_1_where_x_overflows(capsys):
+    code, out, _ = run_cli(["simulate", "--M", "4", "--n", "8", "--reps", "1", "--x-grid=-1e-20,1e308",
+                            "--format", "json"], capsys)
+    assert code == 0 and strict_json(out)["rows"] == [[0, -1e-20, 0.0], [0, 1e308, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "100", "--m-values", "3", "--tau", "1e80"],
+        ["bounds", "--n", "100", "--m-values", "3", "--tau", "1e200"],
+        ["bounds", "--n", "100", "--m-values", "3", "--tau", "1e308"],
+        ["limit", "--lambda", "1e308", "--x-grid", "1"],
+    ],
+    ids=["bounds-tau-1e80", "bounds-tau-1e200", "bounds-tau-1e308", "limit-lambda-1e308"],
+)
+def test_overflowing_bounds_and_failed_quadratures_exit_3_with_strict_json(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    error = strict_json(err)["error"]
+    assert exc.value.code == 3 and error["type"] == "NumericError" and out == ""
+
+
 # ---------- ingest ----------
 
 def test_ingest_end_to_end(tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import special
 
 from structdist import (
     GROUPED,
@@ -25,8 +26,11 @@ from structdist import (
     grouped_estimator,
     lattice_floor,
     natural_estimator,
+    poisson_mixture_cdf,
+    uniform_generator,
 )
-from structdist.estimators import _estimate, _lattice_index
+from structdist.asymptotics import _lattice_index
+from structdist.estimators import _estimate
 
 
 def test_natural_estimator_single_cell():
@@ -119,6 +123,40 @@ def test_estimator_excludes_a_count_just_above_the_guard():
     counts = [333332, 333333, 333334]
     est = natural_estimator(CountsVector(MULTINOMIAL, counts, n=999999))
     assert est(0.9999999991) == est.cdf(0.9999999991) == 1 / 3
+
+
+# x; the natural estimate of the counts (0, 0, 3, 5) at n = 8, K = floor(2x);
+# and K = floor(3x) of the Poisson mixture at lambda = 3, which reads 0 at
+# K = -1 (x < 0) and 1 at K = inf (the product overflows)
+EDGE_X = [
+    (-math.inf, 0.0, -1),
+    (-1e308, 0.0, -1),
+    (-1e-20, 0.0, -1),
+    (-0.0, 0.5, 0),
+    (0.0, 0.5, 0),
+    (1e-20, 0.5, 0),
+    (1.75, 0.75, 5),
+    (1e308, 1.0, math.inf),
+    (math.inf, 1.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("x, share, K", EDGE_X, ids=[repr(row[0]) for row in EDGE_X])
+def test_estimate_and_mixture_share_the_lattice_convention_at_the_edges(x, share, K):
+    est = natural_estimator(CountsVector(MULTINOMIAL, [0, 0, 3, 5], n=8))
+    assert est(x) == share and est(np.array([x, x])).tolist() == [share, share]
+    mix = poisson_mixture_cdf(x, uniform_generator(), 3.0)  # g == 1: P(Poisson(3) <= K)
+    if K == -1 or K == math.inf:
+        assert mix == (0.0 if K == -1 else 1.0)
+    else:
+        assert mix == pytest.approx(special.pdtr(K, 3.0), abs=1e-12)
+
+
+def test_estimate_rejects_nan():
+    est = natural_estimator(CountsVector(MULTINOMIAL, [0, 0, 3, 5], n=8))
+    for x in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValidationError, match="NaN"):
+            est(x)
 
 
 def test_estimator_outputs_compare_by_value():

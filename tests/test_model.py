@@ -25,11 +25,6 @@ def test_from_values_merges_ties_and_sorts():
     assert cdf.n_jumps == 3
 
 
-def test_from_values_weighted():
-    cdf = StepCdf.from_values([0.0, 1.0], weights=[0.125, 0.875])
-    np.testing.assert_array_equal(cdf.masses, [0.125, 0.875])
-
-
 def test_right_continuity_and_left_limits():
     cdf = StepCdf([0.5, 1.5], [0.25, 0.75])
     assert cdf(0.5) == 0.25          # mass at the jump counts
@@ -138,18 +133,13 @@ def test_sup_distance_matches_a_dense_grid(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    values=quarter_values,
-    weights=st.lists(st.integers(1, 9), min_size=30, max_size=30),
-)
-def test_from_values_keeps_the_mass_and_merges_ties(values, weights):
-    w = np.array(weights[: values.size], dtype=float)
-    w /= w.sum()
-    cdf = StepCdf.from_values(values, weights=w)
+@given(values=quarter_values)
+def test_from_values_keeps_the_mass_and_merges_ties(values):
+    cdf = StepCdf.from_values(values)
     np.testing.assert_array_equal(cdf.locations, np.unique(values))
     for loc, mass in zip(cdf.locations, cdf.masses):
-        assert mass == pytest.approx(w[values == loc].sum(), abs=1e-15)
-    assert abs(cdf.masses.sum() - w.sum()) <= 1e-12
+        assert mass == pytest.approx(np.count_nonzero(values == loc) / values.size, abs=1e-15)
+    assert abs(cdf.masses.sum() - 1.0) <= 1e-12
     assert cdf(np.inf) == cdf(cdf.locations[-1]) == pytest.approx(1.0, abs=1e-12)
     assert cdf.before(cdf.locations[0]) == 0.0
 

@@ -39,7 +39,8 @@ from structdist import (
     sweep_m,
     variance_audit,
 )
-from structdist.estimators import _estimate, _lattice_index
+from structdist.asymptotics import _lattice_index
+from structdist.estimators import _estimate
 from structdist.sampling import STREAM_VERSION
 from structdist.study import _natural_gap
 
@@ -271,6 +272,14 @@ def test_summary_matches_per_cell_reductions(reps):
     expect = [per_cell_summary(m, x, rep.f_values[j], rep.estimates[i, j])
               for i, m in enumerate(cfg.m_values) for j, x in enumerate(cfg.x_grid)]
     assert [dataclasses.astuple(c) for c in rep.cells] == expect
+
+
+@pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
+def test_study_estimates_0_below_zero_and_1_where_the_index_overflows(poissonized):
+    cfg = StudyConfig("example", M=12, n=36, m_values=(2, 3, 12), x_grid=(-1e-20, 1e308), reps=5, seed=4,
+                      poissonized=poissonized)
+    est = run_mse_study(cfg).estimates
+    assert (est[:, 0] == 0.0).all() and (est[:, 1] == 1.0).all()
 
 
 def test_report_equality_ignores_wall_time():
