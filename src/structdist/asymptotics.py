@@ -70,19 +70,28 @@ def lattice_floor(y: float) -> int:
     return int(math.floor(y))
 
 
-def _lattice_index(xs, n, size) -> np.ndarray:
-    """K = lattice_floor(x n / size) per x, flattened: the largest count that
-    a step function with jumps at count * size / n includes at x. K = -1 for
-    x < 0 (-0.0 is not) and +inf where x n / size is +inf (x = +inf, or a
-    finite x whose product overflows); NaN is rejected. The array is of
-    integers (compared with integer counts at full speed) unless a K is inf."""
+def _lattice_ks(xs, n, size) -> list:
+    """K = lattice_floor(x n / size) per x, flattened, as exact Python
+    numbers: the largest count that a step function with jumps at
+    count * size / n includes at x. K = -1 for x < 0 (-0.0 is not) and +inf
+    where x n / size is +inf (x = +inf, or a finite x whose product
+    overflows); NaN is rejected."""
     xs = np.asarray(xs, dtype=float).ravel()
     if np.isnan(xs).any():
         raise ValidationError("x must not be NaN")
     with np.errstate(over="ignore"):
         y = xs * n / size
-    return np.array([-1 if x < 0 else v if v == math.inf else lattice_floor(v)
-                     for x, v in zip(xs.tolist(), y.tolist())])
+    return [-1 if x < 0 else v if v == math.inf else lattice_floor(v) for x, v in zip(xs.tolist(), y.tolist())]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _lattice_index(xs, n, size) -> np.ndarray:
+    """The K of _lattice_ks as an int64 array, compared with int64 counts at
+    full speed: a K beyond int64 (+inf, or a finite K >= 2**63) is clipped to
+    2**63 - 1, which no count exceeds, so every estimate stays the same."""
+    return np.array([min(K, _INT64_MAX) for K in _lattice_ks(xs, n, size)], dtype=np.int64)
 
 
 def _check_lambda(lambda_: float) -> None:
@@ -155,7 +164,7 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     limiting structural CDF (Y degenerate at 0 on {Z=0}).
 
     Evaluates integral over (0,1] of P(Poisson(lambda g(u)) <= K) du with
-    K = _lattice_index(x, lambda, 1): for a table generator the exact sum of
+    K = _lattice_ks(x, lambda, 1): for a table generator the exact sum of
     width * P(Poisson(lambda slope) <= K) over its pieces, for a smooth one
     a quadrature to CDF_TOL. P(Poisson(mu) <= K) = gammaincc(K+1, mu), which
     is 1 at mu=0, so the zero-density atom needs no special casing.
@@ -167,7 +176,7 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     """
     _check_lambda(lambda_)
     xs = np.asarray(x, dtype=float)
-    Ks = _lattice_index(xs, lambda_, 1).tolist()
+    Ks = _lattice_ks(xs, lambda_, 1)
     if gen.pieces:
         widths, slopes = _pieces(gen)
         mu = lambda_ * slopes

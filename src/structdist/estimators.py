@@ -6,7 +6,8 @@ empirical CDFs of scaled counts: with size cells (natural) or groups
 sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is kept as
 its integer counts and evaluated on that lattice: at x it is the share of
 counts <= K = lattice_floor(x n / size), by `asymptotics._lattice_index`,
-the one index of every estimate, study and the Poisson-mixture limit.
+the int64 form of `_lattice_ks`, the one index of every estimate, study and
+the Poisson-mixture limit.
 `_estimate` and `_jumps` (the one jump table) serve the studies and the CLI.
 The natural estimator is the grouped one with m = size; groups are blocks
 of the counts in the order given (sort them first to order by probability).

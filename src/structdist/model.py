@@ -93,6 +93,8 @@ class StepCdf:
     def from_values(cls, values) -> "StepCdf":
         """Empirical CDF of `values`, each with mass 1/len; equal values are merged."""
         v = np.sort(_as_float_vector(values, "values"), kind="stable")
+        if v.size == 0:
+            raise ValidationError("a StepCdf needs at least one jump")
         locs, start = np.unique(v, return_index=True)
         return cls(locs, np.add.reduceat(np.full(v.shape, 1.0 / v.size), start))
 

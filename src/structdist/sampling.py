@@ -2,9 +2,12 @@
 
 A CountsVector keeps the cell order of its model; grouped_estimator groups it.
 
-Replications are addressed by (seed, stream_index): the pair feeds a
+Streams are addressed by (seed, stream_index): the pair feeds a
 SeedSequence, whose avalanche mixing makes the substreams independent and
-individually reproducible, bit for bit, across runs and platforms.
+individually reproducible, bit for bit, across runs and platforms. A study
+draws its replications in order from one running generator per rung, a
+slab of rows in one numpy call (draw_slab); the single draws are row 0 of
+a one-row slab.
 
 The coupled draw materializes only counts, never the underlying categorical
 stream: the fixed-n vector is drawn first, then |N - n| draws are added
@@ -32,7 +35,10 @@ POISSONIZED = "poissonized"
 # 2: it draws over the L = lcm(m_values) blocks of cells (same law).
 # 3: consistency_trend draws at its m groups (same law), and every study
 # evaluates at x through the exact lattice index K = lattice_floor(x n / m).
-STREAM_VERSION = 3
+# 4: replication r of a study rung is the r-th row drawn from substream
+# `rung` (was: substream rung * reps + r), so the first r replications do
+# not depend on reps (same law; single draws unchanged).
+STREAM_VERSION = 4
 
 _U64 = (1 << 64) - 1
 
@@ -114,21 +120,42 @@ def _check_n(n: int, limit: int = MAX_N) -> None:
 
 def _live(rng) -> Generator:
     """Draw ops take a fresh RngStream (single consumer) or an already
-    running Generator when one replication needs several sequential draws."""
+    running Generator, from which a study rung draws all its replications."""
     return rng.generator() if isinstance(rng, RngStream) else rng
+
+
+def draw_slab(kind: str, cells: CellModel, n: int, rows: int, rng) -> np.ndarray:
+    """rows independent count vectors of the given kind, drawn in order in
+    one numpy call as the rows of an int64 (rows, M) matrix:
+    Multinomial(n, p) rows, or independent Poisson(n * p_j) counts. The
+    matrix passes the checks a CountsVector makes on each row: no negative
+    count, and every multinomial row sums to n."""
+    _check_n(n)
+    gen = _live(rng)
+    if kind == MULTINOMIAL:
+        counts = gen.multinomial(n, cells.p, size=rows)
+    elif kind == POISSONIZED:
+        counts = gen.poisson(n * cells.p, size=(rows, cells.M))
+    else:
+        raise ValidationError(f"unknown counts kind {kind!r}")
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    if counts.min(initial=0) < 0:
+        raise ValidationError("counts must be nonnegative")
+    if kind == MULTINOMIAL:
+        totals = counts.sum(axis=1)
+        if (totals != n).any():
+            raise ValidationError(f"multinomial counts sum to {totals[totals != n][0]}, expected {n}")
+    return counts
 
 
 def draw_multinomial(cells: CellModel, n: int, rng) -> CountsVector:
     """One Multinomial(n, p) count vector."""
-    _check_n(n)
-    counts = _live(rng).multinomial(n, cells.p)
-    return CountsVector(MULTINOMIAL, counts, n=n, N_realized=n)
+    return CountsVector(MULTINOMIAL, draw_slab(MULTINOMIAL, cells, n, 1, rng)[0], n=n, N_realized=n)
 
 
 def draw_poissonized(cells: CellModel, n: int, rng) -> CountsVector:
     """Independent Poisson(n * p_j) counts; the total is the realized N."""
-    _check_n(n)
-    counts = _live(rng).poisson(n * cells.p)
+    counts = draw_slab(POISSONIZED, cells, n, 1, rng)[0]
     return CountsVector(POISSONIZED, counts, n=n, N_realized=int(counts.sum()))
 
 

@@ -2,11 +2,13 @@
 replications, m-sweeps, coupled Poissonization-gap measurement, and
 Poisson tail audits.
 
-Replications are independent: replication r always draws from substream r of
-the config seed, so any execution order yields the same draws. The studies
+Each rung of a study draws its replications in order from one running
+generator, substream `rung` of the config seed: replication r is the r-th
+row drawn, so the first r replications do not depend on reps. The studies
 handle them in slabs: the draws of up to a few thousand consecutive
-replications are written row by row into one int64 count matrix, which is
-then grouped, evaluated and reduced with whole-array numpy. Every reduction
+replications form one int64 count matrix, drawn in one numpy call
+(`sampling.draw_slab`; coupled pairs row by row), which is then grouped,
+evaluated and reduced with whole-array numpy. Every reduction
 keeps a fixed order (a slab's rows are the replications in order, running
 sums carry across slabs), so the floating-point results do not depend on
 where the slabs break.
@@ -43,7 +45,7 @@ from .errors import ValidationError
 from .estimators import _estimate, _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import CellModel, _block_sums, _prefix_block_sums, _prefix_sums, check_group_count, nearest_divisor
-from .sampling import RngStream, draw_coupled, draw_multinomial, draw_poissonized
+from .sampling import MULTINOMIAL, POISSONIZED, RngStream, draw_coupled, draw_slab
 
 
 # ---------- configuration and report types ----------
@@ -173,27 +175,33 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
 _SLAB = 1 << 22
 
 
-def _slabs(draw, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0):
+# the kind of _slabs draw that yields coupled (multinomial, Poissonized) pairs
+_COUPLED = "coupled"
+
+
+def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0):
     """A rung's replications in slabs of at most max(1, _SLAB // width) rows.
 
     Yields (rows, counts): the slice of replication indices the slab holds
-    and, for each CountsVector a draw returns, an int64 matrix with one row
-    per replication. Replication r draws from substream rung * reps + r of
-    the seed through the public draw, so every draw is checked as a
-    CountsVector before it is copied into its row."""
-    base = RngStream(seed)
+    and, per count vector a draw makes (a pair for _COUPLED), an int64
+    matrix with one row per replication. Replication r is the r-th row
+    drawn from one running generator, substream `rung` of the seed, so a
+    replication does not depend on reps or on where the slabs break. A
+    multinomial or Poissonized slab is one `draw_slab` call, which checks
+    every row as a CountsVector would; a coupled slab calls `draw_coupled`
+    once per row."""
+    gen = RngStream(seed, rung).generator()
     size = max(1, _SLAB // width)
     for start in range(0, reps, size):
-        rows = range(start, min(reps, start + size))
-        counts = None
-        for i, r in enumerate(rows):
-            out = draw(model, n, base.substream(rung * reps + r).generator())
-            vecs = out if isinstance(out, tuple) else (out,)
-            if counts is None:
-                counts = [np.empty((len(rows), model.M), dtype=np.int64) for _ in vecs]
-            for mat, vec in zip(counts, vecs):
-                mat[i] = vec.counts
-        yield slice(rows.start, rows.stop), counts
+        rows = min(size, reps - start)
+        if kind == _COUPLED:
+            counts = (np.empty((rows, model.M), dtype=np.int64), np.empty((rows, model.M), dtype=np.int64))
+            for i in range(rows):
+                for mat, vec in zip(counts, draw_coupled(model, n, gen)):
+                    mat[i] = vec.counts
+        else:
+            counts = (draw_slab(kind, model, n, rows, gen),)
+        yield slice(start, start + rows), counts
 
 
 def _natural_gap(nu: np.ndarray, rho: np.ndarray):
@@ -235,8 +243,8 @@ def run_mse_study(config: StudyConfig) -> MseReport:
     the same draw (paired across m), and tabulate bias/var/MSE against the
     limiting CDF at each x.
 
-    Replication r draws from substream r of the config seed, over the
-    L = lcm(m_values) blocks of M/L cells (L divides M because every m does);
+    Replication r is the r-th draw from substream 0 of the config seed, over
+    the L = lcm(m_values) blocks of M/L cells (L divides M because every m does);
     each m groups those block counts further. When L = M this is the
     cell-level draw. The estimate at x is the share of groups with
     count <= lattice_floor(x n / m)."""
@@ -247,12 +255,12 @@ def run_mse_study(config: StudyConfig) -> MseReport:
     F = limit_sdf(gen)
     fx = tuple(float(F(x)) for x in config.x_grid)
     per_m = [(m, _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
-    draw = draw_poissonized if config.poissonized else draw_multinomial
+    kind = POISSONIZED if config.poissonized else MULTINOMIAL
     estimates = np.empty((len(per_m), len(config.x_grid), config.reps))
     mark = time.perf_counter()
     timings = {"cells_s": mark - t0, "draw_s": 0.0, "evaluate_s": 0.0, "summarize_s": 0.0,
                "draws": config.reps, "slabs": 0}
-    for rows, (counts,) in _slabs(draw, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
+    for rows, (counts,) in _slabs(kind, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
         drawn = time.perf_counter()
         prefix = _prefix_sums(counts)
         for i, (m, K) in enumerate(per_m):
@@ -381,7 +389,7 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
         width = M * len(config.x_grid)
         timings["cells_s"] += time.perf_counter() - mark
         mark = time.perf_counter()
-        for _, (nu, rho) in _slabs(draw_coupled, cells, n, config.seed, config.reps, width, rung_idx):
+        for _, (nu, rho) in _slabs(_COUPLED, cells, n, config.seed, config.reps, width, rung_idx):
             drawn = time.perf_counter()
             gaps = _natural_gap(nu, rho)
             gap_sum += int(gaps.sum())
@@ -458,12 +466,12 @@ def consistency_trend(
         check_group_count(M, m)
     gen = by_name(generator)
     F = limit_sdf(gen)
-    draw = draw_poissonized if poissonized else draw_multinomial
+    kind = POISSONIZED if poissonized else MULTINOMIAL
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
         groups = _grouped_cells(gen, M, m)
         total = 0
-        for _, (counts,) in _slabs(draw, groups, n, seed, reps, m, rung_idx):
+        for _, (counts,) in _slabs(kind, groups, n, seed, reps, m, rung_idx):
             for row in counts:
                 total += _sup_to_cdf(row, n, F)
         out.append(total / reps)

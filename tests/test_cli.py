@@ -1,5 +1,6 @@
 """Command-line front end: output contracts, exit codes, error JSON."""
 
+import hashlib
 import json
 import math
 
@@ -44,7 +45,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 3
+    assert meta["stream_version"] == STREAM_VERSION == 4
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
@@ -541,6 +542,30 @@ def test_reproduce_figures_is_seed_deterministic(tmp_path, capsys):
     a = (tmp_path / "a" / "grouped_m10.csv").read_bytes()
     b = (tmp_path / "b" / "grouped_m10.csv").read_bytes()
     assert a == b
+
+
+# sha256 of the CSVs written under stream version 3; a single draw is row 0
+# of a one-row slab from the seed's substream 0, so version 4 writes the
+# same bytes
+V3_OUTPUTS = [
+    (["estimate", "--M", "1000", "--n", "3000", "--seed", "3"],
+     {"e.csv": "a1e373ed13c539e061301e843cdde1425b1a9833ff84262c79be497a8b8e7ca5"}),
+    (["estimate", "--M", "1000", "--n", "3000", "--m", "40", "--poissonized", "--seed", "4"],
+     {"e.csv": "15c1d3b06c48952686cdb1ab950de5a2bb909f87ccea7187ba29e634172e00c6"}),
+    (["estimate", "--M", "1000", "--n", "3000", "--m", "40", "--ordered", "--seed", "5"],
+     {"e.csv": "2f91ac85484707f52dab6c111c1b8a7b575e340ee454dc4de013adf6ae132cd1"}),
+    (["reproduce-figures", "--seed", "1"],
+     {"natural.csv": "393d4b7b6d0f2c14e6a163f564d4c8bc561a536f57627ff3c7b08135bb2fe5bf",
+      "grouped_m40.csv": "078492fae060517b99312c0d15d8b466ff233365bf5c6c196787d8b5ee9ead05",
+      "grouped_m10.csv": "c88e7d08def7ba2c665bb10cf234eb787b974fb8fd5a5ad896c0ce7cbfc0b75c"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", V3_OUTPUTS, ids=["natural", "poissonized", "ordered", "figures"])
+def test_single_draw_outputs_are_byte_identical_to_stream_version_3(tmp_path, capsys, argv, digests):
+    out = ["--out-dir", str(tmp_path)] if argv[0] == "reproduce-figures" else ["--out", str(tmp_path / "e.csv")]
+    assert run_cli(argv + out, capsys)[0] == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 # ---------- strict JSON ----------

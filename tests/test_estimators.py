@@ -152,6 +152,14 @@ def test_estimate_and_mixture_share_the_lattice_convention_at_the_edges(x, share
         assert mix == pytest.approx(special.pdtr(K, 3.0), abs=1e-12)
 
 
+def test_an_index_beyond_int64_is_clipped_and_counts_every_count():
+    # 1e300 * 999999 / 3003 is a finite K far beyond 2**63; +inf is the other end
+    K = _lattice_index([0.5, 1.0, 1e300, math.inf], 999999, 3003)
+    assert K.dtype == np.int64 and K.tolist() == [166, 333, 2**63 - 1, 2**63 - 1]
+    est = natural_estimator(CountsVector(MULTINOMIAL, [0, 2**62, 2**62 - 1], n=2**63 - 1))
+    assert est(1e300) == 1.0 and est(np.array([1e300, math.inf])).tolist() == [1.0, 1.0]
+
+
 def test_estimate_rejects_nan():
     est = natural_estimator(CountsVector(MULTINOMIAL, [0, 0, 3, 5], n=8))
     for x in (math.nan, np.array([0.5, math.nan])):

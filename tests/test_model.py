@@ -25,6 +25,12 @@ def test_from_values_merges_ties_and_sorts():
     assert cdf.n_jumps == 3
 
 
+def test_from_values_rejects_no_values_like_the_constructor():
+    for build in (lambda: StepCdf.from_values([]), lambda: StepCdf([], [])):
+        with pytest.raises(ValidationError, match="a StepCdf needs at least one jump"):
+            build()
+
+
 def test_right_continuity_and_left_limits():
     cdf = StepCdf([0.5, 1.5], [0.25, 0.75])
     assert cdf(0.5) == 0.25          # mass at the jump counts

@@ -19,7 +19,7 @@ from structdist import (
     grouped_estimator,
     group_model,
 )
-from structdist.sampling import MAX_COUPLED_N, MAX_N
+from structdist.sampling import MAX_COUPLED_N, MAX_N, draw_slab
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
 
@@ -118,9 +118,54 @@ def test_draws_reach_the_largest_n(M):
     cells = CellModel(M, np.full(M, 1.0 / M))
     assert int(draw_multinomial(cells, MAX_N, RngStream(0)).counts.sum()) == MAX_N
     assert draw_poissonized(cells, MAX_N, RngStream(0)).N_realized > 0
-    for draw in (draw_multinomial, draw_poissonized):
+    assert (draw_slab(MULTINOMIAL, cells, MAX_N, 3, RngStream(0)).sum(axis=1) == MAX_N).all()
+    slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in (MULTINOMIAL, POISSONIZED)]
+    for draw in (draw_multinomial, draw_poissonized, *slabs):
         with pytest.raises(ValidationError, match=f"n must be <= {MAX_N}, got {MAX_N + 1}"):
             draw(cells, MAX_N + 1, RngStream(0))
+
+
+@pytest.mark.parametrize("kind, draw", [(MULTINOMIAL, draw_multinomial), (POISSONIZED, draw_poissonized)])
+def test_slab_rows_are_successive_single_draws(kind, draw):
+    """A slab of rows is, row by row and bit for bit, that many single
+    draws in order from the same running generator, which it leaves in the
+    same state."""
+    slab_gen, single_gen = RngStream(77, 3).generator(), RngStream(77, 3).generator()
+    slab = draw_slab(kind, CELLS6, 60, 9, slab_gen)
+    assert slab.dtype == np.int64 and slab.shape == (9, 6)
+    for row in slab:
+        assert np.array_equal(row, draw(CELLS6, 60, single_gen).counts)
+    assert slab_gen.bit_generator.state == single_gen.bit_generator.state
+
+
+class FixedDraws:
+    """A stand-in generator whose every draw returns the given counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def multinomial(self, n, p, size):
+        return np.array(self.counts)
+
+    def poisson(self, lam, size):
+        return np.array(self.counts)
+
+
+@pytest.mark.parametrize("kind", [MULTINOMIAL, POISSONIZED])
+def test_slab_checks_every_row_as_a_counts_vector_does(kind):
+    cells, ok = CellModel(3, [0.2, 0.3, 0.5]), [[1, 2, 3], [0, 6, 0]]
+    slab = draw_slab(kind, cells, 6, 2, FixedDraws(np.array(ok, dtype=np.float64)))
+    assert slab.dtype == np.int64 and slab.tolist() == ok
+    with pytest.raises(ValidationError, match="counts must be nonnegative"):
+        draw_slab(kind, cells, 6, 2, FixedDraws([[1, 2, 3], [7, -1, 0]]))
+    bad_total = FixedDraws([[1, 2, 3], [1, 2, 2]])
+    if kind == MULTINOMIAL:
+        with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
+            draw_slab(kind, cells, 6, 2, bad_total)
+    else:  # a Poissonized row's total is its realized N
+        assert draw_slab(kind, cells, 6, 2, bad_total).sum(axis=1).tolist() == [6, 5]
+    with pytest.raises(ValidationError, match="unknown counts kind 'bootstrap'"):
+        draw_slab("bootstrap", cells, 6, 2, FixedDraws(ok))
 
 
 # ---------- the coupling ----------

@@ -133,7 +133,7 @@ def test_regression_baseline_and_rerun_identity():
     rep2 = run_mse_study(cfg)
     assert rep1.cells == rep2.cells
     cell = rep1.cell(40, 1.0)
-    assert cell.mse_hat == 0.0007462500000000007
+    assert cell.mse_hat == 0.0008012500000000009
     exact = exact_mean(grouped_example(1000, 40).p, 3000, 1.0, poissonized=False)
     assert exact == pytest.approx(0.5064978, abs=1e-7)
     assert abs(cell.mean_hat - exact) <= 4.0 * cell.se_mean
@@ -145,9 +145,10 @@ LCM_XS = (0.25, 0.5, 1.0, 1.75)  # 1.75 is a lattice point for m = 10
 
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
-    """Replication r is one draw over the lcm(m_values) = 200 blocks on
-    substream r; each estimate at x equals the grouped estimator at x and its
-    StepCdf at the lattice point K (m/n), K = lattice_floor(x n / m). At
+    """Replication r is the r-th draw over the lcm(m_values) = 200 blocks
+    from the running generator of substream 0; each estimate at x equals
+    the grouped estimator at x and its StepCdf at the lattice point
+    K (m/n), K = lattice_floor(x n / m). At
     m = 10 the grid point x = 1.75 is the lattice point of K = 525, where the
     StepCdf's float comparison 525 * (10/3000) <= 1.75 fails: a count of 525
     must be counted."""
@@ -157,10 +158,10 @@ def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     est = run_mse_study(cfg).estimates
     blocks = grouped_example(M, 200)
     draw = draw_poissonized if poissonized else draw_multinomial
-    base = RngStream(cfg.seed)
+    rng = RngStream(cfg.seed).generator()
     hits = 0
     for r in range(cfg.reps):
-        vec = draw(blocks, n, base.substream(r).generator())
+        vec = draw(blocks, n, rng)
         for i, m in enumerate(LCM_MS):
             grouped = grouped_estimator(vec, m)
             K = np.array([lattice_floor(x * n / m) for x in LCM_XS])
@@ -205,13 +206,15 @@ def small_studies(draw):
 @given(cfg=small_studies())
 def test_slab_estimates_are_the_grouped_estimator_on_each_draw(cfg):
     """estimates[i, :, r] is the grouped estimator, at the i-th m, of the
-    draw over the lcm(m_values) blocks on substream r, bit for bit."""
+    r-th draw over the lcm(m_values) blocks from the running generator of
+    substream 0, bit for bit."""
     est = run_mse_study(cfg).estimates
     L = int(np.lcm.reduce(cfg.m_values))
     blocks = grouped_example(cfg.M, L)
     draw = draw_poissonized if cfg.poissonized else draw_multinomial
+    rng = RngStream(cfg.seed).generator()
     for r in range(cfg.reps):
-        vec = draw(blocks, cfg.n, RngStream(cfg.seed).substream(r))
+        vec = draw(blocks, cfg.n, rng)
         for i, m in enumerate(cfg.m_values):
             assert np.array_equal(est[i, :, r], grouped_estimator(vec, m)(cfg.x_grid))
 
@@ -251,6 +254,62 @@ def test_slab_boundaries_leave_every_study_unchanged(monkeypatch, rows):
             assert np.array_equal(split.estimates, whole[name].estimates)
 
 
+# each study at reps replications, with the width _slabs divides _SLAB by
+# (the coupled study's second rung is twice as wide as its first)
+PREFIX_STUDIES = {
+    "multinomial": (lambda reps, seed: run_mse_study(
+        StudyConfig("example", M=60, n=180, m_values=(4, 6), x_grid=X7, reps=reps, seed=seed)), 12 * len(X7)),
+    "poissonized": (lambda reps, seed: run_mse_study(
+        StudyConfig("example", M=60, n=180, m_values=(4, 6), x_grid=X7, reps=reps, seed=seed, poissonized=True)),
+        12 * len(X7)),
+    "coupled": (lambda reps, seed: poissonization_gap(
+        StudyConfig("example", M=40, n=120, m_values=(1,), x_grid=(0.5, 1.0, 1.5), reps=reps, seed=seed),
+        n_ladder=(120, 240)), 40 * 3),
+    "trend": (lambda reps, seed: consistency_trend(((60, 180, 6), (120, 360, 6)), "example", reps=reps, seed=seed),
+              6),
+}
+
+
+def drawn_rows(name, reps, seed, rows):
+    """Run a PREFIX_STUDIES study in slabs of at most `rows` rows (None: one
+    slab); return its result and, per rung, every count matrix it drew,
+    stacked in replication order."""
+    call, width = PREFIX_STUDIES[name]
+    rungs = []
+    slabs = study._slabs
+
+    def spy(*args, **kwargs):
+        drawn = []
+        rungs.append(drawn)
+        for span, counts in slabs(*args, **kwargs):
+            drawn.append(counts)
+            yield span, counts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study, "_slabs", spy)
+        if rows is not None:
+            mp.setattr(study, "_SLAB", rows * width)
+        result = call(reps, seed)
+    return result, [[np.vstack(mats) for mats in zip(*drawn)] for drawn in rungs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PREFIX_STUDIES)), seed=st.integers(0, 2**64 - 1), r=st.integers(1, 6),
+       extra=st.integers(0, 10), rows=st.one_of(st.none(), st.integers(1, 5)))
+def test_first_replications_do_not_depend_on_reps_or_slab_size(name, seed, r, extra, rows):
+    """Replication r is the r-th row drawn from its rung's running
+    generator: the first r replications of every rung, and for
+    run_mse_study their estimates, are bit-identical whether the study runs
+    r replications in one slab or r + extra in slabs of at most `rows`."""
+    short, short_rows = drawn_rows(name, r, seed, None)
+    long, long_rows = drawn_rows(name, r + extra, seed, rows)
+    assert len(short_rows) == len(long_rows) >= 1
+    for a, b in zip(short_rows, long_rows):
+        assert len(a) == len(b) and all(np.array_equal(x, y[:r]) for x, y in zip(a, b))
+    if name in ("multinomial", "poissonized"):
+        assert np.array_equal(short.estimates, long.estimates[..., :r])
+
+
 def per_cell_summary(m, x, fx, vals):
     """The per-cell reductions the vectorized summary must reproduce bit for bit."""
     reps = vals.size
@@ -276,10 +335,11 @@ def test_summary_matches_per_cell_reductions(reps):
 
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_study_estimates_0_below_zero_and_1_where_the_index_overflows(poissonized):
-    cfg = StudyConfig("example", M=12, n=36, m_values=(2, 3, 12), x_grid=(-1e-20, 1e308), reps=5, seed=4,
+    # at 1e300 the index is a finite K beyond int64, at 1e308 the product overflows
+    cfg = StudyConfig("example", M=12, n=36, m_values=(2, 3, 12), x_grid=(-1e-20, 1e300, 1e308), reps=5, seed=4,
                       poissonized=poissonized)
     est = run_mse_study(cfg).estimates
-    assert (est[:, 0] == 0.0).all() and (est[:, 1] == 1.0).all()
+    assert (est[:, 0] == 0.0).all() and (est[:, 1:] == 1.0).all()
 
 
 def test_report_equality_ignores_wall_time():
@@ -393,18 +453,19 @@ def test_gap_sums_replications_in_order(monkeypatch, rows):
     """Each rung's mean squared grouped gap is a running sum over the
     replications in order, whole or in slabs of 7 rows, as a row-by-row loop
     over the public draw and grouped estimator adds it up (a pairwise sum
-    differs in the last bits on this config)."""
+    differs in the last bits on this config). Rung i draws its pairs in
+    order from the running generator of substream i."""
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=66, seed=1)
     ladder = (3000, 12000)
     if rows is not None:
         monkeypatch.setattr(study, "_SLAB", rows * 4000 * len(X7))
     rungs = poissonization_gap(cfg, n_ladder=ladder).rungs
-    base = RngStream(cfg.seed)
     for i, (rung, n) in enumerate(zip(rungs, ladder)):
         cells = cells_from_generator(example_generator(), rung.M)
+        rng = RngStream(cfg.seed, i).generator()
         sq = np.zeros(len(X7))
         for r in range(cfg.reps):
-            nu, rho = draw_coupled(cells, n, base.substream(i * cfg.reps + r))
+            nu, rho = draw_coupled(cells, n, rng)
             sq += (grouped_estimator(nu, rung.m)(X7) - grouped_estimator(rho, rung.m)(X7)) ** 2
         assert rung.mean_sq_gap == tuple(sq / cfg.reps)
 
@@ -428,8 +489,9 @@ def test_consistency_trend_decreases():
 
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_consistency_trend_replays_group_draws(poissonized):
-    """Rung i, replication r draws the m group counts from substream
-    i * reps + r; the mean sup distance matches the StepCdf reference."""
+    """Rung i, replication r is the r-th draw of the m group counts from
+    the running generator of substream i; the mean sup distance matches
+    the StepCdf reference."""
     ladder = ((250, 750, 10), (1000, 3000, 25))
     reps, seed = 30, 23
     trend = consistency_trend(ladder, "example", reps=reps, seed=seed, poissonized=poissonized)
@@ -437,10 +499,10 @@ def test_consistency_trend_replays_group_draws(poissonized):
     groups = grouped_example(M, m)
     draw = draw_poissonized if poissonized else draw_multinomial
     F = limit_sdf(example_generator())
-    base = RngStream(seed)
+    rng = RngStream(seed, 1).generator()
     ref = []
     for r in range(reps):
-        est = grouped_estimator(draw(groups, n, base.substream(reps + r)), m)
+        est = grouped_estimator(draw(groups, n, rng), m)
         ref.append(sup_distance_to_function(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
 
@@ -504,18 +566,18 @@ def test_mse_study_and_trend_build_no_cell_vector():
     assert _peak_bytes(lambda: consistency_trend(((M, 999999, 21),), "example", reps=2, seed=1)) < 8 * M
 
 
-# sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 3
+# sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 4
 FROZEN_STREAMS = [
     (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
-     "c8deb0506e1f7f1c9e234b8fdf5527dd8d356d8895f467094e2b7b53e90d40d7",
-     "fb901b4fccc5b4baba3f51fd1b19fda8160e9bad379c115dc199d32de0c890a1"),
+     "424fb11f9c523a9357f7434fe4045eca57d82c1ca2e0c6bafb9faef84ec52df4",
+     "d8bf9cadcf0c0fc0120a7db9a054a95057ed143e7024917ea19a4bcb68150d0d"),
     (StudyConfig("example", M=1000, n=3000, m_values=(10, 40, 100), x_grid=X7, reps=400, seed=505,
                  poissonized=True),
-     "b604d5d9f6d6718cc2234073ab8031167eadf1c542df675fca4a45772b394394",
-     "9bb528196818c493bf4632aef7f10e6e828a516fb07c82b00252d3b9bf3434d8"),
+     "b8d84d651a6b793b3a004bebc4bf48be0b997606c40af79d0614888b544a0e17",
+     "7dca07da9726010ac699d9f8f4a5fe1cc66bd76b69895126f18155f97c7ebb8e"),
     (StudyConfig("uniform", M=1000, n=3000, m_values=(10, 40, 100), x_grid=(0.5, 1.0, 1.5), reps=50, seed=5),
-     "98fe8adb898f42d6255ee1112d8af2ac6a8d0fd8c7d28bc5504ad95daf53435b",
-     "e3b207e969b4bc455aa5087f6589d21a51956b8add8ca189aa36b3b5dbc98845"),
+     "3cbcdceae5c299c6ff9d7ae4593e27dcd39559c5f104b96f0ec1a079d2733d18",
+     "30c623fbc7f41462c8b6dfbd2d21dca942c2a64f879f600cb1fb0c762f3299a6"),
 ]
 
 
@@ -523,18 +585,18 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     rep = run_mse_study(cfg)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha
 
 
 def test_seeded_trend_is_frozen():
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
-    assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.13506666666666667, 0.07734999999999997, 0.05515)
+    assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.1276, 0.08256666666666669, 0.051983333333333326)
     ladder = ((1000, 3000, 40), (1000, 3000, 200))
-    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.56875, 0.56075)
+    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.56375, 0.5507500000000001)
 
 
 def test_gap_report_times_its_stages():
