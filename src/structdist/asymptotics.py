@@ -37,7 +37,8 @@ class BoundParams:
     lambda_: limit of n/M.  tau: uniform bound on the limit density.
     c: the L2 constant in the step-density approximation integral(f_m - g)^2
     <= c/m^2; the midpoint-rule constant for a Lipschitz density is
-    (sup|g'|)^2 / 12, which `for_generator` uses.
+    (sup|g'|)^2 / 12, which `for_generator` uses. c = 0 (a flat density, as
+    for `uniform`) is exact and drops the L2 term.
     """
 
     lambda_: float
@@ -45,9 +46,11 @@ class BoundParams:
     c: float
 
     def __post_init__(self):
-        for name, value in (("lambda", self.lambda_), ("tau", self.tau), ("c", self.c)):
+        for name, value in (("lambda", self.lambda_), ("tau", self.tau)):
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.c < math.inf:
+            raise ValidationError(f"c must be nonnegative and finite, got {self.c}")
 
     @classmethod
     def for_generator(cls, gen: SmoothGenerator, lambda_: float) -> "BoundParams":
@@ -248,18 +251,18 @@ def esseen_bias_bound(m, n: int, T, params: BoundParams):
 def optimal_T(m, n: int, params: BoundParams):
     """Cutoff equating the dominant terms of the smoothing bound.
 
-    (24 tau)^(1/3) (n/m)^(1/3) when the group count dominates (m >= n^(1/3));
+    (24 tau)^(1/3) (n/m)^(1/3) when the group count dominates (m >= n^(1/3),
+    or any m when c = 0 and there is no L2 term);
     c^(-1/3) (24 tau)^(1/3) m^(2/3) in the opposite regime where the
     step-density L2 term dominates.
     """
     ms = _group_counts(m)
     base = (24.0 * params.tau) ** (1.0 / 3.0)
+    by_groups = base * (n / ms) ** (1.0 / 3.0)
+    if params.c == 0:
+        return _float_or_array(by_groups)
     return _float_or_array(
-        np.where(
-            ms >= n ** (1.0 / 3.0),
-            base * (n / ms) ** (1.0 / 3.0),
-            params.c ** (-1.0 / 3.0) * base * ms ** (2.0 / 3.0),
-        )
+        np.where(ms >= n ** (1.0 / 3.0), by_groups, params.c ** (-1.0 / 3.0) * base * ms ** (2.0 / 3.0))
     )
 
 

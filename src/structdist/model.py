@@ -198,17 +198,19 @@ def sup_distance(a: StepCdf, b: StepCdf) -> float:
     return float(max(at.max(), before.max()))
 
 
-def sup_distance_to_function(step: StepCdf, cdf, *, grid=None) -> float:
-    """Exact sup |step(x) - F(x)| against a continuous CDF F.
+def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf) -> float:
+    """Exact sup |S(x) - F(x)| over all x, for the step CDF S that jumps at
+    the increasing `locations` to `values` against any CDF F. S is constant
+    between its jumps and F monotone, so the sup is attained at a jump x,
+    approached from the right (S(x) against F(x)) or from the left (the
+    previous value against F(x-), read at the float just below x, which is
+    F(x) only where F is continuous at x)."""
+    at = np.array([float(cdf(x)) for x in locations.tolist()])
+    left = np.array([float(cdf(x)) for x in np.nextafter(locations, -np.inf).tolist()])
+    before = np.concatenate(([0.0], values[:-1]))
+    return float(max(np.abs(values - at).max(), np.abs(before - left).max()))
 
-    Between consecutive jumps the step function is constant and F is
-    monotone, so the supremum is attained at a jump location, approached
-    from the left or the right; F's continuity makes both one-sided values
-    equal to F at the jump. Extra `grid` points may be supplied when F has
-    its own jumps.
-    """
-    xs = step.locations if grid is None else np.union1d(step.locations, grid)
-    f = np.asarray([float(cdf(float(x))) for x in xs])
-    at = np.abs(step(xs) - f)
-    before = np.abs(step.before(xs) - f)
-    return float(max(at.max(), before.max()))
+
+def sup_distance_to_function(step: StepCdf, cdf) -> float:
+    """Exact sup |step(x) - F(x)| against a CDF F, continuous or not."""
+    return _sup_to_function(step.locations, step._cum, cdf)

@@ -3,12 +3,12 @@ replications, m-sweeps, coupled Poissonization-gap measurement, and
 Poisson tail audits.
 
 Each rung of a study draws its replications in order from one running
-generator, substream `rung` of the config seed: replication r is the r-th
+generator, stream `rung` of the config seed: replication r is the r-th
 row drawn, so the first r replications do not depend on reps. The studies
 handle them in slabs: the draws of up to a few thousand consecutive
-replications form one int64 count matrix, drawn in one numpy call
-(`sampling.draw_slab`; coupled pairs row by row), which is then grouped,
-evaluated and reduced with whole-array numpy. Every reduction
+replications form one int64 count array, drawn by one `sampling.draw_slab`
+call (one vector of rows, or the two of coupled pairs), which is then
+grouped, evaluated and reduced with whole-array numpy. Every reduction
 keeps a fixed order (a slab's rows are the replications in order, running
 sums carry across slabs), so the floating-point results do not depend on
 where the slabs break.
@@ -44,8 +44,9 @@ from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
 from .estimators import _estimate, _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
-from .model import CellModel, _block_sums, _prefix_block_sums, _prefix_sums, check_group_count, nearest_divisor
-from .sampling import MULTINOMIAL, POISSONIZED, RngStream, draw_coupled, draw_slab
+from .model import (CellModel, _block_sums, _prefix_block_sums, _prefix_sums, _sup_to_function, check_group_count,
+                    nearest_divisor)
+from .sampling import COUPLED, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
 
 
 # ---------- configuration and report types ----------
@@ -175,33 +176,21 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
 _SLAB = 1 << 22
 
 
-# the kind of _slabs draw that yields coupled (multinomial, Poissonized) pairs
-_COUPLED = "coupled"
-
-
 def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0):
     """A rung's replications in slabs of at most max(1, _SLAB // width) rows.
 
     Yields (rows, counts): the slice of replication indices the slab holds
-    and, per count vector a draw makes (a pair for _COUPLED), an int64
-    matrix with one row per replication. Replication r is the r-th row
-    drawn from one running generator, substream `rung` of the seed, so a
-    replication does not depend on reps or on where the slabs break. A
-    multinomial or Poissonized slab is one `draw_slab` call, which checks
-    every row as a CountsVector would; a coupled slab calls `draw_coupled`
-    once per row."""
+    and the `draw_slab` array of its draws, an int64 matrix with one row per
+    replication for each count vector a draw makes (a pair for COUPLED),
+    every row checked as a CountsVector would check it. Replication r is
+    the r-th row drawn from one running generator, stream `rung` of the
+    seed, so a replication does not depend on reps or on where the slabs
+    break."""
     gen = RngStream(seed, rung).generator()
     size = max(1, _SLAB // width)
     for start in range(0, reps, size):
         rows = min(size, reps - start)
-        if kind == _COUPLED:
-            counts = (np.empty((rows, model.M), dtype=np.int64), np.empty((rows, model.M), dtype=np.int64))
-            for i in range(rows):
-                for mat, vec in zip(counts, draw_coupled(model, n, gen)):
-                    mat[i] = vec.counts
-        else:
-            counts = (draw_slab(kind, model, n, rows, gen),)
-        yield slice(start, start + rows), counts
+        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen)
 
 
 def _natural_gap(nu: np.ndarray, rho: np.ndarray):
@@ -226,16 +215,6 @@ def _natural_gap(nu: np.ndarray, rho: np.ndarray):
     return gaps.reshape(nu.shape[:-1])
 
 
-def _sup_to_cdf(counts: np.ndarray, n: int, F) -> float:
-    """Exact sup |F_hat - F| of the grouped estimator against a continuous
-    CDF F: F_hat steps only at the distinct counts v (at x = v m/n, from the
-    share <= v - 1 to the share <= v) and F is monotone in between."""
-    locations, shares = _jumps(counts, n)
-    f = np.array([float(F(x)) for x in locations.tolist()])
-    share = np.concatenate(([0.0], shares))  # before the first jump, then at each
-    return float(max(np.abs(share[1:] - f).max(), np.abs(share[:-1] - f).max()))
-
-
 # ---------- core study ----------
 
 def run_mse_study(config: StudyConfig) -> MseReport:
@@ -243,7 +222,7 @@ def run_mse_study(config: StudyConfig) -> MseReport:
     the same draw (paired across m), and tabulate bias/var/MSE against the
     limiting CDF at each x.
 
-    Replication r is the r-th draw from substream 0 of the config seed, over
+    Replication r is the r-th draw from stream 0 of the config seed, over
     the L = lcm(m_values) blocks of M/L cells (L divides M because every m does);
     each m groups those block counts further. When L = M this is the
     cell-level draw. The estimate at x is the share of groups with
@@ -389,7 +368,7 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
         width = M * len(config.x_grid)
         timings["cells_s"] += time.perf_counter() - mark
         mark = time.perf_counter()
-        for _, (nu, rho) in _slabs(_COUPLED, cells, n, config.seed, config.reps, width, rung_idx):
+        for _, (nu, rho) in _slabs(COUPLED, cells, n, config.seed, config.reps, width, rung_idx):
             drawn = time.perf_counter()
             gaps = _natural_gap(nu, rho)
             gap_sum += int(gaps.sum())
@@ -435,9 +414,8 @@ def poisson_tail_audit(
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     rows = []
-    base = RngStream(seed)
     for i, mean in enumerate(means):
-        rng = base.substream(i).generator()
+        rng = RngStream(seed, i).generator()
         x = rng.poisson(mean, size=draws)
         dev = np.abs(x - mean) / math.sqrt(mean)
         for eps in epsilons:
@@ -458,7 +436,8 @@ def consistency_trend(
 ) -> tuple[float, ...]:
     """Mean over replications of the exact sup distance between the grouped
     estimator and the limiting CDF, for each (M, n, m) rung. Each replication
-    draws the m group counts directly, from the grouped probabilities.
+    draws the m group counts directly, from the grouped probabilities; the
+    estimate steps only at its distinct counts (`estimators._jumps`).
     Every rung's m must divide its M, and reps must be >= 1."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -473,6 +452,6 @@ def consistency_trend(
         total = 0
         for _, (counts,) in _slabs(kind, groups, n, seed, reps, m, rung_idx):
             for row in counts:
-                total += _sup_to_cdf(row, n, F)
+                total += _sup_to_function(*_jumps(row, n), F)
         out.append(total / reps)
     return tuple(out)

@@ -96,11 +96,10 @@ def test_criterion_01_jump_lattice_and_inconsistency(criterion_log):
     xs = (1 / 3, 2 / 3, 1.0, 4 / 3)
     mixture = np.array([poisson_mixture_cdf(x, GEN, 3.0) for x in xs])
 
-    stream = RngStream(20260814)
     sums = np.zeros(len(xs))
     lattice_ok = True
     for r in range(500):
-        est = natural_estimator(draw_multinomial(cells, 3000, stream.substream(r)))
+        est = natural_estimator(draw_multinomial(cells, 3000, RngStream(20260814, r).generator()))
         ratios = est.cdf.locations * 3.0  # jumps must sit on the 1/3 lattice
         lattice_ok &= bool(np.max(np.abs(ratios - np.round(ratios))) < 1e-9)
         sums += [est.cdf(x) for x in xs]
@@ -132,10 +131,9 @@ def test_criterion_02_grouping_consistency_trend(criterion_log):
 
 
 def test_criterion_03_k1_grouping_equals_natural(criterion_log):
-    rng = RngStream(42)
     identical = True
     for r in range(100):
-        g = rng.substream(r).generator()
+        g = RngStream(42, r).generator()
         M = int(g.integers(1, 51))
         cells = CellModel(M, g.dirichlet(np.ones(M)))
         vec = draw_multinomial(cells, int(g.integers(1, 200)), g)
@@ -169,11 +167,10 @@ def test_criterion_04_poissonized_variance_bound(criterion_log, variance_report)
 
 def test_criterion_05_coupling_gap_bound(criterion_log):
     cells = cells_from_generator(GEN, 200)
-    stream = RngStream(3177)
     violations = 0
     worst_excess = -np.inf
     for r in range(1000):
-        nu, rho = draw_coupled(cells, 600, stream.substream(r))
+        nu, rho = draw_coupled(cells, 600, RngStream(3177, r).generator())
         gap = sup_distance(natural_estimator(nu).cdf, natural_estimator(rho).cdf)
         bound = abs(rho.N_realized - 600) / 200.0
         worst_excess = max(worst_excess, gap - bound)

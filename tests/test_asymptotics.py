@@ -4,6 +4,7 @@ Every frozen constant below was computed from a closed form (noted inline)
 or an independent quadrature/Monte Carlo oracle before being pinned.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,12 +59,13 @@ def test_bound_params_validation():
         BoundParams(lambda_=0.0, tau=2.0, c=1.0)
     with pytest.raises(ValidationError):
         BoundParams(lambda_=3.0, tau=0.0, c=1.0)
-    with pytest.raises(ValidationError):
-        BoundParams(lambda_=3.0, tau=2.0, c=0.0)
+    with pytest.raises(ValidationError, match="^c must be nonnegative and finite, got -1.0$"):
+        BoundParams(lambda_=3.0, tau=2.0, c=-1.0)
     # every field must be finite; the message names it
-    for field, bad in (("lambda", float("nan")), ("tau", float("nan")), ("c", float("inf"))):
+    for field, bad in (("lambda", float("nan")), ("tau", float("nan")), ("c", float("inf")), ("c", float("nan"))):
         kw = {"lambda_": 3.0, "tau": 2.0, "c": 1.0, ("lambda_" if field == "lambda" else field): bad}
-        with pytest.raises(ValidationError, match=f"^{field} must be positive and finite, got {bad}$"):
+        sign = "nonnegative" if field == "c" else "positive"
+        with pytest.raises(ValidationError, match=f"^{field} must be {sign} and finite, got {bad}$"):
             BoundParams(**kw)
 
 
@@ -355,6 +357,21 @@ def test_optimal_T_branches():
     small = optimal_T(10, 10**6, PARAMS)
     assert small == pytest.approx(24.328807982293593, rel=1e-12)
     assert small == optimal_T(10, 10**9, PARAMS)
+
+
+def test_a_flat_density_has_c_zero_and_no_l2_term():
+    """uniform's density is flat, so c = 0 is exact: the L2 term vanishes,
+    optimal_T takes the group-count branch at every m (finite, never inf or
+    NaN) and the bias bound loses only its c term."""
+    params = BoundParams.for_generator(uniform_generator(), 3.0)
+    assert params.c == 0.0
+    ms = np.array([1, 2, 10, 50, 3000])
+    T = optimal_T(ms, 3000, params)
+    np.testing.assert_allclose(T, (24.0 * params.tau * 3000 / ms) ** (1 / 3), rtol=1e-15)
+    assert optimal_T(2, 3000, params) == T[1]
+    with_c = dataclasses.replace(params, c=1.0)
+    gap = esseen_bias_bound(ms, 3000, T, with_c) - esseen_bias_bound(ms, 3000, T, params)
+    np.testing.assert_allclose(gap, T * T / (2.0 * math.pi * ms * ms), rtol=1e-12, atol=1e-15)
 
 
 def test_optimal_T_minimizes_dominant_terms():

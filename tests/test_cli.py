@@ -45,7 +45,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 4
+    assert meta["stream_version"] == STREAM_VERSION == 5
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
@@ -426,6 +426,18 @@ def test_bounds_table(capsys):
     assert "vacuous" in meta["note"]
 
 
+def test_bounds_accept_c_zero(capsys):
+    """c = 0 (a flat density) exits 0 with strict JSON and a finite Tn at
+    every m, taking the group-count branch below n^(1/3) too."""
+    code, out, _ = run_cli(["bounds", "--n", "1000", "--m-values", "1,2,50", "--c", "0", "--format", "json"], capsys)
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["c"] == 0.0
+    Tn = [row[2] for row in doc["rows"]]
+    assert all(math.isfinite(t) for t in Tn)
+    assert Tn == pytest.approx([(48.0 * 1000 / m) ** (1 / 3) for m in (1, 2, 50)], rel=1e-15)
+
+
 def test_bounds_rejects_nonpositive_m(capsys):
     code, error, out = fail_cli(["bounds", "--n", "100", "--m-values", "3,0"], capsys)
     assert code == 2 and error["message"] == "m must be >= 1, got 0"
@@ -545,7 +557,7 @@ def test_reproduce_figures_is_seed_deterministic(tmp_path, capsys):
 
 
 # sha256 of the CSVs written under stream version 3; a single draw is row 0
-# of a one-row slab from the seed's substream 0, so version 4 writes the
+# of a one-row slab from the seed's stream 0, so versions 4 and 5 write the
 # same bytes
 V3_OUTPUTS = [
     (["estimate", "--M", "1000", "--n", "3000", "--seed", "3"],

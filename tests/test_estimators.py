@@ -45,7 +45,7 @@ def test_natural_estimator_single_cell():
 
 def test_natural_estimator_jump_lattice():
     cells = cells_from_generator(example_generator(), 1000)
-    vec = draw_multinomial(cells, 3000, RngStream(13))
+    vec = draw_multinomial(cells, 3000, RngStream(13).generator())
     est = natural_estimator(vec)
     scale = est.size / est.n
     assert scale == 1000 / 3000
@@ -67,7 +67,7 @@ def test_grouped_estimator_masses_and_scale():
 
 
 def test_grouped_estimator_k1_reduces_to_natural():
-    vec = draw_multinomial(cells_from_generator(example_generator(), 20), 55, RngStream(3))
+    vec = draw_multinomial(cells_from_generator(example_generator(), 20), 55, RngStream(3).generator())
     a = natural_estimator(vec)
     b = grouped_estimator(vec, 20)
     assert a.cdf == b.cdf
@@ -108,7 +108,7 @@ def test_estimator_counts_a_lattice_count_the_float_comparison_drops():
 
 
 def test_estimator_evaluates_at_the_lattice_index():
-    vec = draw_multinomial(cells_from_generator(example_generator(), 1000), 3000, RngStream(5))
+    vec = draw_multinomial(cells_from_generator(example_generator(), 1000), 3000, RngStream(5).generator())
     est = grouped_estimator(vec, 40)
     xs = np.array([[-0.5, 0.0, 0.25], [1.0, 1.75, 7.0]])
     expect = [[np.count_nonzero(est.counts <= lattice_floor(x * 3000 / 40)) / 40 for x in row] for row in xs]

@@ -158,7 +158,7 @@ def test_synthetic_corpus_recovers_limit_cdf():
     """
     gen = example_generator()
     cells = cells_from_generator(gen, 1000)
-    vec = draw_multinomial(cells, 3000, RngStream(3))
+    vec = draw_multinomial(cells, 3000, RngStream(3).generator())
     words = [f"w{j}" for j in range(1000)]
     toks = np.repeat(np.arange(1000), vec.counts)
     RngStream(3, 999).generator().shuffle(toks)

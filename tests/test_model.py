@@ -10,10 +10,15 @@ from structdist import (
     ValidationError,
     divisors_of,
     group_model,
+    limit_sdf,
     structural_cdf,
     sup_distance,
     sup_distance_to_function,
+    table_generator,
+    uniform_generator,
 )
+from structdist.estimators import _jumps
+from structdist.model import _sup_to_function
 
 
 # ---------- StepCdf construction ----------
@@ -108,11 +113,67 @@ def test_sup_distance_to_function_hits_left_limit():
     assert d == 0.5
 
 
-def test_sup_distance_to_function_extra_grid_points():
+def test_sup_distance_to_function_reads_a_target_jump_from_the_left():
+    """A target with jumps needs no grid of its own: the step is constant
+    between its jumps and the target monotone, so its value just below each
+    jump is enough; a jump of both at one x cancels."""
     step = StepCdf([1.0], [1.0])
-    target = StepCdf([0.25], [1.0])  # discontinuous target needs its own grid
-    d = sup_distance_to_function(step, lambda x: float(target(x)), grid=[0.25])
-    assert d == 1.0
+    target = StepCdf([0.25], [1.0])
+    assert sup_distance_to_function(step, lambda x: float(target(x))) == 1.0
+    uniform = limit_sdf(uniform_generator())  # a unit step at 1
+    assert sup_distance_to_function(step, uniform) == 0.0
+    assert sup_distance_to_function(StepCdf([0.5, 1.0], [0.25, 0.75]), uniform) == 0.25
+
+
+def brute_sup(step: StepCdf, F, jumps) -> float:
+    """max |step - F| over every jump of either, the floats on both sides of
+    it and the midpoints between them: both are step functions, constant on
+    each open interval between consecutive jumps."""
+    xs = np.union1d(step.locations, jumps)
+    xs = np.concatenate((xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf), (xs[1:] + xs[:-1]) / 2,
+                         [xs[0] - 1.0, xs[-1] + 1.0]))
+    return max(abs(float(step(x)) - float(F(x))) for x in xs.tolist())
+
+
+@pytest.fixture(scope="module")
+def step_targets(tmp_path_factory):
+    """(F, its jump locations): uniform's unit step at 1, and a table whose
+    density is 0.5 on [0, 0.5) and 1.5 on [0.5, 1], so F steps at 0.5 and 1.5."""
+    table = tmp_path_factory.mktemp("table") / "two_slopes.csv"
+    table.write_text("0,0\n0.5,0.25\n1,1\n")
+    return {"uniform": (limit_sdf(uniform_generator()), [1.0]),
+            "table": (limit_sdf(table_generator(str(table))), [0.5, 1.5])}
+
+
+@pytest.mark.parametrize("target", ["uniform", "table"])
+@pytest.mark.parametrize("counts, n, expected", [
+    ([1, 2, 2, 3], 8, {"uniform": 0.25, "table": 0.25}),
+    ([2, 2, 2, 2], 8, {"uniform": 0.0, "table": 0.5}),
+    ([1, 1, 3, 3], 8, {"uniform": 0.5, "table": 0.0}),
+])
+def test_sup_to_a_stepped_limit_is_the_brute_force_sup(step_targets, target, counts, n, expected):
+    """Counts of n/m put a jump of the grouped estimate exactly on a jump
+    of F; the grouped estimate of [2, 2, 2, 2] (n = 8, m = 4) is uniform's
+    limit itself. The study's jump-table route agrees."""
+    F, jumps = step_targets[target]
+    counts = np.array(counts)
+    step = StepCdf.from_values(counts * (counts.size / n))
+    assert sup_distance_to_function(step, F) == brute_sup(step, F, jumps) == expected[target]
+    assert _sup_to_function(*_jumps(counts, n), F) == expected[target]
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), counts=st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_sup_to_a_stepped_limit_matches_brute_force_on_any_counts(step_targets, k, counts):
+    """With n = k m many counts equal n/m = k (or k/2, 3k/2), so the
+    estimate and F often jump at one x."""
+    counts = np.array(counts)
+    n = k * counts.size
+    for F, jumps in step_targets.values():
+        step = StepCdf.from_values(counts * (counts.size / n))
+        exact = sup_distance_to_function(step, F)
+        assert exact == brute_sup(step, F, jumps)
+        assert abs(_sup_to_function(*_jumps(counts, n), F) - exact) <= 1e-15
 
 
 # Step CDFs with jumps on the quarter lattice in [-2.5, 2.5]: equal values

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp, poisson
 
 from structdist import (
     MULTINOMIAL,
@@ -19,7 +20,7 @@ from structdist import (
     grouped_estimator,
     group_model,
 )
-from structdist.sampling import MAX_COUPLED_N, MAX_N, draw_slab
+from structdist.sampling import COUPLED, MAX_N, draw_slab
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
 
@@ -33,20 +34,17 @@ def test_same_stream_reproduces_bits():
 
 
 def test_substreams_differ():
-    a = RngStream(123).substream(0).generator().integers(0, 2**63, size=16)
-    b = RngStream(123).substream(1).generator().integers(0, 2**63, size=16)
+    a = RngStream(123, 0).generator().integers(0, 2**63, size=16)
+    b = RngStream(123, 1).generator().integers(0, 2**63, size=16)
     assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_stream_rejects_seeds_outside_64_bits(seed, index):
     """-1 and 2**64 - 1 used to be masked onto one stream; now each side of
-    the range is an error, for the seed and the substream index alike."""
+    the range is an error, for the seed and the stream index alike."""
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*64 - 1\]"):
         RngStream(seed, index)
-    if index == 0:
-        with pytest.raises(ValidationError):
-            RngStream(0).substream(seed)
 
 
 def test_stream_keeps_the_64_bit_range_ends():
@@ -55,12 +53,6 @@ def test_stream_keeps_the_64_bit_range_ends():
         assert (stream.seed, stream.stream_index) == (value, value)
         stream.generator()
     assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
-
-
-def test_draws_accept_stream_or_live_generator():
-    vec_a = draw_multinomial(CELLS6, 60, RngStream(5))
-    vec_b = draw_multinomial(CELLS6, 60, RngStream(5).generator())
-    np.testing.assert_array_equal(vec_a.counts, vec_b.counts)
 
 
 # ---------- counts vectors ----------
@@ -79,8 +71,19 @@ def test_counts_vector_defaults_and_validation():
         CountsVector(MULTINOMIAL, [1, 2], n=5)  # sum mismatch
 
 
+def test_counts_vector_total_is_derived_not_set():
+    """N_realized is the counts' total: it cannot be passed in, or set, to
+    disagree with them."""
+    with pytest.raises(TypeError, match="N_realized"):
+        CountsVector(MULTINOMIAL, [1, 2, 3], n=6, N_realized=7)
+    vec = CountsVector(POISSONIZED, [4, 1], n=3)
+    with pytest.raises(AttributeError):
+        vec.N_realized = 7
+    assert vec.N_realized == 5
+
+
 def test_counts_are_read_only():
-    vec = draw_multinomial(CELLS6, 30, RngStream(1))
+    vec = draw_multinomial(CELLS6, 30, RngStream(1).generator())
     with pytest.raises(ValueError):
         vec.counts[0] = 99
 
@@ -116,25 +119,32 @@ def test_poissonized_moments_and_realized_total():
 @pytest.mark.parametrize("M", [1, 10])
 def test_draws_reach_the_largest_n(M):
     cells = CellModel(M, np.full(M, 1.0 / M))
-    assert int(draw_multinomial(cells, MAX_N, RngStream(0)).counts.sum()) == MAX_N
-    assert draw_poissonized(cells, MAX_N, RngStream(0)).N_realized > 0
-    assert (draw_slab(MULTINOMIAL, cells, MAX_N, 3, RngStream(0)).sum(axis=1) == MAX_N).all()
-    slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in (MULTINOMIAL, POISSONIZED)]
-    for draw in (draw_multinomial, draw_poissonized, *slabs):
+    gen = RngStream(0).generator()
+    assert int(draw_multinomial(cells, MAX_N, gen).counts.sum()) == MAX_N
+    assert draw_poissonized(cells, MAX_N, gen).N_realized > 0
+    assert (draw_slab(MULTINOMIAL, cells, MAX_N, 3, gen).sum(axis=-1) == MAX_N).all()
+    assert (draw_slab(COUPLED, cells, MAX_N, 3, gen)[0].sum(axis=-1) == MAX_N).all()
+    kinds = (MULTINOMIAL, POISSONIZED, COUPLED)
+    slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in kinds]
+    for draw in (draw_multinomial, draw_poissonized, draw_coupled, *slabs):
         with pytest.raises(ValidationError, match=f"n must be <= {MAX_N}, got {MAX_N + 1}"):
-            draw(cells, MAX_N + 1, RngStream(0))
+            draw(cells, MAX_N + 1, gen)
 
 
-@pytest.mark.parametrize("kind, draw", [(MULTINOMIAL, draw_multinomial), (POISSONIZED, draw_poissonized)])
+@pytest.mark.parametrize("kind, draw", [(MULTINOMIAL, draw_multinomial), (POISSONIZED, draw_poissonized),
+                                        (COUPLED, draw_coupled)])
 def test_slab_rows_are_successive_single_draws(kind, draw):
     """A slab of rows is, row by row and bit for bit, that many single
     draws in order from the same running generator, which it leaves in the
-    same state."""
+    same state; a coupled slab holds the two vectors (nu, rho)."""
     slab_gen, single_gen = RngStream(77, 3).generator(), RngStream(77, 3).generator()
     slab = draw_slab(kind, CELLS6, 60, 9, slab_gen)
-    assert slab.dtype == np.int64 and slab.shape == (9, 6)
-    for row in slab:
-        assert np.array_equal(row, draw(CELLS6, 60, single_gen).counts)
+    vectors = 2 if kind == COUPLED else 1
+    assert slab.dtype == np.int64 and slab.shape == (vectors, 9, 6)
+    for r in range(9):
+        single = draw(CELLS6, 60, single_gen)
+        for row, vec in zip(slab[:, r], single if kind == COUPLED else (single,)):
+            assert np.array_equal(row, vec.counts)
     assert slab_gen.bit_generator.state == single_gen.bit_generator.state
 
 
@@ -155,7 +165,7 @@ class FixedDraws:
 def test_slab_checks_every_row_as_a_counts_vector_does(kind):
     cells, ok = CellModel(3, [0.2, 0.3, 0.5]), [[1, 2, 3], [0, 6, 0]]
     slab = draw_slab(kind, cells, 6, 2, FixedDraws(np.array(ok, dtype=np.float64)))
-    assert slab.dtype == np.int64 and slab.tolist() == ok
+    assert slab.dtype == np.int64 and slab.tolist() == [ok]
     with pytest.raises(ValidationError, match="counts must be nonnegative"):
         draw_slab(kind, cells, 6, 2, FixedDraws([[1, 2, 3], [7, -1, 0]]))
     bad_total = FixedDraws([[1, 2, 3], [1, 2, 2]])
@@ -163,33 +173,106 @@ def test_slab_checks_every_row_as_a_counts_vector_does(kind):
         with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
             draw_slab(kind, cells, 6, 2, bad_total)
     else:  # a Poissonized row's total is its realized N
-        assert draw_slab(kind, cells, 6, 2, bad_total).sum(axis=1).tolist() == [6, 5]
+        assert draw_slab(kind, cells, 6, 2, bad_total).sum(axis=-1).tolist() == [[6, 5]]
     with pytest.raises(ValidationError, match="unknown counts kind 'bootstrap'"):
         draw_slab("bootstrap", cells, 6, 2, FixedDraws(ok))
 
 
 # ---------- the coupling ----------
 
+class CoupledDraws:
+    """A stand-in generator for coupled rows: every Poisson draw returns N,
+    every multinomial draw the (common, extra) pair given."""
+
+    def __init__(self, N, common, extra):
+        self.N, self.pair = N, np.array([common, extra])
+
+    def poisson(self, lam):
+        return self.N
+
+    def multinomial(self, n, p):
+        return self.pair
+
+
+def test_coupled_slab_checks_every_row_as_a_counts_vector_does():
+    cells = CellModel(3, [0.2, 0.3, 0.5])
+    slab = draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 2.0, 3], [0, 2, 0]))
+    assert slab.dtype == np.int64 and slab.tolist() == [[[1, 2, 3]] * 2, [[1, 4, 3]] * 2]
+    with pytest.raises(ValidationError, match="counts must be nonnegative"):
+        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 0, 5], [3, -1, 0]))
+    with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
+        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(4, [1, 2, 1], [0, 1, 0]))
+    with pytest.raises(ValidationError, match="poissonized counts sum to 7, expected 8"):
+        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 2, 3], [0, 1, 0]))
+
+
 def test_coupled_l1_identity_exact():
     # the whole point of the coupling: total count disagreement is |N - n|
-    stream = RngStream(909)
     for r in range(300):
-        nu, rho = draw_coupled(CELLS6, 40, stream.substream(r))
+        nu, rho = draw_coupled(CELLS6, 40, RngStream(909, r).generator())
         assert nu.kind == MULTINOMIAL and rho.kind == POISSONIZED
         assert int(np.abs(nu.counts - rho.counts).sum()) == abs(rho.N_realized - 40)
         assert int(nu.counts.sum()) == 40
-        assert int(rho.counts.sum()) == rho.N_realized
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(st.integers(0, 5), min_size=1, max_size=40).filter(any), n=st.integers(1, 500),
+       rows=st.integers(1, 20), seed=st.integers(0, 2**64 - 1))
+def test_coupled_rows_differ_by_exactly_the_poisson_excess(p, n, rows, seed):
+    """On every row of a coupled slab, over any model, n and row count,
+    nu sums to n, and nu and rho differ in exactly |N - n| balls, N being
+    rho's total: sum_j |nu_j - rho_j| = |N - n|."""
+    weights = np.array(p, dtype=float)
+    cells = CellModel(weights.size, weights / weights.sum())
+    nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(seed).generator())
+    N = rho.sum(axis=1)
+    assert (nu.sum(axis=1) == n).all()
+    assert np.array_equal(np.abs(nu - rho).sum(axis=1), np.abs(N - n))
+    # the shorter sample is contained in the longer one, ball for ball
+    assert ((nu <= rho) | (N < n)[:, None]).all() and ((rho <= nu) | (N > n)[:, None]).all()
+
+
+def test_coupled_pair_has_the_exact_joint_law():
+    """Over 20000 coupled rows, cell by cell: nu_j has the Binomial(n, p_j)
+    mean and variance, rho_j the Poisson(n p_j) mean and variance, and
+    Cov(nu_j, rho_j) = E[min(n, N)] p_j (1 - p_j), since the min(n, N)
+    common balls are the only ones both samples hold. Every estimate lies
+    within 4 standard errors of its exact value."""
+    n, R = 50, 20000
+    nu, rho = draw_slab(COUPLED, CELLS6, n, R, RngStream(4242).generator()).astype(float)
+    p = CELLS6.p
+    k = np.arange(n)
+    e_min = float((k * poisson.pmf(k, n)).sum() + n * poisson.sf(n - 1, n))  # E[min(n, N)]
+    exact = {
+        "nu mean": (nu.mean(axis=0), n * p),
+        "rho mean": (rho.mean(axis=0), n * p),
+        "nu var": (nu.var(axis=0, ddof=1), n * p * (1 - p)),
+        "rho var": (rho.var(axis=0, ddof=1), n * p),
+        "cov": (((nu - nu.mean(axis=0)) * (rho - rho.mean(axis=0))).sum(axis=0) / (R - 1), e_min * p * (1 - p)),
+    }
+    cu, cr = nu - n * p, rho - n * p
+    se = {  # plug-in standard errors of each estimate
+        "nu mean": nu.std(axis=0, ddof=1) / np.sqrt(R),
+        "rho mean": rho.std(axis=0, ddof=1) / np.sqrt(R),
+        "nu var": (cu**2).std(axis=0, ddof=1) / np.sqrt(R),
+        "rho var": (cr**2).std(axis=0, ddof=1) / np.sqrt(R),
+        "cov": (cu * cr).std(axis=0, ddof=1) / np.sqrt(R),
+    }
+    for name, (got, want) in exact.items():
+        z = (got - want) / se[name]
+        assert np.abs(z).max() < 4.0, (name, z)
 
 
 def test_coupled_draw_reaches_its_largest_n():
     cells = CellModel(10, np.full(10, 0.1))
-    # seed 1 draws N < n, so the removal path (the hypergeometric draw) runs
-    nu, rho = draw_coupled(cells, MAX_COUPLED_N, RngStream(1))
-    assert rho.N_realized < nu.n == MAX_COUPLED_N
-    assert int(np.abs(nu.counts - rho.counts).sum()) == MAX_COUPLED_N - rho.N_realized
-    for n in (MAX_COUPLED_N + 1, 10**20):
-        with pytest.raises(ValidationError, match=f"n must be <= {MAX_COUPLED_N}"):
-            draw_coupled(cells, n, RngStream(1))
+    gen = RngStream(1).generator()
+    for _ in range(4):  # N < n and N > n both occur
+        nu, rho = draw_coupled(cells, MAX_N, gen)
+        assert nu.N_realized == nu.n == MAX_N
+        assert int(np.abs(nu.counts - rho.counts).sum()) == abs(MAX_N - rho.N_realized)
+    for n in (MAX_N + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"n must be <= {MAX_N}"):
+            draw_coupled(cells, n, gen)
 
 
 def test_coupled_poisson_marginal_moments():
@@ -212,9 +295,8 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
     n, reps = 60, 10_000
     direct = np.empty(reps)
     via_coupling = np.empty(reps)
-    base = RngStream(31337)
     for r in range(reps):
-        gen = base.substream(r).generator()
+        gen = RngStream(31337, r).generator()
         direct[r] = draw_poissonized(gm, n, gen).counts[0]
         _, rho = draw_coupled(cells, n, gen)
         via_coupling[r] = grouped_estimator(rho, 4).counts[0]
@@ -235,13 +317,13 @@ def test_group_counts_block_sums():
 
 
 def test_group_counts_k1_is_identity():
-    vec = draw_multinomial(CELLS6, 30, RngStream(8))
+    vec = draw_multinomial(CELLS6, 30, RngStream(8).generator())
     out = grouped_estimator(vec, 6)
     np.testing.assert_array_equal(out.counts, vec.counts)
 
 
 def test_group_counts_preserves_poisson_metadata():
-    vec = draw_poissonized(CELLS6, 30, RngStream(9))
+    vec = draw_poissonized(CELLS6, 30, RngStream(9).generator())
     out = grouped_estimator(vec, 3)
     assert out.counts.sum() == vec.N_realized and out.n == 30
     assert out.kind[1] == POISSONIZED

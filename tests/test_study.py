@@ -146,7 +146,7 @@ LCM_XS = (0.25, 0.5, 1.0, 1.75)  # 1.75 is a lattice point for m = 10
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_study_draws_lcm_blocks_and_evaluates_like_stepcdf(poissonized):
     """Replication r is the r-th draw over the lcm(m_values) = 200 blocks
-    from the running generator of substream 0; each estimate at x equals
+    from the running generator of stream 0; each estimate at x equals
     the grouped estimator at x and its StepCdf at the lattice point
     K (m/n), K = lattice_floor(x n / m). At
     m = 10 the grid point x = 1.75 is the lattice point of K = 525, where the
@@ -207,7 +207,7 @@ def small_studies(draw):
 def test_slab_estimates_are_the_grouped_estimator_on_each_draw(cfg):
     """estimates[i, :, r] is the grouped estimator, at the i-th m, of the
     r-th draw over the lcm(m_values) blocks from the running generator of
-    substream 0, bit for bit."""
+    stream 0, bit for bit."""
     est = run_mse_study(cfg).estimates
     L = int(np.lcm.reduce(cfg.m_values))
     blocks = grouped_example(cfg.M, L)
@@ -429,7 +429,7 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
     cfg = StudyConfig("example", M=M, n=n, m_values=(1,), x_grid=xs, reps=1, seed=seed)
     rung = poissonization_gap(cfg).rungs[0]
     assert rung.M == M
-    nu, rho = draw_coupled(cells_from_generator(example_generator(), M), n, RngStream(seed).substream(0))
+    nu, rho = draw_coupled(cells_from_generator(example_generator(), M), n, RngStream(seed).generator())
     gap = _natural_gap(nu.counts, rho.counts)
     assert abs(gap / M - sup_distance(natural_estimator(nu).cdf, natural_estimator(rho).cdf)) <= 1e-15
     assert gap <= abs(rho.N_realized - n)
@@ -454,7 +454,7 @@ def test_gap_sums_replications_in_order(monkeypatch, rows):
     replications in order, whole or in slabs of 7 rows, as a row-by-row loop
     over the public draw and grouped estimator adds it up (a pairwise sum
     differs in the last bits on this config). Rung i draws its pairs in
-    order from the running generator of substream i."""
+    order from the running generator of stream i."""
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=66, seed=1)
     ladder = (3000, 12000)
     if rows is not None:
@@ -490,7 +490,7 @@ def test_consistency_trend_decreases():
 @pytest.mark.parametrize("poissonized", [False, True], ids=["multinomial", "poissonized"])
 def test_consistency_trend_replays_group_draws(poissonized):
     """Rung i, replication r is the r-th draw of the m group counts from
-    the running generator of substream i; the mean sup distance matches
+    the running generator of stream i; the mean sup distance matches
     the StepCdf reference."""
     ladder = ((250, 750, 10), (1000, 3000, 25))
     reps, seed = 30, 23
@@ -567,6 +567,7 @@ def test_mse_study_and_trend_build_no_cell_vector():
 
 
 # sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 4
+# (version 5 changed only the coupled draw)
 FROZEN_STREAMS = [
     (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
      "424fb11f9c523a9357f7434fe4045eca57d82c1ca2e0c6bafb9faef84ec52df4",
@@ -585,18 +586,34 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
     rep = run_mse_study(cfg)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha
 
 
 def test_seeded_trend_is_frozen():
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
-    assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.1276, 0.08256666666666669, 0.051983333333333326)
+    assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
+                                                                       0.0519833333333333)
     ladder = ((1000, 3000, 40), (1000, 3000, 200))
-    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.56375, 0.5507500000000001)
+    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.5425000000000001, 0.48375)
+
+
+def test_seeded_gap_is_frozen():
+    """The coupled stream of version 5, pinned by the rungs' summaries and
+    the sha256 of repr(rungs)."""
+    assert STREAM_VERSION == 5
+    cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
+    rep = poissonization_gap(cfg, n_ladder=(3000, 12000))
+    assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
+        (1000, 25, 0.00022095238095238122, 0.008033333333333333, 0),
+        (4000, 40, 0.00012797619047619064, 0.0037833333333333334, 0),
+    ]
+    assert rep.decay_exponent == 0.39393002532537613
+    assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
+        "14a6270a708accaf13ad92892cae614c6e908e5d6bdb1226eb7de79e63ab46c7")
 
 
 def test_gap_report_times_its_stages():
