@@ -10,10 +10,17 @@ from one running generator per rung, a slab of rows per draw_slab call;
 the single draws are row 0 of a one-row slab.
 
 A coupled pair (nu, rho) counts the first n and the first N ~ Poisson(n)
-balls of one categorical stream. Its draw materializes only counts: the
-first min(n, N) balls are common to both samples, and the other |N - n|
-balls, an independent Multinomial(|N - n|, p), go to the longer one. So
-sum_j |nu_j - rho_j| = |N - n| on every row, and memory stays at O(M).
+balls of one categorical stream. Its draw materializes only counts: rho is
+one row of independent Poisson(n p_j) counts, so N is its total, and nu is
+rho corrected by the k = |N - n| balls between the two samples, drawn ball
+by ball. If N < n, nu adds k new categorical balls; if N > n, it removes k
+of rho's N balls, chosen uniformly without replacement. So
+sum_j |nu_j - rho_j| = |N - n| on every row, the shorter sample lies
+inside the longer one, and the cost of nu is O(k) rather than O(M). A row
+with k > M (few cells, huge n) is rebuilt from N instead: the min(n, N)
+common and the k extra balls as two multinomials, the same law given N.
+That keeps every row at O(M) memory for any n <= MAX_N; with n/M bounded,
+as in the paper's regime, it does not occur.
 """
 from __future__ import annotations
 
@@ -40,7 +47,10 @@ COUPLED = "coupled"
 # not depend on reps (same law; single draws unchanged).
 # 5: a coupled pair draws N, then its min(n, N) common and |N - n| extra
 # balls (was: nu, then N, then balls added to or removed from nu; same law).
-STREAM_VERSION = 5
+# 6: a coupled pair draws rho as one Poisson row, then nu as rho plus or
+# minus the |N - n| balls between them (two multinomials only if |N - n| >
+# M; same law; multinomial and Poissonized draws unchanged).
+STREAM_VERSION = 6
 
 _U64 = (1 << 64) - 1
 
@@ -118,12 +128,10 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
     """rows independent draws of the given kind, in order from gen, as an
     int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
     of independent Poisson(n * p_j) counts, each slab in one numpy call, or
-    the two vectors (nu, rho) of coupled pairs, drawn row by row. A coupled
-    row draws N ~ Poisson(n), then the min(n, N) common balls and the
-    |N - n| extra balls as two multinomials; the extra balls go to nu if
-    N < n and to rho if N > n. Every vector passes the checks a CountsVector
-    makes on each row: no negative count, every multinomial row sums to n,
-    and every coupled rho row to its N."""
+    the two vectors (nu, rho) of coupled pairs, drawn row by row (_coupled_row).
+    Every vector passes the checks a CountsVector makes on each row: no
+    negative count, every multinomial row sums to n, and every coupled rho
+    row to its N."""
     _check_n(n)
     # totals: per vector, what its rows must sum to (a Poissonized row: any total)
     if kind == MULTINOMIAL:
@@ -132,11 +140,10 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
     elif kind == COUPLED:
         slab, Ns = np.empty((2, rows, cells.M), dtype=np.int64), np.empty(rows, dtype=np.int64)
+        positive = np.flatnonzero(cells.p > 0)
+        cum_p = np.cumsum(cells.p[positive])
         for i in range(rows):
-            N = Ns[i] = gen.poisson(n)
-            common, extra = gen.multinomial([min(N, n), abs(N - n)], cells.p)
-            slab[0, i] = common + extra if N < n else common
-            slab[1, i] = common + extra if N > n else common
+            Ns[i], slab[0, i], slab[1, i] = _coupled_row(cells, n, gen, positive, cum_p)
         totals = [n, Ns]
     else:
         raise ValidationError(f"unknown counts kind {kind!r}")
@@ -149,6 +156,30 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
         if bad.size:
             raise ValidationError(f"{name} counts sum to {got[bad[0]]}, expected {expected[bad[0]]}")
     return slab
+
+
+def _coupled_row(cells: CellModel, n: int, gen: Generator, positive: np.ndarray, cum_p: np.ndarray):
+    """(N, nu, rho) of one coupled row: rho ~ Poisson(n p) cell by cell and
+    N its total. If N < n, nu is rho plus n - N new balls, each a uniform
+    looked up in cum_p, the cumulative p of the cells `positive`; if N > n,
+    nu is rho minus N - n of its own balls, drawn without replacement. When
+    |N - n| > M the pair is rebuilt from N by two multinomials (common and
+    extra balls), which keeps the row at O(M) memory."""
+    rho = gen.poisson(n * cells.p)
+    N = int(rho.sum())
+    k = abs(N - n)
+    if k > cells.M:
+        common, extra = gen.multinomial([min(N, n), k], cells.p)
+        return N, common + extra if N < n else common, common + extra if N > n else common
+    if N < n:
+        # the last positive cell takes every u at or above the second-last
+        # cumulative value, so a rounded-up u * total stays in range
+        balls = positive[np.searchsorted(cum_p[:-1], gen.random(k) * cum_p[-1], side="right")]
+        return N, rho + np.bincount(balls, minlength=cells.M), rho
+    if N > n:
+        balls = np.searchsorted(np.cumsum(rho), gen.choice(N, k, replace=False, shuffle=False), side="right")
+        return N, rho - np.bincount(balls, minlength=cells.M), rho
+    return N, rho, rho
 
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:

@@ -46,7 +46,7 @@ from .estimators import _estimate, _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (CellModel, _block_sums, _prefix_block_sums, _prefix_sums, _sup_to_function, check_group_count,
                     nearest_divisor)
-from .sampling import COUPLED, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
+from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
 
 
 # ---------- configuration and report types ----------
@@ -410,9 +410,17 @@ def poisson_tail_audit(
     means: Sequence[float], epsilons: Sequence[float], draws: int, seed: int
 ) -> tuple[PoissonTailRow, ...]:
     """Empirical P(|X - mean| / sqrt(mean) >= eps) over `draws` Poisson
-    samples per mean, against the Bernstein-type tail bound."""
+    samples per mean, against the Bernstein-type tail bound. Every mean must
+    lie in (0, MAX_N] and every epsilon be positive and finite; both are
+    checked before the first draw."""
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
+    for mean in means:
+        if not 0 < mean <= MAX_N:  # NaN fails too
+            raise ValidationError(f"mean must be positive, finite and <= {MAX_N}, got {mean}")
+    for eps in epsilons:
+        if not 0 < eps < math.inf:
+            raise ValidationError(f"epsilon must be positive and finite, got {eps}")
     rows = []
     for i, mean in enumerate(means):
         rng = RngStream(seed, i).generator()

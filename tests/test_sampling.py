@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp, poisson
 
 from structdist import (
@@ -181,29 +181,45 @@ def test_slab_checks_every_row_as_a_counts_vector_does(kind):
 # ---------- the coupling ----------
 
 class CoupledDraws:
-    """A stand-in generator for coupled rows: every Poisson draw returns N,
-    every multinomial draw the (common, extra) pair given."""
+    """A stand-in generator for coupled rows: each draw returns the next
+    value given for its kind: a Poisson row rho, the uniforms of the balls
+    nu adds, the indices of rho's balls nu removes, or the (common, extra)
+    multinomial pair of a row rebuilt from N."""
 
-    def __init__(self, N, common, extra):
-        self.N, self.pair = N, np.array([common, extra])
+    def __init__(self, rho, uniforms=(), picks=(), pairs=()):
+        self.rho, self.uniforms, self.picks, self.pairs = map(iter, (rho, uniforms, picks, pairs))
 
     def poisson(self, lam):
-        return self.N
+        return np.array(next(self.rho))
+
+    def random(self, size):
+        return np.array(next(self.uniforms))
+
+    def choice(self, a, size, replace, shuffle):
+        return np.array(next(self.picks))
 
     def multinomial(self, n, p):
-        return self.pair
+        return np.array(next(self.pairs))
 
 
 def test_coupled_slab_checks_every_row_as_a_counts_vector_does():
     cells = CellModel(3, [0.2, 0.3, 0.5])
-    slab = draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 2.0, 3], [0, 2, 0]))
-    assert slab.dtype == np.int64 and slab.tolist() == [[[1, 2, 3]] * 2, [[1, 4, 3]] * 2]
-    with pytest.raises(ValidationError, match="counts must be nonnegative"):
-        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 0, 5], [3, -1, 0]))
-    with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
-        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(4, [1, 2, 1], [0, 1, 0]))
-    with pytest.raises(ValidationError, match="poissonized counts sum to 7, expected 8"):
-        draw_slab(COUPLED, cells, 6, 2, CoupledDraws(8, [1, 2, 3], [0, 1, 0]))
+    # row 0: N = 4 < 6, nu adds balls at u = 0.1 and 0.9 (cells 0 and 2);
+    # row 1: N = 8 > 6, nu removes balls 0 and 5 of rho (cells 0 and 2);
+    # row 2: N = 10, so |N - n| = 4 > M and the pair is rebuilt from N
+    draws = CoupledDraws(rho=[[1, 2.0, 1], [1, 4, 3], [2, 5, 3]], uniforms=[[0.1, 0.9]], picks=[[0, 5]],
+                         pairs=[[[1, 2, 3], [0, 4, 0]]])
+    slab = draw_slab(COUPLED, cells, 6, 3, draws)
+    assert slab.dtype == np.int64
+    assert slab.tolist() == [[[2, 2, 2], [0, 4, 2], [1, 2, 3]], [[1, 2, 1], [1, 4, 3], [1, 6, 3]]]
+    with pytest.raises(ValidationError, match="counts must be nonnegative"):  # N = n: nu is rho
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, -1, 6]]))
+    with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):  # one ball short
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, 2, 1]], uniforms=[[0.1]]))
+    with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):  # one ball too many
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, 4, 3]], picks=[[0, 1, 5]]))
+    with pytest.raises(ValidationError, match="poissonized counts sum to 9, expected 10"):  # rebuilt rho short
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[2, 5, 3]], pairs=[[[1, 2, 3], [0, 3, 0]]]))
 
 
 def test_coupled_l1_identity_exact():
@@ -218,31 +234,42 @@ def test_coupled_l1_identity_exact():
 @settings(max_examples=100, deadline=None)
 @given(p=st.lists(st.integers(0, 5), min_size=1, max_size=40).filter(any), n=st.integers(1, 500),
        rows=st.integers(1, 20), seed=st.integers(0, 2**64 - 1))
+@example(p=[0, 1, 2], n=60, rows=20, seed=1)  # a leading zero cell
+@example(p=[3, 1, 0], n=60, rows=20, seed=2)  # a trailing zero cell
+@example(p=[0, 0, 4, 0], n=60, rows=20, seed=3)  # one positive cell between zeros
 def test_coupled_rows_differ_by_exactly_the_poisson_excess(p, n, rows, seed):
     """On every row of a coupled slab, over any model, n and row count,
     nu sums to n, and nu and rho differ in exactly |N - n| balls, N being
-    rho's total: sum_j |nu_j - rho_j| = |N - n|."""
+    rho's total: sum_j |nu_j - rho_j| = |N - n|. A zero-probability cell
+    holds no ball in either sample."""
     weights = np.array(p, dtype=float)
     cells = CellModel(weights.size, weights / weights.sum())
     nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(seed).generator())
     N = rho.sum(axis=1)
     assert (nu.sum(axis=1) == n).all()
+    assert not nu[:, weights == 0].any() and not rho[:, weights == 0].any()
     assert np.array_equal(np.abs(nu - rho).sum(axis=1), np.abs(N - n))
     # the shorter sample is contained in the longer one, ball for ball
     assert ((nu <= rho) | (N < n)[:, None]).all() and ((rho <= nu) | (N > n)[:, None]).all()
 
 
-def test_coupled_pair_has_the_exact_joint_law():
+@pytest.mark.parametrize("cells, n, rebuilt", [
+    (cells_from_generator(example_generator(), 200), 400, False),  # every row adds or removes balls
+    (CELLS6, 10**12, True),  # every row has |N - n| > M and is rebuilt from N
+], ids=["balls", "rebuilt"])
+def test_coupled_pair_has_the_exact_joint_law(cells, n, rebuilt):
     """Over 20000 coupled rows, cell by cell: nu_j has the Binomial(n, p_j)
     mean and variance, rho_j the Poisson(n p_j) mean and variance, and
     Cov(nu_j, rho_j) = E[min(n, N)] p_j (1 - p_j), since the min(n, N)
     common balls are the only ones both samples hold. Every estimate lies
     within 4 standard errors of its exact value."""
-    n, R = 50, 20000
-    nu, rho = draw_slab(COUPLED, CELLS6, n, R, RngStream(4242).generator()).astype(float)
-    p = CELLS6.p
-    k = np.arange(n)
-    e_min = float((k * poisson.pmf(k, n)).sum() + n * poisson.sf(n - 1, n))  # E[min(n, N)]
+    R = 20000
+    slab = draw_slab(COUPLED, cells, n, R, RngStream(4242).generator())
+    assert ((np.abs(slab[1].sum(axis=1) - n) > cells.M) == rebuilt).all()
+    nu, rho = slab.astype(float)
+    p = cells.p
+    # E|N - n| = 2 n P(N = n) for an integer Poisson mean n, and min = (n + N - |N - n|) / 2
+    e_min = n * (1.0 - float(poisson.pmf(n, n)))
     exact = {
         "nu mean": (nu.mean(axis=0), n * p),
         "rho mean": (rho.mean(axis=0), n * p),

@@ -33,6 +33,7 @@ from structdist import (
     natural_estimator,
     nearest_divisor,
     poissonization_gap,
+    poisson_tail_audit,
     run_mse_study,
     sup_distance,
     sup_distance_to_function,
@@ -41,7 +42,7 @@ from structdist import (
 )
 from structdist.asymptotics import _lattice_index
 from structdist.estimators import _estimate
-from structdist.sampling import STREAM_VERSION
+from structdist.sampling import MAX_N, STREAM_VERSION
 from structdist.study import _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
@@ -567,7 +568,7 @@ def test_mse_study_and_trend_build_no_cell_vector():
 
 
 # sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 4
-# (version 5 changed only the coupled draw)
+# (versions 5 and 6 changed only the coupled draw)
 FROZEN_STREAMS = [
     (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
      "424fb11f9c523a9357f7434fe4045eca57d82c1ca2e0c6bafb9faef84ec52df4",
@@ -586,14 +587,14 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 5
+    assert STREAM_VERSION == 6
     rep = run_mse_study(cfg)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha
 
 
 def test_seeded_trend_is_frozen():
-    assert STREAM_VERSION == 5
+    assert STREAM_VERSION == 6
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
     assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
                                                                        0.0519833333333333)
@@ -602,18 +603,18 @@ def test_seeded_trend_is_frozen():
 
 
 def test_seeded_gap_is_frozen():
-    """The coupled stream of version 5, pinned by the rungs' summaries and
+    """The coupled stream of version 6, pinned by the rungs' summaries and
     the sha256 of repr(rungs)."""
-    assert STREAM_VERSION == 5
+    assert STREAM_VERSION == 6
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
     rep = poissonization_gap(cfg, n_ladder=(3000, 12000))
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
-        (1000, 25, 0.00022095238095238122, 0.008033333333333333, 0),
-        (4000, 40, 0.00012797619047619064, 0.0037833333333333334, 0),
+        (1000, 25, 0.0005409523809523812, 0.0107, 0),
+        (4000, 40, 9.821428571428587e-05, 0.004458333333333333, 0),
     ]
-    assert rep.decay_exponent == 0.39393002532537613
+    assert rep.decay_exponent == 1.2307484051857531
     assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
-        "14a6270a708accaf13ad92892cae614c6e908e5d6bdb1226eb7de79e63ab46c7")
+        "f8210939aa2c06af3d1798fc0e7b8a1555b02e75afd15ad458a4fb0cb28ca26f")
 
 
 def test_gap_report_times_its_stages():
@@ -627,3 +628,27 @@ def test_gap_report_times_its_stages():
     stages = [t[k] for k in ("cells_s", "draw_s", "gap_s", "evaluate_s")]
     assert all(v >= 0.0 for v in stages) and sum(stages) <= wall
     assert dataclasses.replace(rep, timings={}) == rep  # timings do not enter equality
+
+
+@pytest.mark.parametrize("means, epsilons, message", [
+    ((4.0, 0.0), (1.0,), "mean must be positive, finite and <= .*, got 0.0"),
+    ((-1.0,), (1.0,), "mean must be positive, finite and <= .*, got -1.0"),
+    ((math.nan,), (1.0,), "mean must be positive, finite and <= .*, got nan"),
+    ((math.inf,), (1.0,), "mean must be positive, finite and <= .*, got inf"),
+    ((2.0 * MAX_N,), (1.0,), "mean must be positive, finite and <= .*, got 9.2"),
+    ((4.0,), (1.0, 0.0), "epsilon must be positive and finite, got 0.0"),
+    ((4.0,), (-2.0,), "epsilon must be positive and finite, got -2.0"),
+    ((4.0,), (math.nan,), "epsilon must be positive and finite, got nan"),
+    ((4.0,), (math.inf,), "epsilon must be positive and finite, got inf"),
+], ids=["mean-0", "mean-negative", "mean-nan", "mean-inf", "mean-above-max", "eps-0", "eps-negative", "eps-nan",
+        "eps-inf"])
+def test_poisson_tail_audit_rejects_bad_means_and_epsilons(means, epsilons, message):
+    """Every mean and epsilon is checked before the first draw, so a bad one
+    is a ValidationError, never numpy's ValueError or a RuntimeWarning."""
+    with pytest.raises(ValidationError, match=message):
+        poisson_tail_audit(means, epsilons, draws=10, seed=1)
+
+
+def test_poisson_tail_audit_accepts_the_largest_mean():
+    (row,) = poisson_tail_audit((float(MAX_N),), (1.0,), draws=10, seed=1)
+    assert row.mean == MAX_N and 0.0 <= row.freq <= row.bound <= 1.0
