@@ -45,7 +45,6 @@ from .model import (
     nearest_divisor,
     structural_cdf,
     sup_distance,
-    sup_distance_to_function,
 )
 from .sampling import (
     MULTINOMIAL,

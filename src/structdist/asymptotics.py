@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from .errors import NumericError, ValidationError
 from .generators import SmoothGenerator
-from .model import CellModel
+from .model import CellModel, _float_or_array
 
 CHAR_TOL = 1e-8  # quadrature abs tolerance for characteristic functions
 CDF_TOL = 1e-6  # quadrature abs tolerance for mixture CDFs
@@ -113,11 +113,6 @@ def _quad_u(f, epsabs: float) -> float:
 
 def _quad_complex(f, epsabs: float) -> complex:
     return complex(_quad_u(lambda u: f(u).real, epsabs), _quad_u(lambda u: f(u).imag, epsabs))
-
-
-def _float_or_array(v):
-    """A float for a 0-d result (a scalar came in), else the array."""
-    return float(v) if np.ndim(v) == 0 else v
 
 
 def _pieces(gen: SmoothGenerator) -> tuple[np.ndarray, np.ndarray]:
@@ -319,11 +314,11 @@ def optimal_m(n: int, params: BoundParams) -> OptimalGroupCount:
 
 def bernstein_poisson_tail(mean: float, epsilon: float) -> float:
     """Bernstein-type bound on P(|X - EX| / sqrt(EX) >= eps) for X Poisson:
-    2 exp(-eps^2 / (2 + eps (EX)^(-1/2))), capped at 1."""
-    if mean <= 0:
-        raise ValidationError(f"mean must be positive, got {mean}")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    2 exp(-eps^2 / (2 + eps (EX)^(-1/2))), capped at 1; EX and eps positive and finite."""
+    if not 0 < mean < math.inf:
+        raise ValidationError(f"mean must be positive and finite, got {mean}")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     val = 2.0 * math.exp(-(epsilon**2) / (2.0 + epsilon / math.sqrt(mean)))
     return min(1.0, val)
 

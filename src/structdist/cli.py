@@ -307,9 +307,8 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
         est = grouped_estimator(vec, m)
         xs = np.union1d(_jumps(est.counts, n)[0], [gen.tau])
         span = max(xs[-1] - xs[0], 1.0)
-        anchor = xs[0] - max(1e-6, 0.02 * span)
-        rows = [(float(anchor), 0.0, float(F(anchor)))]
-        rows += [(float(x), float(e), float(F(x))) for x, e in zip(xs, est(xs))]
+        xs = np.concatenate(([xs[0] - max(1e-6, 0.02 * span)], xs))  # an anchor below every jump
+        rows = zip(xs.tolist(), est(xs).tolist(), F(xs).tolist())
         path = out / fname
         try:
             path.write_text(

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _float_or_array, _lattice_index
+from .asymptotics import _lattice_index
 from .errors import ValidationError
-from .model import StepCdf, _block_sums
+from .model import StepCdf, _block_sums, _float_or_array
 from .sampling import CountsVector
 
 NATURAL = "natural"

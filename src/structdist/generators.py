@@ -9,25 +9,28 @@ pieces of its density so that the limit laws are exact sums over them.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import CellModel, _block_sums, check_group_count
+from .model import CellModel, _block_sums, _float_or_array, check_group_count
 
 
 @dataclass(frozen=True)
 class SmoothGenerator:
     """A generating distribution G with density g and its analytic bounds.
 
-    G and g both take arrays. tau bounds |g| and g_deriv_bound bounds |g'|;
-    both are known analytic inputs that the error bounds consume unchecked.
-    `limit_cdf` is the exact CDF of g(U); limit_sdf needs it. `pieces` lists
-    the (width, slope) pairs of a piecewise-constant density in order over
-    (0,1]; where it is set the limit laws are exact finite sums over the
-    pieces instead of quadratures over u. It is empty for a smooth density.
+    G, g and limit_cdf take arrays (limit_cdf a float for a scalar). tau
+    bounds |g| and g_deriv_bound bounds |g'|; both are known analytic inputs
+    that the error bounds consume unchecked. `limit_cdf` is the exact CDF of
+    g(U); limit_sdf needs it. `pieces` lists the (width, slope) pairs of a
+    piecewise-constant density in order over (0,1]; where it is set the
+    limit laws are exact finite sums over the pieces instead of quadratures
+    over u. It is empty for a smooth density.
     """
 
     name: str
@@ -35,7 +38,7 @@ class SmoothGenerator:
     g: Callable[[np.ndarray], np.ndarray]
     tau: float
     g_deriv_bound: float
-    limit_cdf: Optional[Callable[[float], float]] = None
+    limit_cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pieces: tuple[tuple[float, float], ...] = ()
 
 
@@ -48,12 +51,8 @@ def example_generator() -> SmoothGenerator:
     def g(u):
         return 2.0 * (1.0 - np.asarray(u, dtype=float))
 
-    def F(x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x > 2.0:
-            return 1.0
-        return 0.5 * x
+    def F(x):
+        return _float_or_array(np.minimum(np.maximum(0.5 * np.asarray(x, dtype=float), 0.0), 1.0))
 
     return SmoothGenerator("example", G, g, tau=2.0, g_deriv_bound=2.0, limit_cdf=F)
 
@@ -61,8 +60,8 @@ def example_generator() -> SmoothGenerator:
 def uniform_generator() -> SmoothGenerator:
     """G(x) = x: all cells equal, g == 1, limit CDF a unit step at 1."""
 
-    def F(x: float) -> float:
-        return 1.0 if x >= 1.0 else 0.0
+    def F(x):
+        return _float_or_array(np.where(np.asarray(x, dtype=float) >= 1.0, 1.0, 0.0))
 
     return SmoothGenerator(
         "uniform",
@@ -78,21 +77,25 @@ def table_generator(path: str) -> SmoothGenerator:
     """Generator from a CSV of (u, G(u)) pairs, interpolated piecewise linearly.
 
     The density is piecewise constant (the chord slopes), so the limit CDF
-    is exact: F(x) sums the widths of the pieces with slope <= x. The same
-    (width, slope) pieces make the limit laws in asymptotics exact sums.
+    is exact: F(x) sums the widths of the pieces with slope <= x (a running
+    sum in slope order). The same (width, slope) pieces make the limit laws
+    in asymptotics exact sums.
     tau is the largest slope and g_deriv_bound a finite-difference
     Lipschitz proxy across knots.
     """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"table {path}: invalid UTF-8 at byte offset {e.start}") from e
     us, Gs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                us.append(float(row[0]))
-                Gs.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"bad table row {row!r} in {path}") from exc
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            us.append(float(row[0]))
+            Gs.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"bad table row {row!r} in {path}") from exc
     u = np.asarray(us, dtype=float)
     Gv = np.asarray(Gs, dtype=float)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(Gv))):
@@ -115,8 +118,12 @@ def table_generator(path: str) -> SmoothGenerator:
         idx = np.clip(np.searchsorted(u, t, side="left") - 1, 0, slopes.size - 1)
         return slopes[idx]
 
-    def F(x: float) -> float:
-        return min(1.0, float(np.sum(widths[slopes <= x])))
+    order = np.argsort(slopes, kind="stable")
+    by_slope = slopes[order]
+    levels = np.minimum(1.0, np.concatenate(([0.0], np.cumsum(widths[order]))))
+
+    def F(x):
+        return _float_or_array(levels[np.searchsorted(by_slope, x, side="right")])
 
     if slopes.size > 1:
         lip = float(np.max(np.abs(np.diff(slopes)) / (0.5 * (widths[:-1] + widths[1:]))))
@@ -189,7 +196,7 @@ def _grouped_cells(gen: SmoothGenerator, M: int, m: int) -> CellModel:
     return CellModel(m, p)
 
 
-def limit_sdf(gen: SmoothGenerator) -> Callable[[float], float]:
+def limit_sdf(gen: SmoothGenerator) -> Callable[[np.ndarray], np.ndarray]:
     """The limiting structural CDF: F(x) = Leb{u in (0,1] : g(u) <= x}.
 
     This is the generator's exact `limit_cdf`; a generator without one is

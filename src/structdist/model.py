@@ -18,6 +18,11 @@ from .errors import ValidationError
 PROB_TOL = 1e-12
 
 
+def _float_or_array(v):
+    """A float for a 0-d result (a scalar came in), else the array."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -64,7 +69,7 @@ class StepCdf:
     distinct jumps and sup-distance computations are exact.
     """
 
-    __slots__ = ("locations", "masses", "_cum")
+    __slots__ = ("locations", "masses", "_levels")
 
     def __init__(self, locations, masses):
         locations = _as_float_vector(locations, "locations")
@@ -83,9 +88,9 @@ class StepCdf:
             raise ValidationError(f"jump masses sum to {total!r}, expected 1 within {PROB_TOL}")
         self.locations = locations
         self.masses = masses
-        self._cum = np.cumsum(masses)
-        # guard against drift in long cumsums; last entry is the total mass
-        self._cum[-1] = total
+        # F before the first jump and after each; the last is the total, free of cumsum drift
+        self._levels = np.concatenate(([0.0], np.cumsum(masses)))
+        self._levels[-1] = total
         self.locations.flags.writeable = False
         self.masses.flags.writeable = False
 
@@ -103,21 +108,8 @@ class StepCdf:
         return int(self.locations.size)
 
     def __call__(self, x):
-        """F(x) = total mass at locations <= x (right-continuous)."""
-        idx = np.searchsorted(self.locations, x, side="right")
-        return self._value_at_index(idx)
-
-    def before(self, x):
-        """Left limit F(x-) = total mass at locations < x."""
-        idx = np.searchsorted(self.locations, x, side="left")
-        return self._value_at_index(idx)
-
-    def _value_at_index(self, idx):
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
-        if np.isscalar(idx) or np.ndim(idx) == 0:
-            return float(out)
-        return out
+        """F(x) = total mass at locations <= x (right-continuous); a float for a scalar x."""
+        return _float_or_array(self._levels[np.searchsorted(self.locations, x, side="right")])
 
     def __eq__(self, other):
         if not isinstance(other, StepCdf):
@@ -190,27 +182,18 @@ def group_model(cells: CellModel, m: int) -> CellModel:
     return CellModel(m, _block_sums(cells.p, m))
 
 
-def sup_distance(a: StepCdf, b: StepCdf) -> float:
-    """Exact sup |a(x) - b(x)|, evaluated at and just before every jump of either CDF."""
-    grid = np.union1d(a.locations, b.locations)
-    at = np.abs(a(grid) - b(grid))
-    before = np.abs(a.before(grid) - b.before(grid))
-    return float(max(at.max(), before.max()))
-
-
 def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf) -> float:
     """Exact sup |S(x) - F(x)| over all x, for the step CDF S that jumps at
-    the increasing `locations` to `values` against any CDF F. S is constant
-    between its jumps and F monotone, so the sup is attained at a jump x,
-    approached from the right (S(x) against F(x)) or from the left (the
-    previous value against F(x-), read at the float just below x, which is
-    F(x) only where F is continuous at x)."""
-    at = np.array([float(cdf(x)) for x in locations.tolist()])
-    left = np.array([float(cdf(x)) for x in np.nextafter(locations, -np.inf).tolist()])
+    the increasing `locations` to `values` against any CDF F that takes
+    arrays. S is constant between its jumps and F monotone, so the sup is at
+    a jump x, from the right (S(x) against F(x)) or the left (the previous
+    value against F(x-), read at the float just below x, which is F(x) only
+    where F is continuous at x)."""
     before = np.concatenate(([0.0], values[:-1]))
-    return float(max(np.abs(values - at).max(), np.abs(before - left).max()))
+    left = cdf(np.nextafter(locations, -np.inf))
+    return float(max(np.abs(values - cdf(locations)).max(), np.abs(before - left).max()))
 
 
-def sup_distance_to_function(step: StepCdf, cdf) -> float:
-    """Exact sup |step(x) - F(x)| against a CDF F, continuous or not."""
-    return _sup_to_function(step.locations, step._cum, cdf)
+def sup_distance(step: StepCdf, cdf) -> float:
+    """Exact sup |step(x) - F(x)| against any CDF F that takes arrays, a StepCdf too."""
+    return _sup_to_function(step.locations, step._levels[1:], cdf)

@@ -232,7 +232,7 @@ def run_mse_study(config: StudyConfig) -> MseReport:
     L = math.lcm(*config.m_values)
     blocks = _grouped_cells(gen, config.M, L)
     F = limit_sdf(gen)
-    fx = tuple(float(F(x)) for x in config.x_grid)
+    fx = tuple(F(np.array(config.x_grid)).tolist())
     per_m = [(m, _lattice_index(config.x_grid, config.n, m)) for m in config.m_values]
     kind = POISSONIZED if config.poissonized else MULTINOMIAL
     estimates = np.empty((len(per_m), len(config.x_grid), config.reps))

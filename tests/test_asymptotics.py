@@ -485,6 +485,20 @@ def test_optimal_m_matches_integer_argmin_of_smoothing_bound():
 
 # ---------- concentration bounds ----------
 
+@pytest.mark.parametrize("mean, epsilon, message", [
+    (math.nan, 1.0, "mean must be positive and finite, got nan"),
+    (math.inf, 1.0, "mean must be positive and finite, got inf"),
+    (0.0, 1.0, "mean must be positive and finite, got 0.0"),
+    (4.0, math.nan, "epsilon must be positive and finite, got nan"),
+    (4.0, math.inf, "epsilon must be positive and finite, got inf"),
+    (4.0, -1.0, "epsilon must be positive and finite, got -1.0"),
+], ids=["mean-nan", "mean-inf", "mean-0", "eps-nan", "eps-inf", "eps-negative"])
+def test_bernstein_rejects_a_mean_or_epsilon_not_positive_and_finite(mean, epsilon, message):
+    # every comparison with NaN is false, so each check must be one that NaN fails
+    with pytest.raises(ValidationError, match=message):
+        bernstein_poisson_tail(mean, epsilon)
+
+
 def test_bernstein_frozen_value_and_cap():
     # 2 exp(-9 / (2 + 3/2)) = 2 e^{-18/7}
     assert bernstein_poisson_tail(4.0, 3.0) == pytest.approx(2.0 * math.exp(-18.0 / 7.0), rel=1e-12)

@@ -478,6 +478,25 @@ def test_non_finite_inputs_exit_2_with_strict_json(tmp_path, capsys, argv, field
     assert "finite" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate", "mse", "limit"])
+def test_table_that_is_not_utf8_exits_2_with_strict_json(tmp_path, capsys, command):
+    table = tmp_path / "latin1.csv"
+    table.write_bytes(b"0,0\n0.5,0.5\xff\n1,1\n")
+    generator = f"table:{table}"
+    argv = {
+        "estimate": ["estimate", "--generator", generator, "--M", "10", "--n", "30"],
+        "simulate": ["simulate", "--generator", generator, "--M", "10", "--n", "30", "--reps", "2"],
+        "mse": ["mse", "--config", write_config(tmp_path, generator=generator)],
+        "limit": ["limit", "--generator", generator, "--lambda", "3", "--x-grid", "0.5,1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    error = strict_json(err)["error"]
+    assert exc.value.code == 2 and error["type"] == "ValidationError" and out == ""
+    assert error["message"] == f"table {table}: invalid UTF-8 at byte offset 11"
+
+
 def test_simulate_estimates_0_below_zero_and_1_where_x_overflows(capsys):
     code, out, _ = run_cli(["simulate", "--M", "4", "--n", "8", "--reps", "1", "--x-grid=-1e-20,1e308",
                             "--format", "json"], capsys)

@@ -1,7 +1,10 @@
 """Generator-to-cells pipeline: declared bounds, frozen cell vectors, limit CDFs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structdist import (
     CellModel,
@@ -160,6 +163,33 @@ def test_limit_sdf_table_is_exact_width_sum(tmp_path):
     assert F(3.0) == 1.0
 
 
+@pytest.fixture(scope="module")
+def limits(tmp_path_factory):
+    """The three limit CDFs by name; the table's slopes 0, 2, 1 make it jump
+    at 0, 1 and 2 = tau, the example's support ends at 2, uniform jumps at 1."""
+    path = tmp_path_factory.mktemp("table") / "flat.csv"
+    path.write_text("0,0\n0.25,0\n0.5,0.5\n1,1\n")
+    gens = (example_generator(), uniform_generator(), table_generator(str(path)))
+    return {name: limit_sdf(gen) for name, gen in zip(("example", "uniform", "table"), gens)}
+
+
+# x < 0, -0.0, +-inf, the exact jumps 0, 1 and 2, and x beyond tau = 2
+_LIMIT_X = st.one_of(
+    st.floats(-3.0, 5.0, allow_nan=False),
+    st.sampled_from([-math.inf, -1.0, -5e-324, -0.0, 0.0, 1.0, 2.0, 2.5, math.inf]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(_LIMIT_X, min_size=1, max_size=10), name=st.sampled_from(["example", "uniform", "table"]))
+def test_limit_cdf_array_equals_scalar_calls(limits, xs, name):
+    F = limits[name]
+    scalars = [F(x) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert F(np.array(xs)).tolist() == scalars
+    assert F(np.array(xs).reshape(-1, 1)).ravel().tolist() == scalars
+
+
 def test_limit_sdf_requires_limit_cdf():
     gen = example_generator()
     bare = SmoothGenerator("bare", gen.G, gen.g, tau=2.0, g_deriv_bound=2.0)
@@ -186,6 +216,10 @@ def test_table_generator_rejections(tmp_path):
         with pytest.raises(ValidationError, match="must be finite"):
             table_generator(str(bad))
 
+    bad.write_bytes(b"0,0\n0.5,0.5\xff\n1,1\n")  # not UTF-8: named by its byte offset
+    with pytest.raises(ValidationError, match="invalid UTF-8 at byte offset 11$"):
+        table_generator(str(bad))
+
 
 # ---------- grouped cells without the M-cell vector ----------
 
@@ -201,6 +235,18 @@ def _jittered_table(path, seed, n_knots=64):
     G[-1] = 1.0
     path.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(u, G)))
     return table_generator(str(path))
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_limit_sdf_table_matches_the_masked_width_sum(tmp_path, seed):
+    """F reads a running sum of the widths in slope order; the direct sum of
+    the widths with slope <= x adds them in another order, so the two agree
+    to one rounding per piece, at each slope, just below it and between."""
+    tab = _jittered_table(tmp_path / "t.csv", seed)
+    widths, slopes = np.array(tab.pieces).T
+    xs = np.concatenate((slopes, np.nextafter(slopes, -np.inf), np.linspace(-0.5, 3.5, 101)))
+    direct = [min(1.0, float(np.sum(widths[slopes <= x]))) for x in xs.tolist()]
+    np.testing.assert_allclose(limit_sdf(tab)(xs), direct, rtol=0, atol=slopes.size * np.finfo(float).eps)
 
 
 GROUPINGS = [(333333, 9009), (1000, 200), (1000, 40), (1000, 1000), (250, 10), (1000, 25), (4000, 50),

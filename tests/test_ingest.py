@@ -12,7 +12,7 @@ from structdist import (
     estimate_from_corpus,
     example_generator,
     limit_sdf,
-    sup_distance_to_function,
+    sup_distance,
     tokenize,
 )
 
@@ -167,5 +167,5 @@ def test_synthetic_corpus_recovers_limit_cdf():
     est, diag = estimate_from_corpus(corpus, 40)
     assert diag["M"] == 842          # zero-count words never reach the corpus
     assert diag["phantom_cells"] == 38
-    d = sup_distance_to_function(est.cdf, limit_sdf(gen))
+    d = sup_distance(est.cdf, limit_sdf(gen))
     assert d < 0.15

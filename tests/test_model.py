@@ -13,7 +13,6 @@ from structdist import (
     limit_sdf,
     structural_cdf,
     sup_distance,
-    sup_distance_to_function,
     table_generator,
     uniform_generator,
 )
@@ -39,9 +38,9 @@ def test_from_values_rejects_no_values_like_the_constructor():
 def test_right_continuity_and_left_limits():
     cdf = StepCdf([0.5, 1.5], [0.25, 0.75])
     assert cdf(0.5) == 0.25          # mass at the jump counts
-    assert cdf.before(0.5) == 0.0    # left limit does not
+    assert cdf(np.nextafter(0.5, -np.inf)) == 0.0    # the left limit does not
     assert cdf(1.0) == 0.25
-    assert cdf.before(1.5) == 0.25
+    assert cdf(np.nextafter(1.5, -np.inf)) == 0.25
     assert cdf(1.5) == 1.0
     assert cdf(-10.0) == 0.0 and cdf(10.0) == 1.0
 
@@ -109,7 +108,7 @@ def test_sup_distance_to_function_hits_left_limit():
     # F(x) = x on [0,1] versus a single step at 0.5: gap 0.5 approached
     # from both sides of the jump.
     step = StepCdf([0.5], [1.0])
-    d = sup_distance_to_function(step, lambda x: min(max(x, 0.0), 1.0))
+    d = sup_distance(step, lambda x: np.clip(x, 0.0, 1.0))
     assert d == 0.5
 
 
@@ -119,10 +118,10 @@ def test_sup_distance_to_function_reads_a_target_jump_from_the_left():
     jump is enough; a jump of both at one x cancels."""
     step = StepCdf([1.0], [1.0])
     target = StepCdf([0.25], [1.0])
-    assert sup_distance_to_function(step, lambda x: float(target(x))) == 1.0
+    assert sup_distance(step, target) == 1.0
     uniform = limit_sdf(uniform_generator())  # a unit step at 1
-    assert sup_distance_to_function(step, uniform) == 0.0
-    assert sup_distance_to_function(StepCdf([0.5, 1.0], [0.25, 0.75]), uniform) == 0.25
+    assert sup_distance(step, uniform) == 0.0
+    assert sup_distance(StepCdf([0.5, 1.0], [0.25, 0.75]), uniform) == 0.25
 
 
 def brute_sup(step: StepCdf, F, jumps) -> float:
@@ -158,7 +157,7 @@ def test_sup_to_a_stepped_limit_is_the_brute_force_sup(step_targets, target, cou
     F, jumps = step_targets[target]
     counts = np.array(counts)
     step = StepCdf.from_values(counts * (counts.size / n))
-    assert sup_distance_to_function(step, F) == brute_sup(step, F, jumps) == expected[target]
+    assert sup_distance(step, F) == brute_sup(step, F, jumps) == expected[target]
     assert _sup_to_function(*_jumps(counts, n), F) == expected[target]
 
 
@@ -171,7 +170,7 @@ def test_sup_to_a_stepped_limit_matches_brute_force_on_any_counts(step_targets, 
     n = k * counts.size
     for F, jumps in step_targets.values():
         step = StepCdf.from_values(counts * (counts.size / n))
-        exact = sup_distance_to_function(step, F)
+        exact = sup_distance(step, F)
         assert exact == brute_sup(step, F, jumps)
         assert abs(_sup_to_function(*_jumps(counts, n), F) - exact) <= 1e-15
 
@@ -208,7 +207,7 @@ def test_from_values_keeps_the_mass_and_merges_ties(values):
         assert mass == pytest.approx(np.count_nonzero(values == loc) / values.size, abs=1e-15)
     assert abs(cdf.masses.sum() - 1.0) <= 1e-12
     assert cdf(np.inf) == cdf(cdf.locations[-1]) == pytest.approx(1.0, abs=1e-12)
-    assert cdf.before(cdf.locations[0]) == 0.0
+    assert cdf(np.nextafter(cdf.locations[0], -np.inf)) == 0.0
 
 
 # ---------- cell and grouped models ----------

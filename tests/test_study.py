@@ -36,7 +36,6 @@ from structdist import (
     poisson_tail_audit,
     run_mse_study,
     sup_distance,
-    sup_distance_to_function,
     sweep_m,
     variance_audit,
 )
@@ -504,7 +503,7 @@ def test_consistency_trend_replays_group_draws(poissonized):
     ref = []
     for r in range(reps):
         est = grouped_estimator(draw(groups, n, rng), m)
-        ref.append(sup_distance_to_function(est.cdf, F))
+        ref.append(sup_distance(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
 
 
@@ -530,7 +529,7 @@ def test_studies_reject_a_dip_inside_one_group_like_the_cells(monkeypatch):
     still check the cell grid and fail with the cells' own error."""
     dip = SmoothGenerator("dip", G=lambda x: np.where(x == 0.031, 0.029, x),
                           g=lambda u: np.ones_like(u), tau=1.0, g_deriv_bound=0.0,
-                          limit_cdf=lambda x: float(x >= 1.0))
+                          limit_cdf=lambda x: np.where(np.asarray(x) >= 1.0, 1.0, 0.0))
     with pytest.raises(NumericError) as ref:
         cells_from_generator(dip, 1000)
     assert "p[30]" in str(ref.value)
