@@ -19,14 +19,7 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import (
-    GROUPED,
-    NATURAL,
-    EstimatorOutput,
-    check_regime,
-    grouped_estimator,
-    natural_estimator,
-)
+from .estimators import check_regime, grouped_estimator, natural_estimator
 from .generators import (
     SmoothGenerator,
     by_name,

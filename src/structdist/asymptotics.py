@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from .errors import NumericError, ValidationError
 from .generators import SmoothGenerator
-from .model import CellModel, _float_or_array
+from .model import CellModel, _as_x, _float_or_array
 
 CHAR_TOL = 1e-8  # quadrature abs tolerance for characteristic functions
 CDF_TOL = 1e-6  # quadrature abs tolerance for mixture CDFs
@@ -79,9 +79,7 @@ def _lattice_ks(xs, n, size) -> list:
     count * size / n includes at x. K = -1 for x < 0 (-0.0 is not) and +inf
     where x n / size is +inf (x = +inf, or a finite x whose product
     overflows); NaN is rejected."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    if np.isnan(xs).any():
-        raise ValidationError("x must not be NaN")
+    xs = _as_x(xs).ravel()
     with np.errstate(over="ignore"):
         y = xs * n / size
     return [-1 if x < 0 else v if v == math.inf else lattice_floor(v) for x, v in zip(xs.tolist(), y.tolist())]

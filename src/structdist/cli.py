@@ -33,10 +33,10 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import EstimatorOutput, _jumps, check_regime, grouped_estimator
+from .estimators import _jumps, check_regime, grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
-from .sampling import STREAM_VERSION, RngStream, draw_multinomial, draw_poissonized
+from .sampling import STREAM_VERSION, CountsVector, RngStream, draw_multinomial, draw_poissonized
 from .study import StudyConfig, run_mse_study
 
 SCHEMA_VERSION = 1
@@ -127,7 +127,7 @@ def _stream_meta() -> dict:
     return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _jump_rows(est: EstimatorOutput) -> list[tuple[float, float]]:
+def _jump_rows(est: CountsVector) -> list[tuple[float, float]]:
     """(x, F) at every jump of an estimate, preceded by a zero anchor just
     left of the support: x = count * (size / n) and F the exact share of
     counts <= count, the value est(x) returns there."""
@@ -156,7 +156,7 @@ def _cmd_estimate(args) -> None:
     est = grouped_estimator(vec, m)
     meta = {
         "command": "estimate",
-        "kind": list(est.kind),
+        "kind": ["natural" if m == args.M else "grouped", est.kind],
         "generator": args.generator,
         "M": args.M,
         "n": args.n,

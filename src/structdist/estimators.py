@@ -3,40 +3,29 @@
 All four variants (natural / grouped, fixed-n / Poissonized counts) are
 empirical CDFs of scaled counts: with size cells (natural) or groups
 (grouped), every count c carries mass 1/size at c * size / n, so the jumps
-sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is kept as
-its integer counts and evaluated on that lattice: at x it is the share of
-counts <= K = lattice_floor(x n / size), by `asymptotics._lattice_index`,
-the int64 form of `_lattice_ks`, the one index of every estimate, study and
-the Poisson-mixture limit.
-`_estimate` and `_jumps` (the one jump table) serve the studies and the CLI.
-The natural estimator is the grouped one with m = size; groups are blocks
-of the counts in the order given (sort them first to order by probability).
+sit on the lattice {0, s, 2s, ...} with s = size/n. An estimate is the
+CountsVector of its counts: the grouped estimator is the natural estimator
+of the m group counts, which are multinomial (Poisson) counts of the
+grouped model. At x it is the share of counts <= K = lattice_floor(x n /
+size), by `asymptotics._lattice_index` and `model._estimate`, the one index
+and share of every estimate, study and the Poisson-mixture limit.
+`_jumps` (the one jump table) serves the studies and the CLI. Groups are
+blocks of the counts in the order given (sort them first to order by
+probability).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _lattice_index
 from .errors import ValidationError
-from .model import StepCdf, _block_sums, _float_or_array
+from .model import _block_sums
 from .sampling import CountsVector
-
-NATURAL = "natural"
-GROUPED = "grouped"
 
 # check_regime's rate exponent (in (0, 1/6)) and the ratio above which a flag reads true
 REGIME_ALPHA = 0.1
 REGIME_THRESHOLD = 5.0
-
-
-def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The estimate at each x: the share of the counts that are <= its K.
-    counts may carry leading axes (one row per replication); the result
-    then has those axes followed by one entry per K."""
-    return np.count_nonzero(counts[..., None, :] <= K[:, None], axis=-1) / counts.shape[-1]
 
 
 def _jumps(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,51 +36,19 @@ def _jumps(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return values * (counts.size / n), np.cumsum(multiplicity) / counts.size
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
-    """An estimated structural CDF, kept as the integer counts that induce it.
-
-    counts holds the grouped (or raw) counts in group order, n the sample
-    size and kind the pair (form, sampling). Calling the output at x gives
-    the share of counts <= lattice_floor(x n / size); cdf is the same step
-    function as a StepCdf, with jumps at the float values count * (size / n).
-    """
-
-    counts: np.ndarray
-    n: int
-    kind: tuple[str, str]
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def cdf(self) -> StepCdf:
-        return StepCdf.from_values(self.counts * (self.size / self.n))
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        return _float_or_array(_estimate(self.counts, _lattice_index(xs, self.n, self.size)).reshape(xs.shape))
-
-    def __eq__(self, other):
-        if not isinstance(other, EstimatorOutput):
-            return NotImplemented
-        return self.n == other.n and self.kind == other.kind and np.array_equal(self.counts, other.counts)
-
-
-def grouped_estimator(counts: CountsVector, m: int) -> EstimatorOutput:
-    """Empirical CDF of (m/n) * grouped-count_j, each group carrying mass 1/m.
+def grouped_estimator(counts: CountsVector, m: int) -> CountsVector:
+    """The CountsVector of m groups, whose estimate is the empirical CDF of
+    (m/n) * group count, each group carrying mass 1/m; kind and n are kept.
 
     The groups are m contiguous equal blocks of the counts in the order
     given; m must divide counts.size. With m = counts.size every block is
-    one cell, so the output is the natural estimator.
+    one cell, so the output equals counts: the natural estimator.
     """
-    grouped = _block_sums(counts.counts, m)
-    return EstimatorOutput(grouped, counts.n, (NATURAL if m == counts.size else GROUPED, counts.kind))
+    return CountsVector(counts.kind, _block_sums(counts.counts, m), counts.n)
 
 
-def natural_estimator(counts: CountsVector) -> EstimatorOutput:
-    """Empirical CDF of (M/n) * count_j, each cell carrying mass 1/M."""
+def natural_estimator(counts: CountsVector) -> CountsVector:
+    """Empirical CDF of (M/n) * count_j, each cell carrying mass 1/M: a CountsVector equal to counts."""
     return grouped_estimator(counts, counts.size)
 
 

@@ -17,17 +17,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import CellModel, _block_sums, _float_or_array, check_group_count
+from .model import CellModel, _as_x, _block_sums, _float_or_array, check_group_count
 
 
 @dataclass(frozen=True)
 class SmoothGenerator:
     """A generating distribution G with density g and its analytic bounds.
 
-    G, g and limit_cdf take arrays (limit_cdf a float for a scalar). tau
-    bounds |g| and g_deriv_bound bounds |g'|; both are known analytic inputs
-    that the error bounds consume unchecked. `limit_cdf` is the exact CDF of
-    g(U); limit_sdf needs it. `pieces` lists the (width, slope) pairs of a
+    G, g and limit_cdf take arrays (limit_cdf a float for a scalar; it
+    rejects a NaN x through model._as_x). tau bounds |g| and g_deriv_bound
+    bounds |g'|; both are known analytic inputs that the error bounds
+    consume unchecked. `limit_cdf` is the exact CDF of g(U); limit_sdf
+    needs it. `pieces` lists the (width, slope) pairs of a
     piecewise-constant density in order over (0,1]; where it is set the
     limit laws are exact finite sums over the pieces instead of quadratures
     over u. It is empty for a smooth density.
@@ -52,7 +53,7 @@ def example_generator() -> SmoothGenerator:
         return 2.0 * (1.0 - np.asarray(u, dtype=float))
 
     def F(x):
-        return _float_or_array(np.minimum(np.maximum(0.5 * np.asarray(x, dtype=float), 0.0), 1.0))
+        return _float_or_array(np.minimum(np.maximum(0.5 * _as_x(x), 0.0), 1.0))
 
     return SmoothGenerator("example", G, g, tau=2.0, g_deriv_bound=2.0, limit_cdf=F)
 
@@ -61,7 +62,7 @@ def uniform_generator() -> SmoothGenerator:
     """G(x) = x: all cells equal, g == 1, limit CDF a unit step at 1."""
 
     def F(x):
-        return _float_or_array(np.where(np.asarray(x, dtype=float) >= 1.0, 1.0, 0.0))
+        return _float_or_array(np.where(_as_x(x) >= 1.0, 1.0, 0.0))
 
     return SmoothGenerator(
         "uniform",
@@ -123,7 +124,7 @@ def table_generator(path: str) -> SmoothGenerator:
     levels = np.minimum(1.0, np.concatenate(([0.0], np.cumsum(widths[order]))))
 
     def F(x):
-        return _float_or_array(levels[np.searchsorted(by_slope, x, side="right")])
+        return _float_or_array(levels[np.searchsorted(by_slope, _as_x(x), side="right")])
 
     if slopes.size > 1:
         lip = float(np.max(np.abs(np.diff(slopes)) / (0.5 * (widths[:-1] + widths[1:]))))

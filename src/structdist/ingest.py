@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import EstimatorOutput, check_regime, grouped_estimator
+from .estimators import check_regime, grouped_estimator
 from .sampling import MULTINOMIAL, CountsVector
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excluded
@@ -72,7 +72,7 @@ def tokenize(data: bytes | str) -> Corpus:
     return Corpus(tuple(tokens))
 
 
-def estimate_from_corpus(corpus: Corpus, m: int) -> tuple[EstimatorOutput, dict]:
+def estimate_from_corpus(corpus: Corpus, m: int) -> tuple[CountsVector, dict]:
     """Grouped estimate of the structural CDF from a corpus, with m groups.
 
     Pads the vocabulary to a multiple of m with zero-count phantom cells

@@ -1,5 +1,6 @@
-"""Core domain types (cell-probability models, step CDFs) and the one
-grouping operation: the sums of m contiguous equal blocks of a vector.
+"""Core domain types (cell-probability models, step CDFs), the one
+grouping operation (the sums of m contiguous equal blocks of a vector) and
+the one share of counts that every estimate is read as (_estimate).
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
@@ -21,6 +22,14 @@ PROB_TOL = 1e-12
 def _float_or_array(v):
     """A float for a 0-d result (a scalar came in), else the array."""
     return float(v) if np.ndim(v) == 0 else v
+
+
+def _as_x(x) -> np.ndarray:
+    """The x argument of a CDF as a float array; every CDF here rejects a NaN x."""
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValidationError("x must not be NaN")
+    return xs
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -109,7 +118,7 @@ class StepCdf:
 
     def __call__(self, x):
         """F(x) = total mass at locations <= x (right-continuous); a float for a scalar x."""
-        return _float_or_array(self._levels[np.searchsorted(self.locations, x, side="right")])
+        return _float_or_array(self._levels[np.searchsorted(self.locations, _as_x(x), side="right")])
 
     def __eq__(self, other):
         if not isinstance(other, StepCdf):
@@ -159,6 +168,13 @@ def _block_sums(a: np.ndarray, m: int) -> np.ndarray:
     return a.reshape(*a.shape[:-1], m, -1).sum(axis=-1)
 
 
+def _estimate(counts: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The estimate at each x: the share of the counts that are <= its K.
+    counts may carry leading axes (one row per replication); the result
+    then has those axes followed by one entry per K."""
+    return np.count_nonzero(counts[..., None, :] <= K[:, None], axis=-1) / counts.shape[-1]
+
+
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
     """Running sums of the last axis of `a` after a leading zero, so that
     every block sum is the difference of two entries (_prefix_block_sums)."""
@@ -195,5 +211,8 @@ def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf) -> float:
 
 
 def sup_distance(step: StepCdf, cdf) -> float:
-    """Exact sup |step(x) - F(x)| against any CDF F that takes arrays, a StepCdf too."""
-    return _sup_to_function(step.locations, step._levels[1:], cdf)
+    """Exact sup |step(x) - F(x)| against any CDF F that takes arrays, a StepCdf too.
+    An estimate (a CountsVector) is read as its StepCdf `cdf`: its lattice
+    index maps the float just below a jump back onto the jump, so calling
+    it cannot give a left limit."""
+    return _sup_to_function(step.locations, step._levels[1:], getattr(cdf, "cdf", cdf))

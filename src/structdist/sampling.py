@@ -1,6 +1,8 @@
 """Seeded sampling of multinomial, Poissonized and coupled cell counts.
 
-A CountsVector keeps the cell order of its model; grouped_estimator groups it.
+A CountsVector keeps the cell order of its model, and is also the estimate
+of the structural CDF that its counts induce: grouped_estimator returns the
+CountsVector of m groups, whose estimate is the grouped estimator.
 
 Streams are addressed by (seed, stream_index): the pair feeds a
 SeedSequence, whose avalanche mixing makes the streams independent and
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
+from .asymptotics import _lattice_index
 from .errors import ValidationError
-from .model import CellModel
+from .model import CellModel, StepCdf, _estimate, _float_or_array
 
 MULTINOMIAL = "multinomial"
 POISSONIZED = "poissonized"
@@ -84,9 +87,16 @@ class RngStream:
 
 @dataclass(frozen=True)
 class CountsVector:
-    """Realized cell counts with their sampling metadata: multinomial counts
-    sum to the nominal sample size n; Poissonized counts sum to the realized
-    Poisson total N_realized."""
+    """Realized cell (or group) counts with their sampling metadata:
+    multinomial counts sum to the nominal sample size n; Poissonized counts
+    sum to the realized Poisson total N_realized.
+
+    The vector is also the estimate its counts induce, the empirical CDF of
+    count * (size / n), each count carrying mass 1/size. Called at x it
+    gives the share of counts <= lattice_floor(x n / size), by the exact
+    lattice index; cdf is the same step function as a StepCdf, with jumps
+    at the float values count * (size / n).
+    """
 
     kind: str
     counts: np.ndarray
@@ -115,6 +125,19 @@ class CountsVector:
     @property
     def size(self) -> int:
         return int(self.counts.size)
+
+    @property
+    def cdf(self) -> StepCdf:
+        return StepCdf.from_values(self.counts * (self.size / self.n))
+
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        return _float_or_array(_estimate(self.counts, _lattice_index(xs, self.n, self.size)).reshape(xs.shape))
+
+    def __eq__(self, other):
+        if not isinstance(other, CountsVector):
+            return NotImplemented
+        return self.kind == other.kind and self.n == other.n and np.array_equal(self.counts, other.counts)
 
 
 def _check_n(n: int) -> None:

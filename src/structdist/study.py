@@ -17,7 +17,7 @@ Every study runs on one slab kernel that sees integer counts only: a draw
 over a grouped model (a `CellModel` of equal blocks), row-wise group counts
 for each group count m, then the estimate at x as the share of group counts
 <= K = lattice_floor(x n / m), from `asymptotics._lattice_index` and
-`estimators._estimate` as `EstimatorOutput` computes it; `consistency_trend`
+`model._estimate` as a `CountsVector` computes it; `consistency_trend`
 reads each draw's jumps from `estimators._jumps`. Block sums of multinomial
 (independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
 draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
@@ -26,9 +26,8 @@ grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
 runs with m = M), so neither holds all M cells at once unless one group has
 more than 2^14 of them. `run_mse_study` then groups each slab once per m by
 strided differences of one running sum (`model._prefix_block_sums`).
-`poissonization_gap` draws coupled cells, which its natural gap needs. No
-replication builds an `EstimatorOutput` or a `StepCdf`. The seeded stream is
-the one `sampling.STREAM_VERSION` names.
+`poissonization_gap` draws coupled cells, which its natural gap needs. The
+seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
 
@@ -42,10 +41,10 @@ import numpy as np
 
 from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
-from .estimators import _estimate, _jumps
+from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
-from .model import (CellModel, _block_sums, _prefix_block_sums, _prefix_sums, _sup_to_function, check_group_count,
-                    nearest_divisor)
+from .model import (CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums, _sup_to_function,
+                    check_group_count, nearest_divisor)
 from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
 
 

@@ -9,9 +9,9 @@ import pytest
 import scipy
 
 from structdist import (
-    NATURAL,
+    POISSONIZED,
     STREAM_VERSION,
-    EstimatorOutput,
+    CountsVector,
     RngStream,
     StudyConfig,
     cells_from_generator,
@@ -189,21 +189,38 @@ def test_estimate_ordered_groups_counts_in_probability_order(poissonized, tmp_pa
     rng = RngStream(3).generator()
     vec = (draw_poissonized if poissonized else draw_multinomial)(cells, 3000, rng)
     grouped = vec.counts[np.argsort(cells.p, kind="stable")].reshape(40, 25).sum(axis=1)
-    est = EstimatorOutput(grouped, 3000, ("grouped", vec.kind))
+    est = CountsVector(vec.kind, grouped, 3000)
     assert doc["rows"] == [list(r) for r in _jump_rows(est)]
-    assert doc["kind"] == list(est.kind) and doc["k"] == 25 and doc["ordered"] is True
+    assert doc["kind"] == ["grouped", vec.kind] and doc["k"] == 25 and doc["ordered"] is True
     # the density is not monotone, so grouping in cell order gives other rows
-    unsorted = EstimatorOutput(vec.counts.reshape(40, 25).sum(axis=1), 3000, est.kind)
+    unsorted = CountsVector(vec.kind, vec.counts.reshape(40, 25).sum(axis=1), 3000)
     assert doc["rows"] != [list(r) for r in _jump_rows(unsorted)]
 
 
+@pytest.mark.parametrize(
+    "extra, kind",
+    [
+        ([], ["natural", "multinomial"]),
+        (["--m", "4"], ["natural", "multinomial"]),
+        (["--poissonized"], ["natural", "poissonized"]),
+        (["--m", "2", "--poissonized"], ["grouped", "poissonized"]),
+    ],
+    ids=["default-m", "m-equals-M", "poissonized", "grouped-poissonized"],
+)
+def test_estimate_sidecar_kind_is_the_form_and_the_sampling(extra, kind, capsys):
+    """An estimate carries its sampling kind; the sidecar adds the form,
+    natural exactly when m = M."""
+    code, out, _ = run_cli(["estimate", "--M", "4", "--n", "8", "--format", "json"] + extra, capsys)
+    assert code == 0 and strict_json(out)["kind"] == kind
+
+
 def test_jump_rows_prepend_zero_anchor():
-    rows = _jump_rows(EstimatorOutput(np.array([3, 1]), 2, (NATURAL, "multinomial")))
+    rows = _jump_rows(CountsVector(POISSONIZED, [3, 1], 2))
     # anchor sits 2% of the span left of the first jump, at height zero
     assert rows[0] == (0.96, 0.0)
     assert rows[1:] == [(1.0, 0.5), (3.0, 1.0)]
     # a single jump: the anchor sits 2% of its location to the left
-    assert _jump_rows(EstimatorOutput(np.array([5, 5]), 2, (NATURAL, "multinomial"))) == [(4.9, 0.0), (5.0, 1.0)]
+    assert _jump_rows(CountsVector(POISSONIZED, [5, 5], 2)) == [(4.9, 0.0), (5.0, 1.0)]
 
 
 def test_estimate_is_deterministic(tmp_path, capsys):
@@ -645,6 +662,48 @@ def test_non_finite_floats_are_written_as_strings(tmp_path, capsys):
     assert [r[2] for r in doc["rows"][::3]] == [0.0, 0.0]
     _, out, _ = run_cli(strict_json_argv("limit", tmp_path) + ["--format", "json"], capsys)
     assert strict_json(out)["rows"] == [["-inf", 0.0], [0.5, pytest.approx(MIX_THIRD, abs=1e-9)], ["inf", 1.0]]
+
+
+# ---------- edge inputs ----------
+
+# Edge inputs that either run (exit 0, a strict JSON document whose last
+# row reaches F = 1) or exit 2 with a strict JSON error and no output. FLAT
+# is a table whose first half is flat (two cells of probability 0 at M = 4)
+# and CORPUS a small text file.
+CLI_EDGES = [
+    (["estimate", "--M", "1", "--n", "1"], 0),
+    (["estimate", "--M", "5", "--n", "2", "--m", "5"], 0),
+    (["estimate", "--M", "6", "--n", "2", "--m", "3"], 0),
+    (["estimate", "--generator", "FLAT", "--M", "4", "--n", "8"], 0),
+    (["estimate", "--generator", "FLAT", "--M", "4", "--n", "8", "--ordered", "--m", "2"], 0),
+    (["ingest", "--text", "CORPUS", "--m", "1"], 0),
+    (["estimate", "--M", "4", "--n", "8", "--seed", str(2**64)], 2),
+    (["estimate", "--M", "4", "--n", "8", "--seed", "-1"], 2),
+    (["estimate", "--M", "0", "--n", "8"], 2),
+    (["estimate", "--M", "4", "--n", "0"], 2),
+    (["estimate", "--M", "4", "--n", str(2**62 + 1)], 2),
+    (["simulate", "--M", "4", "--n", "8", "--reps", "0"], 2),
+    (["estimate", "--M", "4", "--n", "8", "--m", "0"], 2),
+    (["ingest", "--text", "CORPUS", "--m", "0"], 2),
+    (["bounds", "--n", "0", "--m-values", "3"], 2),
+    (["limit", "--lambda", "0", "--x-grid", "1"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", CLI_EDGES, ids=[" ".join(argv) for argv, _ in CLI_EDGES])
+def test_edge_inputs_run_or_exit_2_with_strict_json(argv, code, tmp_path, capsys):
+    (tmp_path / "flat.csv").write_text("0,0\n0.5,0\n1,1\n")
+    (tmp_path / "corpus.txt").write_text("the cat sat on the mat the end")
+    paths = {"FLAT": f"table:{tmp_path / 'flat.csv'}", "CORPUS": str(tmp_path / "corpus.txt")}
+    argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
+    if code == 0:
+        got, out, _ = run_cli(argv, capsys)
+        assert got == 0 and strict_json(out)["rows"][-1][1] == 1.0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and strict_json(err)["error"]["type"] == "ValidationError"
 
 
 # ---------- sample-size limits ----------

@@ -10,12 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from structdist import (
-    GROUPED,
     MULTINOMIAL,
-    NATURAL,
     POISSONIZED,
     CountsVector,
-    EstimatorOutput,
     RngStream,
     StepCdf,
     ValidationError,
@@ -27,10 +24,11 @@ from structdist import (
     lattice_floor,
     natural_estimator,
     poisson_mixture_cdf,
+    sup_distance,
     uniform_generator,
 )
 from structdist.asymptotics import _lattice_index
-from structdist.estimators import _estimate
+from structdist.model import _estimate
 
 
 def test_natural_estimator_single_cell():
@@ -40,7 +38,7 @@ def test_natural_estimator_single_cell():
     np.testing.assert_array_equal(est.cdf.locations, [1.0])
     np.testing.assert_array_equal(est.cdf.masses, [1.0])
     assert (est.size, est.n) == (1, 7)
-    assert est.kind == (NATURAL, MULTINOMIAL)
+    assert est.kind == MULTINOMIAL and est == vec
 
 
 def test_natural_estimator_jump_lattice():
@@ -62,7 +60,7 @@ def test_grouped_estimator_masses_and_scale():
     # grouped counts (3, 7, 14), locations (m/n)*count
     np.testing.assert_allclose(est.cdf.locations, np.array([3.0, 7.0, 14.0]) * 3 / 24)
     np.testing.assert_array_equal(est.cdf.masses, [1 / 3, 1 / 3, 1 / 3])
-    assert est.kind == (GROUPED, MULTINOMIAL)
+    assert est.kind == MULTINOMIAL
     assert est.size == 3
 
 
@@ -71,7 +69,7 @@ def test_grouped_estimator_k1_reduces_to_natural():
     a = natural_estimator(vec)
     b = grouped_estimator(vec, 20)
     assert a.cdf == b.cdf
-    assert b.kind[0] == NATURAL  # one cell per group is the natural estimator, and says so
+    assert a == b == vec  # one cell per group is the natural estimator: the counts themselves
 
 
 def test_estimator_from_pregrouped_counts_matches_grouping_path():
@@ -91,8 +89,10 @@ def test_estimator_output_is_callable():
 
 
 def test_estimator_output_keeps_counts_n_and_kind_only():
-    assert [f.name for f in dataclasses.fields(EstimatorOutput)] == ["counts", "n", "kind"]
+    # an estimate is the CountsVector of its groups: the sampling kind, the counts and n
+    assert [f.name for f in dataclasses.fields(CountsVector)] == ["kind", "counts", "n"]
     est = grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3, 4, 5, 9], n=24), 3)
+    assert type(est) is CountsVector and est == CountsVector(MULTINOMIAL, [3, 7, 14], n=24)
     assert est.size == est.counts.size == 3
     # cdf is built on demand from the float jump values count * (size / n)
     assert est.cdf == StepCdf.from_values(est.counts * (3 / 24))
@@ -174,6 +174,21 @@ def test_estimator_outputs_compare_by_value():
     assert (a == natural_estimator(CountsVector(MULTINOMIAL, [1, 3, 2], n=6))) is False
     assert (a == natural_estimator(CountsVector(POISSONIZED, [1, 2, 3], n=6))) is False
     assert (a == grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3], n=6), 3)) is True
+    # other sizes, other n and other types compare unequal without raising
+    assert (a == grouped_estimator(CountsVector(MULTINOMIAL, [1, 2, 3], n=6), 1)) is False
+    assert (a == CountsVector(MULTINOMIAL, [1, 2, 3, 0], n=6)) is False
+    assert (a == CountsVector(POISSONIZED, [1, 2, 3], n=7)) is False
+    assert (a == [1, 2, 3]) is False and (a != "counts") is True
+
+
+def test_sup_distance_reads_an_estimate_as_its_step_cdf():
+    # the lattice index maps the float just below a jump onto the jump, so a
+    # called estimate cannot give its left limits; sup_distance reads est.cdf
+    vec = draw_multinomial(cells_from_generator(example_generator(), 1000), 3000, RngStream(1).generator())
+    est = grouped_estimator(vec, 40)
+    assert sup_distance(est.cdf, est) == sup_distance(est.cdf, est.cdf) == 0.0
+    for step in (natural_estimator(vec).cdf, grouped_estimator(vec, 10).cdf, StepCdf([0.5, 1.5], [0.5, 0.5])):
+        assert sup_distance(step, est) == sup_distance(step, est.cdf) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +222,7 @@ def test_k1_grouping_is_natural_bit_for_bit(counts, n, poissonized):
     assert a.counts.dtype == b.counts.dtype and np.array_equal(a.counts, b.counts)
     assert (a.n, a.kind) == (b.n, b.kind)
     assert a.cdf == b.cdf
-    assert a == b
+    assert a == b == vec
 
 
 # ---------- regime diagnostics ----------

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from structdist import (
+    POISSONIZED,
     CellModel,
+    CountsVector,
     StepCdf,
     ValidationError,
     divisors_of,
+    example_generator,
     group_model,
     limit_sdf,
+    poisson_mixture_cdf,
     structural_cdf,
     sup_distance,
     table_generator,
@@ -43,6 +47,31 @@ def test_right_continuity_and_left_limits():
     assert cdf(np.nextafter(1.5, -np.inf)) == 0.25
     assert cdf(1.5) == 1.0
     assert cdf(-10.0) == 0.0 and cdf(10.0) == 1.0
+
+
+# every CDF of the package, built from a scratch directory (a table needs a file)
+NAN_CDFS = {
+    "example": lambda tmp: limit_sdf(example_generator()),
+    "uniform": lambda tmp: limit_sdf(uniform_generator()),
+    "table": lambda tmp: limit_sdf(table_generator(_write(tmp / "t.csv", "0,0\n0.5,0.25\n1,1\n"))),
+    "stepcdf": lambda tmp: StepCdf([0.5, 1.5], [0.25, 0.75]),
+    "estimate": lambda tmp: CountsVector(POISSONIZED, [0, 3, 5], n=8),
+    "mixture": lambda tmp: lambda x: poisson_mixture_cdf(x, uniform_generator(), 3.0),
+}
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(NAN_CDFS))
+def test_every_cdf_rejects_a_nan_x(name, tmp_path):
+    F = NAN_CDFS[name](tmp_path)
+    assert 0.0 <= F(0.75) <= 1.0
+    for x in (np.nan, np.array([0.5, np.nan]), [[np.nan]]):
+        with pytest.raises(ValidationError, match="^x must not be NaN$"):
+            F(x)
 
 
 def test_vectorized_evaluation_matches_scalar():

@@ -40,7 +40,7 @@ from structdist import (
     variance_audit,
 )
 from structdist.asymptotics import _lattice_index
-from structdist.estimators import _estimate
+from structdist.model import _estimate
 from structdist.sampling import MAX_N, STREAM_VERSION
 from structdist.study import _natural_gap
 
