@@ -168,17 +168,21 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     x is a scalar (float out) or an array (array out). The CDF is constant
     between the lattice points k/lambda, so each distinct K is evaluated
     once. It is 0 for x < 0 and 1 where lambda x is +inf; NaN is rejected.
-    A quadrature that fails raises NumericError.
+    A quadrature that fails, or an exact sum that is NaN, raises NumericError.
     """
     _check_lambda(lambda_)
     xs = np.asarray(x, dtype=float)
     Ks = _lattice_ks(xs, lambda_, 1)
     if gen.pieces:
         widths, slopes = _pieces(gen)
-        mu = lambda_ * slopes
+        with np.errstate(over="ignore"):
+            mu = lambda_ * slopes  # an infinite mean is right: P(Poisson(inf) <= K) = 0
 
         def at(K: float) -> float:
-            return float(np.sum(widths * special.pdtr(K, mu)))
+            total = float(np.sum(widths * special.pdtr(K, mu)))
+            if math.isnan(total):  # scipy's pdtr when K and mu both near the float maximum
+                raise NumericError(f"P(Poisson(lambda g) <= {K:g}) is not a number at lambda={lambda_}")
+            return total
     else:
 
         def at(K: float) -> float:

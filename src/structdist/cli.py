@@ -7,9 +7,10 @@ configuration: embedded in the document for --format json (one line of
 compact JSON), as an indented sidecar (<out>.json, or stderr when writing
 CSV to stdout) otherwise.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric-validation failure,
-4 IO failure. Failures print a machine-readable JSON object on stderr. All
-JSON is strict: a non-finite float is written as the string "inf" or "-inf".
+Exit codes: 0 success, 2 configuration error (sizes too large to allocate
+included), 3 numeric-validation failure, 4 IO failure. Failures print a
+machine-readable JSON object on stderr. All JSON is strict: a non-finite
+float is written as the string "inf" or "-inf".
 """
 from __future__ import annotations
 
@@ -55,25 +56,18 @@ def _fail(code: int, kind: str, message: str):
     raise SystemExit(code)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type = float) -> tuple:
+    """Comma-separated values of `kind` (float or int); empty items are skipped
+    and an empty list or a NaN is a ValidationError."""
+    noun = "reals" if kind is float else "integers"
     try:
-        vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        vals = tuple(kind(v) for v in text.split(",") if v.strip() != "")
     except ValueError as e:
-        raise ValidationError(f"expected comma-separated reals, got {text!r}") from e
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from e
     if not vals:
-        raise ValidationError("empty list of reals")
+        raise ValidationError(f"empty list of {noun}")
     if any(v != v for v in vals):
         raise ValidationError(f"NaN is not a valid x value in {text!r}")
-    return vals
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as e:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from e
-    if not vals:
-        raise ValidationError("empty list of integers")
     return vals
 
 
@@ -97,28 +91,33 @@ def _dumps(obj, **kw) -> str:
         return json.dumps(_finite(obj), allow_nan=False, **kw)
 
 
-def _emit(columns: Sequence[str], rows, meta: dict, out: Optional[str], fmt: str):
-    """Write the table. csv: rows to --out or stdout, metadata as a JSON
-    sidecar (<out>.json, or stderr for stdout). json: one document with the
-    metadata and rows embedded, written compactly so the C encoder runs."""
-    meta = {"schema": SCHEMA_VERSION, **meta}
-    if fmt == "json":
-        doc = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]})
-        if out is None:
-            sys.stdout.write(doc + "\n")
-        else:
-            Path(out).write_text(doc + "\n", encoding="utf-8")
+def _csv(columns: Sequence[str], rows) -> str:
+    """The CSV text of a table: a header line, then one line per row, each
+    value written by str (a float as its shortest round-trip repr)."""
+    return "\n".join([",".join(columns), *(",".join(map(str, r)) for r in rows)]) + "\n"
+
+
+def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
+    """Write a command's output, its metadata opened with schema and command.
+    json: one document with the metadata and rows embedded, written
+    compactly so the C encoder runs. csv: rows to --out or stdout, metadata
+    as an indented sidecar (<out>.json, or stderr for stdout). With no rows
+    (the reproduce-figures summary) the metadata alone goes to stdout."""
+    meta = {"schema": SCHEMA_VERSION, "command": args.command, **meta}
+    if rows is None:
+        sys.stdout.write(_dumps(meta) + "\n")
         return
-    lines = [",".join(columns)]
-    lines += [",".join(_cell_str(v) for v in r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    sidecar = _dumps(meta, indent=2) + "\n"
-    if out is None:
+    if args.format == "json":
+        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]}) + "\n", ""
+    else:
+        text, sidecar = _csv(columns, rows), _dumps(meta, indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
         sys.stderr.write(sidecar)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-        Path(out + ".json").write_text(sidecar, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
+        if sidecar:
+            Path(args.out + ".json").write_text(sidecar, encoding="utf-8")
 
 
 def _stream_meta() -> dict:
@@ -137,12 +136,6 @@ def _jump_rows(est: CountsVector) -> list[tuple[float, float]]:
     return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), shares.tolist())]
 
 
-def _cell_str(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # ---------- subcommand implementations ----------
 
 def _cmd_estimate(args) -> None:
@@ -155,7 +148,6 @@ def _cmd_estimate(args) -> None:
         vec = dataclasses.replace(vec, counts=vec.counts[np.argsort(cells.p, kind="stable")])
     est = grouped_estimator(vec, m)
     meta = {
-        "command": "estimate",
         "kind": ["natural" if m == args.M else "grouped", est.kind],
         "generator": args.generator,
         "M": args.M,
@@ -168,7 +160,7 @@ def _cmd_estimate(args) -> None:
         "regime": check_regime(args.M, args.n, m),
         **_stream_meta(),
     }
-    _emit(("x", "F"), _jump_rows(est), meta, args.out, args.format)
+    _emit(args, meta, ("x", "F"), _jump_rows(est))
 
 
 def _cmd_simulate(args) -> None:
@@ -178,7 +170,7 @@ def _cmd_simulate(args) -> None:
         M=args.M,
         n=args.n,
         m_values=(m,),
-        x_grid=_parse_floats(args.x_grid),
+        x_grid=_parse_list(args.x_grid),
         reps=args.reps,
         seed=args.seed,
         poissonized=args.poissonized,
@@ -187,7 +179,6 @@ def _cmd_simulate(args) -> None:
     est = report.estimates[0]
     rows = [(r, x, float(est[j, r])) for r in range(config.reps) for j, x in enumerate(config.x_grid)]
     meta = {
-        "command": "simulate",
         "generator": args.generator,
         "M": args.M,
         "n": args.n,
@@ -200,7 +191,7 @@ def _cmd_simulate(args) -> None:
         "timings": report.timings,
         **_stream_meta(),
     }
-    _emit(("rep", "x", "estimate"), rows, meta, args.out, args.format)
+    _emit(args, meta, ("rep", "x", "estimate"), rows)
 
 
 def _cmd_mse(args) -> None:
@@ -229,26 +220,24 @@ def _cmd_mse(args) -> None:
         for c in report.cells
     ]
     meta = {
-        "command": "mse",
         "config": {**cfg, "schema": SCHEMA_VERSION},
         "regimes": {str(m): check_regime(config.M, config.n, m) for m in config.m_values},
         "wall_time": report.wall_time,
         "timings": report.timings,
         **_stream_meta(),
     }
-    _emit(("m", "x", "F", "mean", "bias", "var", "mse", "se_mean", "se_var"), rows, meta, args.out, args.format)
+    _emit(args, meta, ("m", "x", "F", "mean", "bias", "var", "mse", "se_mean", "se_var"), rows)
 
 
 def _cmd_bounds(args) -> None:
     params = BoundParams(lambda_=args.lam, tau=args.tau, c=args.c)
     ref = optimal_m(args.n, params)
-    ms = _parse_ints(args.m_values)
+    ms = _parse_list(args.m_values, int)
     T = optimal_T(ms, args.n, params)
     bias = esseen_bias_bound(ms, args.n, T, params)
     mse = mse_bound(ms, args.n, params)
     rows = [(m, args.n, t, b, e, ref.m_n) for m, t, b, e in zip(ms, T.tolist(), bias.tolist(), mse.tolist())]
     meta = {
-        "command": "bounds",
         "n": args.n,
         "tau": args.tau,
         "c": args.c,
@@ -257,21 +246,20 @@ def _cmd_bounds(args) -> None:
         "optimal_m_bound_value": ref.bound_value,
         "note": "leading-order bounds; values >= 1 are vacuous",
     }
-    _emit(("m", "n", "Tn", "bias_bound", "mse_bound", "m_n"), rows, meta, args.out, args.format)
+    _emit(args, meta, ("m", "n", "Tn", "bias_bound", "mse_bound", "m_n"), rows)
 
 
 def _cmd_limit(args) -> None:
     gen = by_name(args.generator)
-    xg = _parse_floats(args.x_grid)
+    xg = _parse_list(args.x_grid)
     rows = list(zip(xg, poisson_mixture_cdf(np.asarray(xg), gen, args.lam).tolist()))
     meta = {
-        "command": "limit",
         "generator": args.generator,
         "lambda": args.lam,
         "x_grid": list(xg),
         "method": "exact_sum" if gen.pieces else "quadrature",
     }
-    _emit(("x", "mixture_cdf"), rows, meta, args.out, args.format)
+    _emit(args, meta, ("x", "mixture_cdf"), rows)
 
 
 def _cmd_ingest(args) -> None:
@@ -280,8 +268,7 @@ def _cmd_ingest(args) -> None:
     except OSError as e:
         _fail(4, "IOError", f"cannot read {args.text}: {e}")
     est, diagnostics = estimate_from_corpus(tokenize(data), args.m)
-    meta = {"command": "ingest", "text": args.text, **diagnostics}
-    _emit(("x", "F"), _jump_rows(est), meta, args.out, args.format)
+    _emit(args, {"text": args.text, **diagnostics}, ("x", "F"), _jump_rows(est))
 
 
 FIGURE_SPECS = (("natural.csv", 1000), ("grouped_m40.csv", 40), ("grouped_m10.csv", 10))
@@ -308,13 +295,10 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
         xs = np.union1d(_jumps(est.counts, n)[0], [gen.tau])
         span = max(xs[-1] - xs[0], 1.0)
         xs = np.concatenate(([xs[0] - max(1e-6, 0.02 * span)], xs))  # an anchor below every jump
-        rows = zip(xs.tolist(), est(xs).tolist(), F(xs).tolist())
         path = out / fname
         try:
-            path.write_text(
-                "x,estimate,limit\n" + "\n".join(",".join(repr(v) for v in r) for r in rows) + "\n",
-                encoding="utf-8",
-            )
+            path.write_text(_csv(("x", "estimate", "limit"), zip(xs.tolist(), est(xs).tolist(), F(xs).tolist())),
+                            encoding="utf-8")
         except OSError as e:
             _fail(4, "IOError", f"cannot write {path}: {e}")
         written.append(str(path))
@@ -322,20 +306,28 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
 
 
 def _cmd_reproduce_figures(args) -> None:
-    written = reproduce_figures(args.out_dir, args.seed)
-    json.dump(
-        {"schema": SCHEMA_VERSION, "command": "reproduce-figures", "seed": args.seed, "files": written, **_stream_meta()},
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    _emit(args, {"seed": args.seed, "files": reproduce_figures(args.out_dir, args.seed), **_stream_meta()})
 
 
 # ---------- parser wiring ----------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
+def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
+
+
+def _add_seed(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed in [0, 2**64 - 1] (default 0)")
+
+
+def _add_draw(p: argparse.ArgumentParser):
+    """The flags of one seeded draw, shared by estimate and simulate."""
+    p.add_argument("--generator", default="example", help='"example", "uniform", or "table:<path>"')
+    p.add_argument("--M", type=int, required=True, help="number of cells")
+    p.add_argument("--n", type=int, required=True, help="sample size")
+    p.add_argument("--m", type=int, default=None, help="group count dividing M (default M: natural estimator)")
+    p.add_argument("--poissonized", action="store_true", help="Poisson cell counts instead of multinomial")
+    _add_seed(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,29 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("estimate", help="draw one sample and emit its step-CDF estimate (CSV x,F)")
-    p.add_argument("--generator", default="example", help='"example", "uniform", or "table:<path>"')
-    p.add_argument("--M", type=int, required=True, help="number of cells")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", type=int, default=None, help="group count dividing M (default M: natural estimator)")
+    _add_draw(p)
     p.add_argument("--ordered", action="store_true", help="group after sorting cells by probability")
-    p.add_argument("--poissonized", action="store_true", help="Poisson cell counts instead of multinomial")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="replicated draws; long-format CSV (rep,x,estimate)")
-    p.add_argument("--generator", default="example")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    _add_draw(p)
     p.add_argument("--reps", type=int, default=100, help="number of replications (default 100)")
-    p.add_argument("--poissonized", action="store_true")
     p.add_argument("--x-grid", default="0.25,0.5,0.75,1.0,1.25,1.5,1.75", help="comma-separated x values")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("mse", help="bias/variance/MSE study from a JSON config")
+    p = sub.add_parser("mse", help="bias/variance/MSE study from a JSON config (its seed included)")
     p.add_argument("--config", required=True, help="JSON file with StudyConfig fields (snake_case)")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_mse)
 
     p = sub.add_parser("bounds", help="CSV table (m,n,Tn,bias_bound,mse_bound,m_n)")
@@ -374,25 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=2.0, help="density bound (default: example model, 2)")
     p.add_argument("--c", type=float, default=1.0 / 3.0, help="step-density L2 constant >= 0 (default: example model, 1/3)")
     p.add_argument("--lambda", dest="lam", type=float, default=3.0, help="n/M limit (default 3)")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("limit", help="Poisson-mixture limit CDF of the natural estimator (CSV x,mixture_cdf)")
     p.add_argument("--generator", default="example")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--x-grid", required=True, help="comma-separated x values")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("ingest", help="estimate from a text corpus (frequency-ordered grouping)")
     p.add_argument("--text", required=True, help="path to a UTF-8 text file")
     p.add_argument("--m", type=int, required=True, help="number of groups")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_ingest)
 
     p = sub.add_parser("reproduce-figures", help="emit the three step-plot CSVs (natural, m=40, m=10)")
     p.add_argument("--out-dir", default="figures", help="output directory (default ./figures)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.set_defaults(fn=_cmd_reproduce_figures)
     return parser
 
@@ -402,16 +386,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except SystemExit:
-        raise
-    except ValidationError as e:
-        _fail(2, "ValidationError", str(e))
     except NumericError as e:
         _fail(3, "NumericError", str(e))
-    except StructDistError as e:
+    except StructDistError as e:  # a ValidationError among them
         _fail(2, type(e).__name__, str(e))
     except OSError as e:
         _fail(4, "IOError", str(e))
+    except MemoryError as e:
+        _fail(2, "ValidationError", f"the sizes asked for do not fit in memory: {e}")
     return 0
 
 

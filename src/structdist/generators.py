@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import CellModel, _as_x, _block_sums, _float_or_array, check_group_count
+from .model import _MAX_SIZE, CellModel, _as_x, _block_sums, _float_or_array, check_group_count
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ def _grouped_cells(gen: SmoothGenerator, M: int, m: int) -> CellModel:
     """
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
+    if M > _MAX_SIZE:
+        raise ValidationError(f"M must be <= 2**59, got {M}")
     check_group_count(M, m)
     k = M // m
     step = max(1, _GRID_CHUNK // k)  # groups per chunk

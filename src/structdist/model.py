@@ -18,6 +18,10 @@ from .errors import ValidationError
 # sums that are exact to rounding, so this can be tight.
 PROB_TOL = 1e-12
 
+# The largest size a run accepts (M, or a study's reps * m values * x
+# values): numpy rejects 2**60 or more 8-byte elements with a bare ValueError.
+_MAX_SIZE = 2**59
+
 
 def _float_or_array(v):
     """A float for a 0-d result (a scalar came in), else the array."""
@@ -39,11 +43,12 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellModel:
     """A multinomial cell-probability vector p_1..p_M; the ground truth of every
     experiment. Grouping M cells into m blocks gives another CellModel, with
-    M = m and p the block sums q_1..q_m (see group_model)."""
+    M = m and p the block sums q_1..q_m (see group_model). Equal by value and,
+    like the array it holds, unhashable."""
 
     M: int
     p: np.ndarray
@@ -210,9 +215,10 @@ def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf) -> float:
     return float(max(np.abs(values - cdf(locations)).max(), np.abs(before - left).max()))
 
 
-def sup_distance(step: StepCdf, cdf) -> float:
-    """Exact sup |step(x) - F(x)| against any CDF F that takes arrays, a StepCdf too.
-    An estimate (a CountsVector) is read as its StepCdf `cdf`: its lattice
-    index maps the float just below a jump back onto the jump, so calling
-    it cannot give a left limit."""
+def sup_distance(step, cdf) -> float:
+    """Exact sup |step(x) - F(x)| for a StepCdf step against any CDF F that
+    takes arrays, a StepCdf too. An estimate (a CountsVector) on either side
+    is read as its StepCdf `cdf`: its lattice index maps the float just below
+    a jump back onto the jump, so calling it cannot give a left limit."""
+    step = getattr(step, "cdf", step)
     return _sup_to_function(step.locations, step._levels[1:], getattr(cdf, "cdf", cdf))

@@ -85,7 +85,7 @@ class RngStream:
         return Generator(PCG64(SeedSequence(entropy=[self.seed, self.stream_index])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsVector:
     """Realized cell (or group) counts with their sampling metadata:
     multinomial counts sum to the nominal sample size n; Poissonized counts
@@ -95,7 +95,8 @@ class CountsVector:
     count * (size / n), each count carrying mass 1/size. Called at x it
     gives the share of counts <= lattice_floor(x n / size), by the exact
     lattice index; cdf is the same step function as a StepCdf, with jumps
-    at the float values count * (size / n).
+    at the float values count * (size / n). Equal by value and, like the
+    array it holds, unhashable.
     """
 
     kind: str

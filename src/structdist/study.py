@@ -43,8 +43,8 @@ from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
 from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
-from .model import (CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums, _sup_to_function,
-                    check_group_count, nearest_divisor)
+from .model import (_MAX_SIZE, CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums,
+                    _sup_to_function, check_group_count, nearest_divisor)
 from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
 
 
@@ -88,6 +88,8 @@ class StudyConfig:
         object.__setattr__(self, "x_grid", tuple(float(x) for x in x_grid))
         if self.M < 1:
             raise ValidationError(f"M must be a positive integer, got {self.M}")
+        if self.M > _MAX_SIZE:
+            raise ValidationError(f"M must be <= 2**59, got {self.M}")
         if self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n}")
         if self.reps < 1:
@@ -100,6 +102,8 @@ class StudyConfig:
             raise ValidationError("x_grid must be nonempty")
         if any(b < a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ValidationError("x_grid must be sorted ascending")
+        if self.reps * len(self.m_values) * len(self.x_grid) > _MAX_SIZE:
+            raise ValidationError(f"reps * len(m_values) * len(x_grid) must be <= 2**59, got reps={self.reps}")
 
 
 @dataclass(frozen=True)

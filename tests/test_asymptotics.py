@@ -434,6 +434,16 @@ def test_failed_mixture_quadrature_is_a_numeric_error():
         poisson_mixture_cdf(1.0, EXAMPLE, 1e308)
 
 
+def test_exact_mixture_sum_that_is_nan_is_a_numeric_error(concave):
+    # at lambda = 1e308 scipy's pdtr is NaN for K and mu near the float
+    # maximum, which the clamp to [0, 1] used to write as 0.0; a slope > 1
+    # overflowed lambda * slope with a RuntimeWarning
+    with pytest.raises(NumericError, match="is not a number at lambda=1e"):
+        poisson_mixture_cdf(0.5, concave, 1e308)
+    # an infinite mean puts no mass at any finite K, without a warning
+    assert poisson_mixture_cdf(np.array([-1.0, 1e-300, np.inf]), concave, 1e308).tolist() == [0.0, 0.0, 1.0]
+
+
 def test_bounds_reject_bad_group_counts_and_cutoffs():
     with pytest.raises(ValidationError, match="m must be >= 1, got 0"):
         mse_bound(np.array([3, 0, 5]), 1000, PARAMS)

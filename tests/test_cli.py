@@ -1,12 +1,15 @@
 """Command-line front end: output contracts, exit codes, error JSON."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 from structdist import (
     POISSONIZED,
@@ -592,6 +595,35 @@ def test_reproduce_figures_is_seed_deterministic(tmp_path, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("command", ["mse", "bounds", "limit", "ingest"])
+def test_seed_is_refused_where_nothing_reads_it(command, tmp_path, capsys):
+    """These used to accept --seed and ignore it; mse runs its config's seed."""
+    with pytest.raises(SystemExit) as exc:
+        main(strict_json_argv(command, tmp_path) + ["--seed", "1"])
+    out, err = capsys.readouterr()
+    error = strict_json(err)["error"]
+    assert exc.value.code == error["exit_code"] == 2 and error["type"] == "ConfigError" and out == ""
+    assert "--seed" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "mse", "bounds", "limit", "ingest"])
+def test_documents_and_sidecars_open_with_schema_then_command(command, tmp_path, capsys):
+    argv = strict_json_argv(command, tmp_path)
+    texts = [run_cli(argv + ["--format", "json"], capsys)[1], run_cli(argv, capsys)[2]]
+    run_cli(argv + ["--out", str(tmp_path / "t.csv")], capsys)
+    run_cli(argv + ["--out", str(tmp_path / "t.json"), "--format", "json"], capsys)
+    texts += [(tmp_path / "t.csv.json").read_text(), (tmp_path / "t.json").read_text()]
+    for text in texts:
+        doc = strict_json(text)
+        assert list(doc)[:2] == ["schema", "command"] and (doc["schema"], doc["command"]) == (1, command)
+
+
+def test_reproduce_figures_summary_opens_with_schema_then_command(tmp_path, capsys):
+    _, out, _ = run_cli(["reproduce-figures", "--out-dir", str(tmp_path), "--seed", "1"], capsys)
+    doc = strict_json(out)
+    assert list(doc)[:3] == ["schema", "command", "seed"] and (doc["schema"], doc["command"]) == (1, "reproduce-figures")
+
+
 # sha256 of the CSVs written under stream version 3; a single draw is row 0
 # of a one-row slab from the seed's stream 0, so versions 4 and 5 write the
 # same bytes
@@ -687,6 +719,11 @@ CLI_EDGES = [
     (["ingest", "--text", "CORPUS", "--m", "0"], 2),
     (["bounds", "--n", "0", "--m-values", "3"], 2),
     (["limit", "--lambda", "0", "--x-grid", "1"], 2),
+    # sizes no numpy array can hold, and sizes that do not fit in memory
+    (["estimate", "--M", str(2**64), "--n", "8", "--m", "3"], 2),
+    (["simulate", "--M", "4", "--n", "8", "--reps", str(2**64)], 2),
+    (["estimate", "--M", str(2**58), "--n", "8", "--m", "1"], 2),
+    (["simulate", "--M", "4", "--n", "8", "--reps", str(2**56)], 2),
 ]
 
 
@@ -740,3 +777,111 @@ def test_unknown_flag_is_config_error(capsys):
 def test_unknown_subcommand(capsys):
     code, error, _ = fail_cli(["transmogrify"], capsys)
     assert code == 2
+
+
+# ---------- argv fuzzing ----------
+
+# The values the fuzz gives each flag: small valid ones, and names that
+# fuzz_files resolves to a valid, a malformed and a missing table, corpus
+# and config, and to output paths that can and cannot be written. A switch
+# takes no value.
+FUZZ_VALUES = {
+    "--generator": ["example", "uniform", "TABLE", "BAD_TABLE", "NO_TABLE"],
+    "--M": ["1", "4", "12", "40", "1000"],
+    "--n": ["1", "8", "36", "3000", "10000", str(2**62)],
+    "--m": ["1", "2", "3", "4", "40"],
+    "--reps": ["1", "2", "3"],
+    "--x-grid": ["0.5", "0.25,1.0,1.75", "-inf,0.5,inf", "1e308"],
+    "--lambda": ["0.5", "3", "1e308"],
+    "--m-values": ["1", "2,50", "3,40"],
+    "--tau": ["2", "0.5", "1e80"],
+    "--c": ["0", "0.3333333333333333"],
+    "--config": ["CONFIG", "BAD_CONFIG", "NO_CONFIG"],
+    "--text": ["CORPUS", "BAD_CORPUS", "NO_CORPUS"],
+    "--seed": ["0", "7", str(2**64 - 1)],
+    "--format": ["csv", "json"],
+    "--out": ["OUT", "UNDER_FILE"],
+    "--out-dir": ["DIR", "UNDER_FILE"],
+    "--poissonized": [],
+    "--ordered": [],
+}
+# Each subcommand's flags other than its output path, the required ones first.
+FUZZ_FLAGS = {
+    "estimate": (["--M", "--n"], ["--generator", "--m", "--poissonized", "--ordered", "--seed", "--format"]),
+    "simulate": (["--M", "--n"], ["--generator", "--m", "--poissonized", "--reps", "--x-grid", "--seed", "--format"]),
+    "mse": (["--config"], ["--format"]),
+    "bounds": (["--n", "--m-values"], ["--tau", "--c", "--lambda", "--format"]),
+    "limit": (["--lambda", "--x-grid"], ["--generator", "--format"]),
+    "ingest": (["--text", "--m"], ["--format"]),
+    "reproduce-figures": ([], ["--seed"]),
+}
+FUZZ_SENTINELS = ["0", "-1", "nan", "inf", str(2**64), "not-a-number"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "table.csv").write_text("0,0\n0.25,0.125\n0.5,0.625\n0.75,0.75\n1,1\n")
+    (d / "bad_table.csv").write_text(NAN_TABLE)
+    (d / "corpus.txt").write_text("the cat sat on the mat the end and the dog ran")
+    (d / "bad_corpus.txt").write_bytes(b"the cat \xff\xfe sat")
+    (d / "config.json").write_text(json.dumps(
+        {"schema": 1, "generator": "example", "M": 12, "n": 36, "m_values": [2, 3, 4], "x_grid": [0.5, 1.0], "reps": 3,
+         "seed": 7}
+    ))
+    (d / "bad_config.json").write_text('{"M": 12, "n": ')
+    return {
+        "TABLE": f"table:{d / 'table.csv'}", "BAD_TABLE": f"table:{d / 'bad_table.csv'}",
+        "NO_TABLE": f"table:{d / 'absent.csv'}", "CORPUS": str(d / "corpus.txt"),
+        "BAD_CORPUS": str(d / "bad_corpus.txt"), "NO_CORPUS": str(d / "absent.txt"),
+        "CONFIG": str(d / "config.json"), "BAD_CONFIG": str(d / "bad_config.json"),
+        "NO_CONFIG": str(d / "absent.json"), "OUT": str(d / "out.csv"), "DIR": str(d / "figures"),
+        "UNDER_FILE": str(d / "corpus.txt" / "o.csv"),
+    }
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand with its required flags and some optional ones, each
+    with a valid value, then up to two faults: an invalid sentinel for one
+    value, a dropped flag, --seed (which only estimate, simulate and
+    reproduce-figures take) or an unknown flag. The output path is drawn
+    apart from the faults, so nothing is written to the working directory."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    required, optional = FUZZ_FLAGS[command]
+    args = [[flag, *([draw(st.sampled_from(FUZZ_VALUES[flag]))] if FUZZ_VALUES[flag] else [])]
+            for flag in required + [f for f in optional if draw(st.booleans())]]
+    for fault in draw(st.lists(st.sampled_from(["sentinel", "drop", "seed", "unknown"]), max_size=2)):
+        if fault == "seed":
+            args.append(["--seed", draw(st.sampled_from(FUZZ_VALUES["--seed"]))])
+        elif fault == "unknown":
+            args.append(["--fast"])
+        elif args:
+            k = draw(st.integers(0, len(args) - 1))
+            if fault == "drop":
+                del args[k]
+            else:
+                args[k][1:] = [draw(st.sampled_from(FUZZ_SENTINELS))]
+    out = "--out-dir" if command == "reproduce-figures" else "--out"
+    if out == "--out-dir" or draw(st.booleans()):
+        args.append([out, draw(st.sampled_from(FUZZ_VALUES[out]))])
+    return [command] + [a for arg in args for a in arg]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exits_0_or_with_one_strict_json_error(argv, fuzz_files):
+    """Any argv runs (exit 0) or exits 2, 3 or 4 with one strict JSON error
+    line on stderr whose exit_code is the exit code; never a traceback."""
+    argv = [fuzz_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        return
+    assert code in (2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and strict_json(lines[0])["error"]["exit_code"] == code

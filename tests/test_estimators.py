@@ -22,6 +22,7 @@ from structdist import (
     example_generator,
     grouped_estimator,
     lattice_floor,
+    limit_sdf,
     natural_estimator,
     poisson_mixture_cdf,
     sup_distance,
@@ -184,11 +185,15 @@ def test_estimator_outputs_compare_by_value():
 def test_sup_distance_reads_an_estimate_as_its_step_cdf():
     # the lattice index maps the float just below a jump onto the jump, so a
     # called estimate cannot give its left limits; sup_distance reads est.cdf
+    # on either side (on the left it used to raise AttributeError)
     vec = draw_multinomial(cells_from_generator(example_generator(), 1000), 3000, RngStream(1).generator())
     est = grouped_estimator(vec, 40)
-    assert sup_distance(est.cdf, est) == sup_distance(est.cdf, est.cdf) == 0.0
+    assert sup_distance(est.cdf, est) == sup_distance(est.cdf, est.cdf) == sup_distance(est, est) == 0.0
     for step in (natural_estimator(vec).cdf, grouped_estimator(vec, 10).cdf, StepCdf([0.5, 1.5], [0.5, 0.5])):
         assert sup_distance(step, est) == sup_distance(step, est.cdf) > 0
+    F = limit_sdf(example_generator())
+    for e in (natural_estimator(vec), est):
+        assert sup_distance(e, F) == sup_distance(e.cdf, F) > 0
 
 
 @settings(max_examples=200, deadline=None)

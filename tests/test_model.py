@@ -94,6 +94,19 @@ def test_equality_and_hash_by_value():
 
 
 @pytest.mark.parametrize(
+    "value",
+    [CellModel(2, [0.25, 0.75]), CountsVector(POISSONIZED, [1, 2], 3)],
+    ids=["CellModel", "CountsVector"],
+)
+def test_value_types_holding_an_array_are_unhashable(value):
+    # both compare by value; a dataclass field-tuple hash used to reach the
+    # array and fail with "unhashable type: 'numpy.ndarray'"
+    assert type(value).__hash__ is None
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+        hash(value)
+
+
+@pytest.mark.parametrize(
     "locations, masses",
     [
         ([], []),                          # no jumps
