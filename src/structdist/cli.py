@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,12 +62,12 @@ def _parse_list(text: str, kind: type = float) -> tuple:
     and an empty list or a NaN is a ValidationError."""
     noun = "reals" if kind is float else "integers"
     try:
-        vals = tuple(kind(v) for v in text.split(",") if v.strip() != "")
+        vals = tuple(map(kind, filter(str.strip, text.split(","))))
     except ValueError as e:
         raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from e
     if not vals:
         raise ValidationError(f"empty list of {noun}")
-    if any(v != v for v in vals):
+    if kind is float and any(map(math.isnan, vals)):
         raise ValidationError(f"NaN is not a valid x value in {text!r}")
     return vals
 
@@ -99,16 +100,17 @@ def _csv(columns: Sequence[str], rows) -> str:
 
 def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
     """Write a command's output, its metadata opened with schema and command.
-    json: one document with the metadata and rows embedded, written
-    compactly so the C encoder runs. csv: rows to --out or stdout, metadata
-    as an indented sidecar (<out>.json, or stderr for stdout). With no rows
-    (the reproduce-figures summary) the metadata alone goes to stdout."""
+    json: one document with the metadata and the rows (lists or tuples, both
+    written as arrays) embedded as given, written compactly so the C encoder
+    runs. csv: rows to --out or stdout, metadata as an indented sidecar
+    (<out>.json, or stderr for stdout). With no rows (the reproduce-figures
+    summary) the metadata alone goes to stdout."""
     meta = {"schema": SCHEMA_VERSION, "command": args.command, **meta}
     if rows is None:
         sys.stdout.write(_dumps(meta) + "\n")
         return
     if args.format == "json":
-        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]}) + "\n", ""
+        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": rows}) + "\n", ""
     else:
         text, sidecar = _csv(columns, rows), _dumps(meta, indent=2) + "\n"
     if args.out is None:
@@ -236,7 +238,7 @@ def _cmd_bounds(args) -> None:
     T = optimal_T(ms, args.n, params)
     bias = esseen_bias_bound(ms, args.n, T, params)
     mse = mse_bound(ms, args.n, params)
-    rows = [(m, args.n, t, b, e, ref.m_n) for m, t, b, e in zip(ms, T.tolist(), bias.tolist(), mse.tolist())]
+    rows = list(zip(ms, repeat(args.n), T.tolist(), bias.tolist(), mse.tolist(), repeat(ref.m_n)))
     meta = {
         "n": args.n,
         "tau": args.tau,

@@ -21,6 +21,10 @@ from .estimators import check_regime, grouped_estimator
 from .sampling import MULTINOMIAL, CountsVector
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excluded
+# On ASCII text [^\W_] is [a-zA-Z0-9]. Every other ASCII code point, among
+# them each one str.split() splits on, becomes a space, so split() then
+# gives the same tokens as _WORD.findall.
+_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class Corpus:
         counts = np.fromiter(occurrences.values(), dtype=np.int64, count=len(occurrences))
         counts.setflags(write=False)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "vocab", {w: i for i, w in enumerate(occurrences)})
+        object.__setattr__(self, "vocab", dict(zip(occurrences, range(len(occurrences)))))
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -54,7 +58,9 @@ class Corpus:
 
 def tokenize(data: bytes | str) -> Corpus:
     """Fold to lower case and split on non-alphanumeric runs; vocabulary
-    indices are assigned in order of first occurrence.
+    indices are assigned in order of first occurrence. ASCII text (after
+    lower(): U+212A KELVIN SIGN folds to "k") is split by one table
+    translation; other text by the regex. Both give the same tokens.
 
     Bytes input must be valid UTF-8 (rejected with the offending byte
     offset); text with no alphanumeric content is rejected as empty.
@@ -66,7 +72,8 @@ def tokenize(data: bytes | str) -> Corpus:
             raise ValidationError(f"invalid UTF-8 at byte offset {e.start}") from e
     else:
         text = data
-    tokens = _WORD.findall(text.lower())
+    text = text.lower()
+    tokens = text.translate(_ASCII_SEPARATORS).split() if text.isascii() else _WORD.findall(text)
     if not tokens:
         raise ValidationError("empty corpus: no alphanumeric tokens found")
     return Corpus(tuple(tokens))

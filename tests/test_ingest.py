@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structdist import (
     Corpus,
@@ -15,6 +16,14 @@ from structdist import (
     sup_distance,
     tokenize,
 )
+from structdist.ingest import _WORD
+
+# Every ASCII code point, then the characters where the table split and the
+# regex could part: "_" (a \w that is no token character), the separators
+# \x1c-\x1f and \x85 that str.split() splits on, KELVIN SIGN (lowercases to
+# ASCII "k"), dotted capital I (lowercases to two code points), sharp s,
+# digits that are not ASCII, an em dash and an ideographic space.
+_TEXT_ALPHABET = "".join(map(chr, range(128))) + "_\x1c\x1d\x1e\x1f\u212aİß½²—\u3000\x85"
 
 
 # ---------- tokenization ----------
@@ -37,6 +46,34 @@ def test_tokenize_lowercases_and_strips_punctuation():
 def test_tokenize_unicode_words():
     corpus = tokenize("café naïve café")
     assert corpus.M == 2 and corpus.n == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_TEXT_ALPHABET, max_size=60))
+def test_table_split_gives_the_regex_tokens(text):
+    expected = tuple(_WORD.findall(text.lower()))
+    if not expected:
+        with pytest.raises(ValidationError, match="empty corpus"):
+            tokenize(text)
+    else:
+        assert tokenize(text).tokens == expected
+
+
+def test_kelvin_sign_lowercases_to_an_ascii_token():
+    assert tokenize("\u212a").tokens == ("k",)
+    assert tokenize("\u212a k K").M == 1
+
+
+def test_ascii_zipf_corpus_splits_like_the_regex():
+    rng = np.random.default_rng(5)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz0123456789_"), rng.integers(1, 9))) for _ in range(500)]
+    seps = [" ", "\n", ", ", "; ", "-", "\t", "!! ", "\x1f"]
+    words = rng.zipf(1.2, 20000) % len(vocab)
+    text = "".join(vocab[w] + seps[i % len(seps)] for i, w in enumerate(words)).upper()
+    assert text.isascii()
+    corpus = tokenize(text)
+    assert corpus.tokens == tuple(_WORD.findall(text.lower()))
+    assert corpus == tokenize(text.encode())
 
 
 def test_tokenize_accepts_bytes():

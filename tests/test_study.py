@@ -18,6 +18,7 @@ from structdist import (
     SmoothGenerator,
     StudyConfig,
     ValidationError,
+    by_name,
     cells_from_generator,
     consistency_trend,
     decomposition_residual,
@@ -40,9 +41,10 @@ from structdist import (
     variance_audit,
 )
 from structdist.asymptotics import _lattice_index
-from structdist.model import _estimate
+from structdist.estimators import _jumps
+from structdist.model import _estimate, _sup_to_function
 from structdist.sampling import MAX_N, STREAM_VERSION
-from structdist.study import _natural_gap
+from structdist.study import _natural_gap, _sup_to_limit
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
@@ -70,11 +72,22 @@ def test_divisor_helpers():
     assert nearest_divisor(1000, 30) == 25
     assert nearest_divisor(16, 3) == 2  # tie between 2 and 4 goes to the smaller
     assert nearest_divisor(1000, 40) == 40
+    assert nearest_divisor(12, 100) == 12 and nearest_divisor(12, -5) == 1
+    # 99991 is prime: no divisor within isqrt(M) steps of m, so the scan falls back
+    assert nearest_divisor(99991, 50000) == 99991
+    assert nearest_divisor(99991, 49996) == 1  # a tie at distance 49995
+    assert nearest_divisor(10**16 + 61, 3) == 1  # three steps, not 10**8
     for M in (0, -3):
         with pytest.raises(ValidationError, match="positive"):
             divisors_of(M)
         with pytest.raises(ValidationError, match="positive"):
             nearest_divisor(M, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.integers(1, 10**5), m=st.integers(1, 2 * 10**5))
+def test_nearest_divisor_is_the_nearest_of_all_divisors(M, m):
+    assert nearest_divisor(M, m) == min(divisors_of(M), key=lambda d: (abs(d - m), d))
 
 
 def test_config_normalizes_sequences():
@@ -505,6 +518,18 @@ def test_consistency_trend_replays_group_draws(poissonized):
         est = grouped_estimator(draw(groups, n, rng), m)
         ref.append(sup_distance(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6), size=st.integers(1, 12), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       generator=st.sampled_from(["example", "uniform"]))
+def test_slab_sup_equals_the_row_by_row_sup(rows, size, n, seed, generator):
+    """consistency_trend's one pass over a slab gives, bit for bit, the sup
+    that _sup_to_function reads on each row's jumps; small counts repeat
+    within a row, and the uniform limit jumps at 1, so left limits count."""
+    counts = np.random.default_rng(seed).integers(0, 3 * n // size + 2, (rows, size))
+    F = limit_sdf(by_name(generator))
+    assert _sup_to_limit(counts, n, F).tolist() == [_sup_to_function(*_jumps(row, n), F) for row in counts]
 
 
 @pytest.mark.parametrize("reps", [0, -2])
