@@ -100,17 +100,16 @@ def _csv(columns: Sequence[str], rows) -> str:
 
 def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
     """Write a command's output, its metadata opened with schema and command.
-    json: one document with the metadata and the rows (lists or tuples, both
-    written as arrays) embedded as given, written compactly so the C encoder
-    runs. csv: rows to --out or stdout, metadata as an indented sidecar
-    (<out>.json, or stderr for stdout). With no rows (the reproduce-figures
-    summary) the metadata alone goes to stdout."""
+    json: one document with the metadata and rows embedded, written
+    compactly so the C encoder runs. csv: rows to --out or stdout, metadata
+    as an indented sidecar (<out>.json, or stderr for stdout). With no rows
+    (the reproduce-figures summary) the metadata alone goes to stdout."""
     meta = {"schema": SCHEMA_VERSION, "command": args.command, **meta}
     if rows is None:
         sys.stdout.write(_dumps(meta) + "\n")
         return
     if args.format == "json":
-        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": rows}) + "\n", ""
+        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]}) + "\n", ""
     else:
         text, sidecar = _csv(columns, rows), _dumps(meta, indent=2) + "\n"
     if args.out is None:

@@ -9,8 +9,7 @@ of the m group counts, which are multinomial (Poisson) counts of the
 grouped model. At x it is the share of counts <= K = lattice_floor(x n /
 size), by `asymptotics._lattice_index` and `model._estimate`, the one index
 and share of every estimate, study and the Poisson-mixture limit.
-`_jumps` (the one jump table) serves the CLI; the consistency trend reads
-a slab's jumps by the same rule (`study._sup_to_limit`). Groups are
+`_jumps` (the one jump table) serves the studies and the CLI. Groups are
 blocks of the counts in the order given (sort them first to order by
 probability).
 """

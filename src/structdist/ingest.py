@@ -20,11 +20,13 @@ from .errors import ValidationError
 from .estimators import check_regime, grouped_estimator
 from .sampling import MULTINOMIAL, CountsVector
 
-_WORD = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, underscore excluded
-# On ASCII text [^\W_] is [a-zA-Z0-9]. Every other ASCII code point, among
-# them each one str.split() splits on, becomes a space, so split() then
-# gives the same tokens as _WORD.findall.
-_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
+# A token is a run of alphanumeric code points (str.isalnum()); every other
+# code point separates tokens. The ASCII separators become spaces through one
+# byte table on the UTF-8 text (bytes >= 0x80 pass through, so it stays valid
+# UTF-8); the few non-ASCII separators that are not whitespace then become
+# spaces by one regex pass, and str.split() splits on all whitespace.
+_ASCII_SEPARATORS = bytes(c if c >= 128 or chr(c).isalnum() else 32 for c in range(256))
+_OTHER_SEPARATOR = re.compile(r"[^\x00-\x7f\w\s]")
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,9 @@ class Corpus:
 
 
 def tokenize(data: bytes | str) -> Corpus:
-    """Fold to lower case and split on non-alphanumeric runs; vocabulary
-    indices are assigned in order of first occurrence. ASCII text (after
-    lower(): U+212A KELVIN SIGN folds to "k") is split by one table
-    translation; other text by the regex. Both give the same tokens.
+    """Fold to lower case and split on runs of non-alphanumeric code points
+    (the tokens of the regex [^\\W_]+ on the lowered text); vocabulary
+    indices are assigned in order of first occurrence.
 
     Bytes input must be valid UTF-8 (rejected with the offending byte
     offset); text with no alphanumeric content is rejected as empty.
@@ -72,8 +73,9 @@ def tokenize(data: bytes | str) -> Corpus:
             raise ValidationError(f"invalid UTF-8 at byte offset {e.start}") from e
     else:
         text = data
-    text = text.lower()
-    tokens = text.translate(_ASCII_SEPARATORS).split() if text.isascii() else _WORD.findall(text)
+    # surrogatepass: str input may hold lone surrogates, which are separators
+    text = text.lower().encode("utf-8", "surrogatepass").translate(_ASCII_SEPARATORS).decode("utf-8", "surrogatepass")
+    tokens = _OTHER_SEPARATOR.sub(" ", text).split()
     if not tokens:
         raise ValidationError("empty corpus: no alphanumeric tokens found")
     return Corpus(tuple(tokens))

@@ -156,12 +156,14 @@ def divisors_of(M: int) -> list[int]:
 
 def nearest_divisor(M: int, m: int) -> int:
     """The divisor of M >= 1 closest to m (ties go to the smaller divisor).
-    Scans outward from m, m - r before m + r, so a divisor at distance r
-    costs O(r); only after isqrt(M) steps does it list every divisor."""
+    Scans outward from m, m - r before m + r, for at most isqrt(M) // 32
+    steps, so a divisor at distance r costs O(r); past that budget it lists
+    every divisor, and the scan adds about a tenth to that O(sqrt(M)) cost."""
     if M >= 1:
         m = min(max(m, 1), M)  # M is nearest to any m >= M, 1 to any m <= 1
-        # the downward range ends at 1, which divides M
-        for lo, hi in zip(range(m, 0, -1), range(m, m + math.isqrt(M) + 1)):
+        # with m within the budget the downward range reaches 1, which divides M
+        steps = min(m, math.isqrt(M) // 32)
+        for lo, hi in zip(range(m, m - steps, -1), range(m, m + steps)):
             if M % lo == 0:
                 return lo
             if M % hi == 0:

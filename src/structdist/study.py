@@ -18,10 +18,10 @@ over a grouped model (a `CellModel` of equal blocks), row-wise group counts
 for each group count m, then the estimate at x as the share of group counts
 <= K = lattice_floor(x n / m), from `asymptotics._lattice_index` and
 `model._estimate` as a `CountsVector` computes it; `consistency_trend`
-reads the jumps of every row of a slab at once (`_sup_to_limit`). Block
-sums of multinomial (independent Poisson) counts are multinomial
-(Poisson), so `run_mse_study` draws at L = lcm(m_values) blocks and
-`consistency_trend` at its m groups with every law kept. Both take that model from the generator a chunk of the
+reads each draw's jumps from `estimators._jumps`. Block sums of multinomial
+(independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
+draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
+with every law kept. Both take that model from the generator a chunk of the
 grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
 runs with m = M), so neither holds all M cells at once unless one group has
 more than 2^14 of them. `run_mse_study` then groups each slab once per m by
@@ -41,9 +41,10 @@ import numpy as np
 
 from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
+from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (_MAX_SIZE, CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums,
-                    check_group_count, nearest_divisor)
+                    _sup_to_function, check_group_count, nearest_divisor)
 from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
 
 
@@ -215,27 +216,6 @@ def _natural_gap(nu: np.ndarray, rho: np.ndarray):
     gaps = np.zeros(nu.size // width, dtype=np.int64)
     np.maximum.at(gaps, row[last], running[last])
     return gaps.reshape(nu.shape[:-1])
-
-
-def _sup_to_limit(counts: np.ndarray, n: int, cdf) -> np.ndarray:
-    """The exact sup distance between the estimate of each row of `counts`
-    (a sample of size n) and a CDF that takes arrays, read as
-    `model._sup_to_function` reads it on the row's `estimators._jumps`: at
-    each distinct count v of a row, at v * (size / n), the share of its
-    counts <= v against F there, and the share < v against F at the float
-    just below. In a sorted row those shares are the indices of v's last
-    and first entries, over size. One sort and two cdf calls serve the
-    slab; the maxima are taken per row, so each equals the row-by-row value."""
-    rows, size = counts.shape
-    s = np.sort(counts, axis=-1)
-    step = s[:, 1:] != s[:, :-1]
-    edge = np.ones((rows, 1), dtype=bool)
-    row, last = np.nonzero(np.concatenate((step, edge), axis=1))
-    first = np.nonzero(np.concatenate((edge, step), axis=1))[1]
-    locs = s[row, last] * (size / n)
-    right = np.abs((last + 1) / size - cdf(locs))
-    left = np.abs(first / size - cdf(np.nextafter(locs, -np.inf)))
-    return np.maximum.reduceat(np.maximum(right, left), np.searchsorted(row, np.arange(rows)))
 
 
 # ---------- core study ----------
@@ -468,9 +448,8 @@ def consistency_trend(
     """Mean over replications of the exact sup distance between the grouped
     estimator and the limiting CDF, for each (M, n, m) rung. Each replication
     draws the m group counts directly, from the grouped probabilities; the
-    estimate steps only at its distinct counts (`_sup_to_limit`), and the
-    sups are summed in replication order. Every rung's m must divide its M,
-    and reps must be >= 1."""
+    estimate steps only at its distinct counts (`estimators._jumps`).
+    Every rung's m must divide its M, and reps must be >= 1."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     for M, _, m in ladder:
@@ -483,7 +462,7 @@ def consistency_trend(
         groups = _grouped_cells(gen, M, m)
         total = 0
         for _, (counts,) in _slabs(kind, groups, n, seed, reps, m, rung_idx):
-            for sup in _sup_to_limit(counts, n, F).tolist():
-                total += sup
+            for row in counts:
+                total += _sup_to_function(*_jumps(row, n), F)
         out.append(total / reps)
     return tuple(out)

@@ -1,5 +1,7 @@
 """Corpus tokenization and the exploratory word-frequency estimator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +18,16 @@ from structdist import (
     sup_distance,
     tokenize,
 )
-from structdist.ingest import _WORD
+_WORD = re.compile(r"[^\W_]+")  # the reference tokens: alphanumeric runs, underscore excluded
 
-# Every ASCII code point, then the characters where the table split and the
-# regex could part: "_" (a \w that is no token character), the separators
-# \x1c-\x1f and \x85 that str.split() splits on, KELVIN SIGN (lowercases to
-# ASCII "k"), dotted capital I (lowercases to two code points), sharp s,
-# digits that are not ASCII, an em dash and an ideographic space.
-_TEXT_ALPHABET = "".join(map(chr, range(128))) + "_\x1c\x1d\x1e\x1f\u212aİß½²—\u3000\x85"
-
+# Every ASCII code point, then code points where the byte table, the
+# non-ASCII separator regex and str.split() could part from the reference:
+# "_" (a \w that is no token character), the separators \x1c-\x1f and \x85
+# that str.split() splits on, KELVIN SIGN (lowercases to ASCII "k"), dotted
+# capital I (lowercases to two code points), sharp s, an accented letter,
+# digits that are not ASCII, a right single quote, an em dash, an
+# ideographic space and a lone surrogate.
+_TEXT_ALPHABET = "".join(map(chr, range(128))) + "_\x1c\x1d\x1e\x1f\u212aİßé½²\u2019\u2014\u3000\x85\ud800"
 
 # ---------- tokenization ----------
 
@@ -49,8 +52,8 @@ def test_tokenize_unicode_words():
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet=_TEXT_ALPHABET, max_size=60))
-def test_table_split_gives_the_regex_tokens(text):
+@given(text=st.text(alphabet=st.sampled_from(_TEXT_ALPHABET), max_size=60))
+def test_tokenize_gives_the_regex_tokens(text):
     expected = tuple(_WORD.findall(text.lower()))
     if not expected:
         with pytest.raises(ValidationError, match="empty corpus"):
@@ -59,18 +62,25 @@ def test_table_split_gives_the_regex_tokens(text):
         assert tokenize(text).tokens == expected
 
 
+def test_every_code_point_splits_like_the_regex():
+    text = "a".join(map(chr, range(0x110000)))  # each code point between two token characters
+    assert tokenize(text).tokens == tuple(_WORD.findall(text.lower()))
+
+
 def test_kelvin_sign_lowercases_to_an_ascii_token():
     assert tokenize("\u212a").tokens == ("k",)
     assert tokenize("\u212a k K").M == 1
 
 
-def test_ascii_zipf_corpus_splits_like_the_regex():
+@pytest.mark.parametrize("letters, seps", [
+    ("abcdefghijklmnopqrstuvwxyz0123456789_", [" ", "\n", ", ", "; ", "-", "\t", "!! ", "\x1f"]),
+    ("abcdeéèàüßİ\u212a½", [" ", "\n", "\u2019", " \u2014 ", "\u3000", "\x85", ", "]),
+], ids=["ascii", "non-ascii"])
+def test_zipf_corpus_splits_like_the_regex(letters, seps):
     rng = np.random.default_rng(5)
-    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz0123456789_"), rng.integers(1, 9))) for _ in range(500)]
-    seps = [" ", "\n", ", ", "; ", "-", "\t", "!! ", "\x1f"]
+    vocab = ["".join(rng.choice(list(letters), rng.integers(1, 9))) for _ in range(500)]
     words = rng.zipf(1.2, 20000) % len(vocab)
     text = "".join(vocab[w] + seps[i % len(seps)] for i, w in enumerate(words)).upper()
-    assert text.isascii()
     corpus = tokenize(text)
     assert corpus.tokens == tuple(_WORD.findall(text.lower()))
     assert corpus == tokenize(text.encode())

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, poisson
 
 import structdist.study as study
+import structdist.model as model
 from structdist import (
     NumericError,
     RngStream,
     SmoothGenerator,
     StudyConfig,
     ValidationError,
-    by_name,
     cells_from_generator,
     consistency_trend,
     decomposition_residual,
@@ -41,10 +41,9 @@ from structdist import (
     variance_audit,
 )
 from structdist.asymptotics import _lattice_index
-from structdist.estimators import _jumps
-from structdist.model import _estimate, _sup_to_function
+from structdist.model import _estimate
 from structdist.sampling import MAX_N, STREAM_VERSION
-from structdist.study import _natural_gap, _sup_to_limit
+from structdist.study import _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
 
@@ -73,7 +72,7 @@ def test_divisor_helpers():
     assert nearest_divisor(16, 3) == 2  # tie between 2 and 4 goes to the smaller
     assert nearest_divisor(1000, 40) == 40
     assert nearest_divisor(12, 100) == 12 and nearest_divisor(12, -5) == 1
-    # 99991 is prime: no divisor within isqrt(M) steps of m, so the scan falls back
+    # 99991 is prime: no divisor within the scan's budget of m, so it falls back
     assert nearest_divisor(99991, 50000) == 99991
     assert nearest_divisor(99991, 49996) == 1  # a tie at distance 49995
     assert nearest_divisor(10**16 + 61, 3) == 1  # three steps, not 10**8
@@ -82,6 +81,16 @@ def test_divisor_helpers():
             divisors_of(M)
         with pytest.raises(ValidationError, match="positive"):
             nearest_divisor(M, 5)
+
+
+@pytest.mark.parametrize("m, lists_divisors", [(9, False), (10, True)])
+def test_nearest_divisor_scans_isqrt_over_32_steps(monkeypatch, m, lists_divisors):
+    """M = 99991 is prime and isqrt(M) // 32 = 9: from m = 9 the scan
+    reaches 1 within its budget; from m = 10 it stops at 2 and lists the divisors."""
+    listed = []
+    monkeypatch.setattr(model, "divisors_of", lambda M: listed.append(M) or [1, M])
+    assert nearest_divisor(99991, m) == 1
+    assert listed == ([99991] if lists_divisors else [])
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,18 +527,6 @@ def test_consistency_trend_replays_group_draws(poissonized):
         est = grouped_estimator(draw(groups, n, rng), m)
         ref.append(sup_distance(est.cdf, F))
     assert abs(trend[1] - sum(ref) / reps) <= 1e-15
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.integers(1, 6), size=st.integers(1, 12), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       generator=st.sampled_from(["example", "uniform"]))
-def test_slab_sup_equals_the_row_by_row_sup(rows, size, n, seed, generator):
-    """consistency_trend's one pass over a slab gives, bit for bit, the sup
-    that _sup_to_function reads on each row's jumps; small counts repeat
-    within a row, and the uniform limit jumps at 1, so left limits count."""
-    counts = np.random.default_rng(seed).integers(0, 3 * n // size + 2, (rows, size))
-    F = limit_sdf(by_name(generator))
-    assert _sup_to_limit(counts, n, F).tolist() == [_sup_to_function(*_jumps(row, n), F) for row in counts]
 
 
 @pytest.mark.parametrize("reps", [0, -2])
