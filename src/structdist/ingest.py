@@ -23,7 +23,7 @@ from .sampling import MULTINOMIAL, CountsVector
 # A token is a run of alphanumeric code points (str.isalnum()); every other
 # code point separates tokens. The ASCII separators become spaces through one
 # byte table on the UTF-8 text (bytes >= 0x80 pass through, so it stays valid
-# UTF-8); the few non-ASCII separators that are not whitespace then become
+# UTF-8); the non-ASCII separators that are not whitespace then become
 # spaces by one regex pass, and str.split() splits on all whitespace.
 _ASCII_SEPARATORS = bytes(c if c >= 128 or chr(c).isalnum() else 32 for c in range(256))
 _OTHER_SEPARATOR = re.compile(r"[^\x00-\x7f\w\s]")

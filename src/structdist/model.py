@@ -158,7 +158,7 @@ def nearest_divisor(M: int, m: int) -> int:
     """The divisor of M >= 1 closest to m (ties go to the smaller divisor).
     Scans outward from m, m - r before m + r, for at most isqrt(M) // 32
     steps, so a divisor at distance r costs O(r); past that budget it lists
-    every divisor, and the scan adds about a tenth to that O(sqrt(M)) cost."""
+    every divisor, a loop of isqrt(M) steps, 32 times the scan's."""
     if M >= 1:
         m = min(max(m, 1), M)  # M is nearest to any m >= M, 1 to any m <= 1
         # with m within the budget the downward range reaches 1, which divides M

@@ -18,6 +18,7 @@ from structdist import (
     sup_distance,
     tokenize,
 )
+
 _WORD = re.compile(r"[^\W_]+")  # the reference tokens: alphanumeric runs, underscore excluded
 
 # Every ASCII code point, then code points where the byte table, the
@@ -28,6 +29,7 @@ _WORD = re.compile(r"[^\W_]+")  # the reference tokens: alphanumeric runs, under
 # digits that are not ASCII, a right single quote, an em dash, an
 # ideographic space and a lone surrogate.
 _TEXT_ALPHABET = "".join(map(chr, range(128))) + "_\x1c\x1d\x1e\x1f\u212aİßé½²\u2019\u2014\u3000\x85\ud800"
+
 
 # ---------- tokenization ----------
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, poisson
 
-import structdist.study as study
 import structdist.model as model
+import structdist.study as study
 from structdist import (
     NumericError,
     RngStream,
@@ -83,13 +83,14 @@ def test_divisor_helpers():
             nearest_divisor(M, 5)
 
 
-@pytest.mark.parametrize("m, lists_divisors", [(9, False), (10, True)])
-def test_nearest_divisor_scans_isqrt_over_32_steps(monkeypatch, m, lists_divisors):
+@pytest.mark.parametrize("m, nearest, lists_divisors", [(9, 1, False), (10, 1, True), (10**6, 99991, False), (-5, 1, False)])
+def test_nearest_divisor_scans_isqrt_over_32_steps(monkeypatch, m, nearest, lists_divisors):
     """M = 99991 is prime and isqrt(M) // 32 = 9: from m = 9 the scan
-    reaches 1 within its budget; from m = 10 it stops at 2 and lists the divisors."""
+    reaches 1 within its budget; from m = 10 it stops at 2 and lists the
+    divisors. An m beyond M or below 1 starts the scan at M or at 1."""
     listed = []
     monkeypatch.setattr(model, "divisors_of", lambda M: listed.append(M) or [1, M])
-    assert nearest_divisor(99991, m) == 1
+    assert nearest_divisor(99991, m) == nearest
     assert listed == ([99991] if lists_divisors else [])
 
 
