@@ -10,6 +10,10 @@ The limit laws integrate over u in (0,1]: by quadrature for a smooth
 generator, and as exact finite sums over the (width, slope) pieces of a
 table generator, whose density is piecewise constant. The mixture CDF and
 the bounds take arrays and evaluate each distinct quantity once.
+
+scipy is imported where it is called, by the mixture CDF (pdtr, gammaincc)
+and the quadrature over u, so importing this module does not load it: only
+the limit laws pay for it, on first use.
 """
 from __future__ import annotations
 
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .errors import NumericError, ValidationError
 from .generators import SmoothGenerator
@@ -103,6 +105,8 @@ def _check_lambda(lambda_: float) -> None:
 def _quad_u(f, epsabs: float) -> float:
     """integral over u in (0,1] of f(u); a quadrature that gives up (scipy
     then appends its message to the result) raises NumericError."""
+    from scipy.integrate import quad
+
     value, _, _, *failure = quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT, full_output=1)
     if failure:
         raise NumericError("quadrature over u in (0,1] failed: " + " ".join(failure[0].split()))
@@ -170,6 +174,8 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     once. It is 0 for x < 0 and 1 where lambda x is +inf; NaN is rejected.
     A quadrature that fails, or an exact sum that is NaN, raises NumericError.
     """
+    from scipy import special
+
     _check_lambda(lambda_)
     xs = np.asarray(x, dtype=float)
     Ks = _lattice_ks(xs, lambda_, 1)

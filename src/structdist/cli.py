@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .asymptotics import (
     BoundParams,
@@ -123,8 +122,12 @@ def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
 
 def _stream_meta() -> dict:
     """What a seeded study output depends on besides its config: the stream
-    contract version and the numpy/scipy versions that drew it."""
-    return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "scipy": scipy.__version__}
+    contract version and the numpy/scipy versions that drew it. scipy's is
+    read from its installed metadata, which does not import it; the
+    metadata reader is itself imported here, by the commands that record it."""
+    import importlib.metadata
+
+    return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
 
 
 def _jump_rows(est: CountsVector) -> list[tuple[float, float]]:

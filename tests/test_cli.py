@@ -5,12 +5,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
+import structdist
 from structdist import (
     POISSONIZED,
     STREAM_VERSION,
@@ -743,6 +748,35 @@ def test_edge_inputs_run_or_exit_2_with_strict_json(argv, code, tmp_path, capsys
     assert exc.value.code == 2 and out == "" and strict_json(err)["error"]["type"] == "ValidationError"
 
 
+# x exactly on a lattice point: the estimate at x = k m / n and the limit at
+# x = k / lambda include the count k (right-continuity), also where the
+# float product lambda x lands a few ulps below k (2.7 * 1.111111111111111 =
+# 2.9999999999999996). FLAT gives every draw the group counts (0, n) at
+# M = 4, m = 2, and a mixture CDF of 1/2 + P(Poisson(2 lambda) <= K) / 2.
+def _flat_mixture(K, lam):
+    mu = 2 * lam
+    return 0.5 + 0.5 * math.exp(-mu) * sum(mu**j / math.factorial(j) for j in range(K + 1))
+
+
+LATTICE_POINTS = [
+    # K = floor(4x) = -1, 0, 7 and 8
+    (["simulate", "--generator", "FLAT", "--M", "4", "--n", "8", "--m", "2", "--reps", "2",
+      "--x-grid=-1e-300,-0.0,1.999,2"], [0.0, 0.5, 0.5, 1.0] * 2),
+    # K = 2 and 3
+    (["limit", "--generator", "FLAT", "--lambda", "2.7", "--x-grid", "1.11,1.111111111111111"],
+     [_flat_mixture(2, 2.7), _flat_mixture(3, 2.7)]),
+]
+
+
+@pytest.mark.parametrize("argv, values", LATTICE_POINTS, ids=["simulate", "limit"])
+def test_x_on_a_lattice_point_includes_it(argv, values, tmp_path, capsys):
+    (tmp_path / "flat.csv").write_text("0,0\n0.5,0\n1,1\n")
+    argv = [f"table:{tmp_path / 'flat.csv'}" if a == "FLAT" else a for a in argv] + ["--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [r[-1] for r in strict_json(out)["rows"]] == pytest.approx(values, abs=1e-15)
+
+
 # ---------- sample-size limits ----------
 
 @pytest.mark.parametrize(
@@ -885,3 +919,75 @@ def test_fuzzed_argv_exits_0_or_with_one_strict_json_error(argv, fuzz_files):
     assert code in (2, 3, 4)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and strict_json(lines[0])["error"]["exit_code"] == code
+
+
+# ---------- start-up ----------
+
+# Runs in a fresh interpreter, since pytest itself imports scipy.integrate
+# to read the IntegrationWarning filter in pyproject.toml: imports the
+# package and the CLI, then calls main on each argv of argv[1] (a JSON
+# list) in order, and prints, per step, the exit code, stdout and the
+# scipy modules loaded so far.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import structdist, structdist.cli
+
+def step(name, code=0, out=""):
+    return [name, code, out, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+
+steps = [step("import")]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = structdist.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append(step(" ".join(argv[:2]), code, out.getvalue()))
+print(json.dumps(steps))
+"""
+
+# limit --lambda 3 --x-grid 0.5,1 --format json on example, as written when
+# scipy was imported with the package
+LIMIT_EXAMPLE_DOC = (
+    '{"schema": 1, "command": "limit", "generator": "example", "lambda": 3.0, "x_grid": [0.5, 1.0], '
+    '"method": "quadrature", "columns": ["x", "mixture_cdf"], '
+    '"rows": [[0.5, 0.33002833043111157], [1.0, 0.6278328825655605]]}\n'
+)
+
+
+def test_scipy_is_loaded_only_by_the_limit_laws(tmp_path):
+    """Only the limit laws use scipy, and they import it on first use:
+    special for a table's exact sum, integrate too for a quadrature."""
+    corpus, table = tmp_path / "corpus.txt", tmp_path / "steps.csv"
+    corpus.write_text("the cat sat on the mat the end")
+    table.write_text("0,0\n0.25,0\n0.5,0.5\n1,1\n")
+    without_scipy = [
+        (["bounds", "--n", "1000", "--m-values", "1,2,50"], 0),
+        (["estimate", "--M", "12", "--n", "36", "--m", "3"], 0),
+        (["simulate", "--M", "12", "--n", "36", "--reps", "2"], 0),
+        (["mse", "--config", write_config(tmp_path)], 0),
+        (["ingest", "--text", str(corpus), "--m", "1"], 0),
+        (["reproduce-figures", "--out-dir", str(tmp_path / "figures")], 0),
+        (["simulate", "--M", "1000", "--n", "3000", "--m", "30"], 2),
+        (["bounds", "--n", "10", "--fast"], 2),
+    ]
+    limits = [
+        ["limit", "--generator", f"table:{table}", "--lambda", "3", "--x-grid", "0.5,1", "--format", "json"],
+        ["limit", "--lambda", "3", "--x-grid", "0.5,1", "--format", "json"],
+    ]
+    src = str(Path(structdist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = [argv for argv, _ in without_scipy] + limits
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps[0] == ["import", 0, "", []]
+    for (name, code, _, loaded), (_, expect) in zip(steps[1:], without_scipy):
+        assert (code, loaded) == (expect, []), name
+    (_, table_code, _, after_table), (_, code, doc, after_example) = steps[-2:]
+    assert table_code == 0 and "scipy.special" in after_table
+    assert not [m for m in after_table if m.startswith("scipy.integrate")]
+    assert code == 0 and "scipy.integrate" in after_example
+    assert doc == LIMIT_EXAMPLE_DOC
