@@ -6,14 +6,18 @@ estimator, the smoothing (Esseen-type) bias bound with its optimal cutoff,
 the MSE bounds with the optimal group count, and Poisson concentration
 bounds. Monte Carlo counterparts live in the study module.
 
-The limit laws integrate over u in (0,1]: by quadrature for a smooth
-generator, and as exact finite sums over the (width, slope) pieces of a
-table generator, whose density is piecewise constant. The mixture CDF and
-the bounds take arrays and evaluate each distinct quantity once.
+The limit laws are integrals over u in (0,1] of a function h of the
+density g(u): the mixture CDF integrates P(Poisson(lambda g(u)) <= K), the
+two limit characteristic functions exp(w g(u)). One function, _over_u,
+computes every such integral: as the exact finite sum over the (width,
+slope) pieces of a table generator, whose density is piecewise constant,
+or by quadrature for a smooth generator. Either way a NaN total or a
+failed quadrature raises NumericError. The mixture CDF and the bounds take
+arrays and evaluate each distinct quantity once.
 
-scipy is imported where it is called, by the mixture CDF (pdtr, gammaincc)
-and the quadrature over u, so importing this module does not load it: only
-the limit laws pay for it, on first use.
+scipy is imported where it is called, by the mixture CDF (pdtr) and the
+quadrature over u, so importing this module does not load it: only the
+limit laws pay for it, on first use.
 """
 from __future__ import annotations
 
@@ -102,25 +106,34 @@ def _check_lambda(lambda_: float) -> None:
         raise ValidationError(f"lambda must be positive and finite, got {lambda_}")
 
 
-def _quad_u(f, epsabs: float) -> float:
-    """integral over u in (0,1] of f(u); a quadrature that gives up (scipy
-    then appends its message to the result) raises NumericError."""
-    from scipy.integrate import quad
+def _over_u(h, gen: SmoothGenerator, epsabs: float, at: str):
+    """integral over u in (0,1] of h(g(u)), for an h that takes arrays and
+    may be complex: for a table generator the exact sum of width * h(slope)
+    over its pieces, for a smooth one a quadrature to epsabs (of the real
+    and imaginary parts apart when h is complex). Overflow and invalid
+    values inside h are not warned about; a total that is NaN, or a
+    quadrature that gives up (scipy then appends its message to the
+    result), raises NumericError, the NaN naming `at`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gen.pieces:
+            widths, slopes = np.asarray(gen.pieces, dtype=float).T
+            total = np.sum(widths * h(slopes)).item()
+        else:
+            from scipy.integrate import quad
 
-    value, _, _, *failure = quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT, full_output=1)
-    if failure:
-        raise NumericError("quadrature over u in (0,1] failed: " + " ".join(failure[0].split()))
-    return value
+            def part(f) -> float:
+                value, _, _, *failure = quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT, full_output=1)
+                if failure:
+                    raise NumericError("quadrature over u in (0,1] failed: " + " ".join(failure[0].split()))
+                return value
 
-
-def _quad_complex(f, epsabs: float) -> complex:
-    return complex(_quad_u(lambda u: f(u).real, epsabs), _quad_u(lambda u: f(u).imag, epsabs))
-
-
-def _pieces(gen: SmoothGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """(widths, slopes) of a table generator's piecewise-constant density."""
-    arr = np.asarray(gen.pieces, dtype=float)
-    return arr[:, 0], arr[:, 1]
+            if np.iscomplexobj(h(0.0)):
+                total = complex(part(lambda u: h(float(gen.g(u))).real), part(lambda u: h(float(gen.g(u))).imag))
+            else:
+                total = part(lambda u: h(float(gen.g(u))))
+    if np.isnan(total):
+        raise NumericError(f"the integral over u in (0,1] is not a number at {at}")
+    return total
 
 
 # ---------- characteristic functions ----------
@@ -136,25 +149,18 @@ def phi_m(t: float, model: CellModel, n: int) -> complex:
     return complex(np.mean(np.exp(w * z)))
 
 
-def _char(w: complex, gen: SmoothGenerator) -> complex:
-    """integral over u of exp(w g(u)): the exact sum over the pieces for a
-    table generator, a quadrature to CHAR_TOL for a smooth one."""
-    if gen.pieces:
-        widths, slopes = _pieces(gen)
-        return complex(np.sum(widths * np.exp(w * slopes)))
-    return _quad_complex(lambda u: np.exp(w * float(gen.g(u))), CHAR_TOL)
-
-
 def limit_char_natural(t: float, gen: SmoothGenerator, lambda_: float) -> complex:
     """Fixed-lambda limit of phi_m: integral over u of exp(lambda g(u) (e^{it/lambda} - 1))."""
     _check_lambda(lambda_)
-    return _char(lambda_ * (np.exp(1j * t / lambda_) - 1.0), gen)
+    w = lambda_ * (np.exp(1j * t / lambda_) - 1.0)
+    return _over_u(lambda v: np.exp(w * v), gen, CHAR_TOL, f"t={t}, lambda={lambda_}")
 
 
 def limit_char_grouped(t: float, gen: SmoothGenerator) -> complex:
     """n/m -> infinity limit of phi_m: the characteristic function of g(U),
     integral over u of exp(i t g(u))."""
-    return _char(1j * t, gen)
+    w = 1j * t
+    return _over_u(lambda v: np.exp(w * v), gen, CHAR_TOL, f"t={t}")
 
 
 # ---------- the Poisson-mixture limit of the natural estimator ----------
@@ -164,10 +170,10 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     limiting structural CDF (Y degenerate at 0 on {Z=0}).
 
     Evaluates integral over (0,1] of P(Poisson(lambda g(u)) <= K) du with
-    K = _lattice_ks(x, lambda, 1): for a table generator the exact sum of
-    width * P(Poisson(lambda slope) <= K) over its pieces, for a smooth one
-    a quadrature to CDF_TOL. P(Poisson(mu) <= K) = gammaincc(K+1, mu), which
-    is 1 at mu=0, so the zero-density atom needs no special casing.
+    K = _lattice_ks(x, lambda, 1), by _over_u to CDF_TOL.
+    P(Poisson(mu) <= K) = pdtr(K, mu) is 1 at mu=0, so the zero-density
+    atom needs no special casing, and 0 at mu=inf, so a lambda * slope that
+    overflows is right.
 
     x is a scalar (float out) or an array (array out). The CDF is constant
     between the lattice points k/lambda, so each distinct K is evaluated
@@ -179,20 +185,9 @@ def poisson_mixture_cdf(x, gen: SmoothGenerator, lambda_: float):
     _check_lambda(lambda_)
     xs = np.asarray(x, dtype=float)
     Ks = _lattice_ks(xs, lambda_, 1)
-    if gen.pieces:
-        widths, slopes = _pieces(gen)
-        with np.errstate(over="ignore"):
-            mu = lambda_ * slopes  # an infinite mean is right: P(Poisson(inf) <= K) = 0
 
-        def at(K: float) -> float:
-            total = float(np.sum(widths * special.pdtr(K, mu)))
-            if math.isnan(total):  # scipy's pdtr when K and mu both near the float maximum
-                raise NumericError(f"P(Poisson(lambda g) <= {K:g}) is not a number at lambda={lambda_}")
-            return total
-    else:
-
-        def at(K: float) -> float:
-            return _quad_u(lambda u: float(special.gammaincc(K + 1, lambda_ * float(gen.g(u)))), CDF_TOL)
+    def at(K) -> float:
+        return _over_u(lambda v: special.pdtr(K, lambda_ * v), gen, CDF_TOL, f"lambda={lambda_}, K={K:g}")
 
     values = {K: 0.0 if K < 0 else 1.0 if K == math.inf else min(1.0, max(0.0, at(K))) for K in set(Ks)}
     return _float_or_array(np.array([values[K] for K in Ks]).reshape(xs.shape))

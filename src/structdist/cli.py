@@ -200,9 +200,9 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_mse(args) -> None:
     try:
-        raw = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
-        _fail(4, "IOError", f"cannot read config {args.config}: {e}")
+        raw = Path(args.config).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"config {args.config}: invalid UTF-8 at byte offset {e.start}") from e
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -267,11 +267,7 @@ def _cmd_limit(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    try:
-        data = Path(args.text).read_bytes()
-    except OSError as e:
-        _fail(4, "IOError", f"cannot read {args.text}: {e}")
-    est, diagnostics = estimate_from_corpus(tokenize(data), args.m)
+    est, diagnostics = estimate_from_corpus(tokenize(Path(args.text).read_bytes()), args.m)
     _emit(args, {"text": args.text, **diagnostics}, ("x", "F"), _jump_rows(est))
 
 
@@ -282,17 +278,15 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
     """One seeded sample at M=1000, n=3000 from the built-in example model;
     emit the natural, m=40, and m=10 estimators, each as CSV
     (x, estimate, limit) with the limiting CDF overlay evaluated at every
-    jump and at the upper support end."""
+    jump and at the upper support end. A directory or file that cannot be
+    written raises OSError."""
     gen = by_name("example")
     M, n = 1000, 3000
     cells = cells_from_generator(gen, M)
     F = limit_sdf(gen)
     vec = draw_multinomial(cells, n, RngStream(seed).generator())
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        _fail(4, "IOError", f"cannot create {out_dir}: {e}")
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for fname, m in FIGURE_SPECS:
         est = grouped_estimator(vec, m)
@@ -300,11 +294,8 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
         span = max(xs[-1] - xs[0], 1.0)
         xs = np.concatenate(([xs[0] - max(1e-6, 0.02 * span)], xs))  # an anchor below every jump
         path = out / fname
-        try:
-            path.write_text(_csv(("x", "estimate", "limit"), zip(xs.tolist(), est(xs).tolist(), F(xs).tolist())),
-                            encoding="utf-8")
-        except OSError as e:
-            _fail(4, "IOError", f"cannot write {path}: {e}")
+        path.write_text(_csv(("x", "estimate", "limit"), zip(xs.tolist(), est(xs).tolist(), F(xs).tolist())),
+                        encoding="utf-8")
         written.append(str(path))
     return written
 

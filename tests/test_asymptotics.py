@@ -440,6 +440,10 @@ def test_exact_mixture_sum_that_is_nan_is_a_numeric_error(concave):
     # overflowed lambda * slope with a RuntimeWarning
     with pytest.raises(NumericError, match="is not a number at lambda=1e"):
         poisson_mixture_cdf(0.5, concave, 1e308)
+    # the characteristic function sums over the same pieces: t * slope
+    # overflows to an infinite phase, whose exp is NaN
+    with pytest.raises(NumericError, match="is not a number at t=1e"):
+        limit_char_grouped(1e308, concave)
     # an infinite mean puts no mass at any finite K, without a warning
     assert poisson_mixture_cdf(np.array([-1.0, 1e-300, np.inf]), concave, 1e308).tolist() == [0.0, 0.0, 1.0]
 

@@ -32,7 +32,7 @@ from structdist import (
     run_mse_study,
     table_generator,
 )
-from structdist.cli import _jump_rows, main
+from structdist.cli import _jump_rows, main, reproduce_figures
 from structdist.sampling import MAX_N
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
@@ -592,6 +592,17 @@ def test_reproduce_figures_outputs(tmp_path, capsys):
     assert estimates == sorted(estimates) and estimates[-1] == 1.0
 
 
+def test_reproduce_figures_raises_os_error_and_the_cli_exits_4(tmp_path, capsys):
+    # the library function raises; only main turns the error into exit code 4
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        reproduce_figures(str(blocker / "sub"), 1)
+    code, error, _ = fail_cli(["reproduce-figures", "--out-dir", str(blocker / "sub")], capsys)
+    assert code == 4
+    assert error["type"] == "IOError"
+
+
 def test_reproduce_figures_is_seed_deterministic(tmp_path, capsys):
     run_cli(["reproduce-figures", "--out-dir", str(tmp_path / "a"), "--seed", "5"], capsys)
     run_cli(["reproduce-figures", "--out-dir", str(tmp_path / "b"), "--seed", "5"], capsys)
@@ -705,8 +716,8 @@ def test_non_finite_floats_are_written_as_strings(tmp_path, capsys):
 
 # Edge inputs that either run (exit 0, a strict JSON document whose last
 # row reaches F = 1) or exit 2 with a strict JSON error and no output. FLAT
-# is a table whose first half is flat (two cells of probability 0 at M = 4)
-# and CORPUS a small text file.
+# is a table whose first half is flat (two cells of probability 0 at M = 4),
+# CORPUS a small text file and LATIN1 a config that is not UTF-8.
 CLI_EDGES = [
     (["estimate", "--M", "1", "--n", "1"], 0),
     (["estimate", "--M", "5", "--n", "2", "--m", "5"], 0),
@@ -724,6 +735,7 @@ CLI_EDGES = [
     (["ingest", "--text", "CORPUS", "--m", "0"], 2),
     (["bounds", "--n", "0", "--m-values", "3"], 2),
     (["limit", "--lambda", "0", "--x-grid", "1"], 2),
+    (["mse", "--config", "LATIN1"], 2),
     # sizes no numpy array can hold, and sizes that do not fit in memory
     (["estimate", "--M", str(2**64), "--n", "8", "--m", "3"], 2),
     (["simulate", "--M", "4", "--n", "8", "--reps", str(2**64)], 2),
@@ -736,7 +748,9 @@ CLI_EDGES = [
 def test_edge_inputs_run_or_exit_2_with_strict_json(argv, code, tmp_path, capsys):
     (tmp_path / "flat.csv").write_text("0,0\n0.5,0\n1,1\n")
     (tmp_path / "corpus.txt").write_text("the cat sat on the mat the end")
-    paths = {"FLAT": f"table:{tmp_path / 'flat.csv'}", "CORPUS": str(tmp_path / "corpus.txt")}
+    (tmp_path / "latin1.json").write_bytes(b'{"M": 4\xff}')
+    paths = {"FLAT": f"table:{tmp_path / 'flat.csv'}", "CORPUS": str(tmp_path / "corpus.txt"),
+             "LATIN1": str(tmp_path / "latin1.json")}
     argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
     if code == 0:
         got, out, _ = run_cli(argv, capsys)
