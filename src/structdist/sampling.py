@@ -23,9 +23,17 @@ with k > M (few cells, huge n) is rebuilt from N instead: the min(n, N)
 common and the k extra balls as two multinomials, the same law given N.
 That keeps every row at O(M) memory for any n <= MAX_N; with n/M bounded,
 as in the paper's regime, it does not occur.
+
+A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
+one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
+multinomial, which draws one binomial per cell (0.6 of its time on the
+9009 blocks of the criterion-9 sweep). Shorter rows, where the per-row
+work of the coupled route dominates, take numpy's multinomial in one call
+per slab.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +61,10 @@ COUPLED = "coupled"
 # 6: a coupled pair draws rho as one Poisson row, then nu as rho plus or
 # minus the |N - n| balls between them (two multinomials only if |N - n| >
 # M; same law; multinomial and Poissonized draws unchanged).
-STREAM_VERSION = 6
+# 7: a multinomial row of at least _LONG_ROW cells is the nu of a coupled
+# row (same law; shorter multinomial rows, Poissonized and coupled draws
+# unchanged).
+STREAM_VERSION = 7
 
 _U64 = (1 << 64) - 1
 
@@ -61,18 +72,36 @@ _U64 = (1 << 64) - 1
 # Poisson means near 2**63.
 MAX_N = 2**62
 
+# The fewest cells at which a multinomial row is drawn as the nu of a
+# coupled row. Against numpy's multinomial on the same slab of about
+# 8 x 9009 cells (2-vCPU VM), that route took 0.6 of the time at 9009 cells
+# and n/M = 111, 0.77 to 0.94 at 2**12 to 10**5 cells and n/M = 3 to 300,
+# 0.93 to 1.54 at n/M <= 0.3, 1.01 at 1024 cells, 1.2 at 200 and 6 to 28 at
+# 10 to 50 cells.
+_LONG_ROW = 1 << 12
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject anything but an integer: a float or a str is not truncated or
+    parsed, and a bool is not read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream: base seed plus a stream index, each an
-    integer in [0, 2**64 - 1]; anything else is rejected rather than
-    wrapped, so two different seeds never share a stream. Draws take the
-    running Generator that generator() builds."""
+    integer in [0, 2**64 - 1]; anything else, a bool, a float or a str
+    included, is rejected rather than wrapped, truncated or parsed, so two
+    different seeds never share a stream. Draws take the running Generator
+    that generator() builds."""
 
     seed: int
     stream_index: int = 0
 
     def __post_init__(self):
+        _check_integer("seed", self.seed)
+        _check_integer("stream_index", self.stream_index)
         seed, index = int(self.seed), int(self.stream_index)
         if not (0 <= seed <= _U64 and 0 <= index <= _U64):
             raise ValidationError(
@@ -151,23 +180,29 @@ def _check_n(n: int) -> None:
 def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) -> np.ndarray:
     """rows independent draws of the given kind, in order from gen, as an
     int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
-    of independent Poisson(n * p_j) counts, each slab in one numpy call, or
-    the two vectors (nu, rho) of coupled pairs, drawn row by row (_coupled_row).
-    Every vector passes the checks a CountsVector makes on each row: no
-    negative count, every multinomial row sums to n, and every coupled rho
-    row to its N."""
+    of independent Poisson(n * p_j) counts, or the two vectors (nu, rho) of
+    coupled pairs. Poissonized slabs and multinomial slabs of rows shorter
+    than _LONG_ROW cells take one numpy call; coupled slabs and longer
+    multinomial rows are drawn row by row (_coupled_row), a multinomial row
+    being the nu of a coupled one. Every vector passes the checks a
+    CountsVector makes on each row: no negative count, every multinomial
+    row sums to n, and every coupled rho row to its N."""
     _check_n(n)
     # totals: per vector, what its rows must sum to (a Poissonized row: any total)
-    if kind == MULTINOMIAL:
+    if kind == MULTINOMIAL and cells.M < _LONG_ROW:
         slab, totals = gen.multinomial(n, cells.p, size=rows)[None], [n]
     elif kind == POISSONIZED:
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
-    elif kind == COUPLED:
-        slab, Ns = np.empty((2, rows, cells.M), dtype=np.int64), np.empty(rows, dtype=np.int64)
+    elif kind in (MULTINOMIAL, COUPLED):
+        # a multinomial slab keeps only nu
+        vectors = 2 if kind == COUPLED else 1
+        slab, Ns = np.empty((vectors, rows, cells.M), dtype=np.int64), np.empty(rows, dtype=np.int64)
         positive = np.flatnonzero(cells.p > 0)
         cum_p = np.cumsum(cells.p[positive])
         for i in range(rows):
-            Ns[i], slab[0, i], slab[1, i] = _coupled_row(cells, n, gen, positive, cum_p)
+            Ns[i], *pair = _coupled_row(cells, n, gen, positive, cum_p)
+            for vector, counts in zip(slab, pair):
+                vector[i] = counts
         totals = [n, Ns]
     else:
         raise ValidationError(f"unknown counts kind {kind!r}")

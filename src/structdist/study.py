@@ -7,7 +7,9 @@ generator, stream `rung` of the config seed: replication r is the r-th
 row drawn, so the first r replications do not depend on reps. The studies
 handle them in slabs: the draws of up to a few thousand consecutive
 replications form one int64 count array, drawn by one `sampling.draw_slab`
-call (one vector of rows, or the two of coupled pairs), which is then
+call (one vector of rows, or the two of coupled pairs; since stream version
+7 a multinomial row of at least 2^12 cells, such as the 9009 blocks of the
+criterion-9 sweep, is drawn as the nu of a coupled row), which is then
 grouped, evaluated and reduced with whole-array numpy. Every reduction
 keeps a fixed order (a slab's rows are the replications in order, running
 sums carry across slabs), so the floating-point results do not depend on
@@ -45,15 +47,10 @@ from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (_MAX_SIZE, CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums,
                     _sup_to_function, check_group_count, nearest_divisor)
-from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, draw_slab
+from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, draw_slab
 
 
 # ---------- configuration and report types ----------
-
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -449,7 +446,8 @@ def consistency_trend(
     estimator and the limiting CDF, for each (M, n, m) rung. Each replication
     draws the m group counts directly, from the grouped probabilities; the
     estimate steps only at its distinct counts (`estimators._jumps`).
-    Every rung's m must divide its M, and reps must be >= 1."""
+    Every rung's m must divide its M, and reps must be an integer >= 1."""
+    _check_integer("reps", reps)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     for M, _, m in ladder:

@@ -53,7 +53,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 6
+    assert meta["stream_version"] == STREAM_VERSION == 7
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
@@ -640,9 +640,11 @@ def test_reproduce_figures_summary_opens_with_schema_then_command(tmp_path, caps
     assert list(doc)[:3] == ["schema", "command", "seed"] and (doc["schema"], doc["command"]) == (1, "reproduce-figures")
 
 
-# sha256 of the CSVs written under stream version 3; a single draw is row 0
-# of a one-row slab from the seed's stream 0, so versions 4 and 5 write the
-# same bytes
+# sha256 of the CSVs written under stream version 3, numpy and scipy at
+# V3_PINNED_UNDER; a single draw is row 0 of a one-row slab from the seed's
+# stream 0, and its rows have fewer than 2**12 cells, so versions 4 to 7
+# write the same bytes
+V3_PINNED_UNDER = {"numpy": "2.4.6", "scipy": "1.17.1"}
 V3_OUTPUTS = [
     (["estimate", "--M", "1000", "--n", "3000", "--seed", "3"],
      {"e.csv": "a1e373ed13c539e061301e843cdde1425b1a9833ff84262c79be497a8b8e7ca5"}),
@@ -658,10 +660,11 @@ V3_OUTPUTS = [
 
 
 @pytest.mark.parametrize("argv, digests", V3_OUTPUTS, ids=["natural", "poissonized", "ordered", "figures"])
-def test_single_draw_outputs_are_byte_identical_to_stream_version_3(tmp_path, capsys, argv, digests):
+def test_single_draw_outputs_are_byte_identical_to_stream_version_3(tmp_path, capsys, pinned_under, argv, digests):
     out = ["--out-dir", str(tmp_path)] if argv[0] == "reproduce-figures" else ["--out", str(tmp_path / "e.csv")]
     assert run_cli(argv + out, capsys)[0] == 0
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests, (
+        pinned_under(**V3_PINNED_UNDER))
 
 
 # ---------- strict JSON ----------

@@ -23,6 +23,8 @@ from structdist import (
 from structdist.sampling import COUPLED, MAX_N, draw_slab
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
+# the shortest multinomial rows drawn as the nu of a coupled row
+LONG = cells_from_generator(example_generator(), 1 << 12)
 
 
 # ---------- streams ----------
@@ -45,6 +47,16 @@ def test_stream_rejects_seeds_outside_64_bits(seed, index):
     the range is an error, for the seed and the stream index alike."""
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*64 - 1\]"):
         RngStream(seed, index)
+
+
+@pytest.mark.parametrize("field", ["seed", "stream_index"])
+@pytest.mark.parametrize("value", [1.7, 1.0, "3", True], ids=["float", "whole-float", "str", "bool"])
+def test_stream_rejects_seeds_that_are_not_integers(field, value):
+    """1.7 used to be truncated onto the stream of seed 1 and "3" read as
+    3; a seed or stream index must be an integer, and a bool is not one."""
+    args = {"seed": 1, "stream_index": 0, field: value}
+    with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+        RngStream(**args)
 
 
 def test_stream_keeps_the_64_bit_range_ends():
@@ -116,14 +128,17 @@ def test_poissonized_moments_and_realized_total():
     assert abs(last.var(ddof=1) - mean) < 5 * mean * np.sqrt(2.0 / (reps - 1))
 
 
-@pytest.mark.parametrize("M", [1, 10])
+@pytest.mark.parametrize("M", [1, 10, 1 << 12])
 def test_draws_reach_the_largest_n(M):
+    """At n = MAX_N, |N - n| is about 2**31 > M, so every coupled row, and
+    every multinomial row of at least 2**12 cells, is rebuilt from N."""
     cells = CellModel(M, np.full(M, 1.0 / M))
     gen = RngStream(0).generator()
     assert int(draw_multinomial(cells, MAX_N, gen).counts.sum()) == MAX_N
     assert draw_poissonized(cells, MAX_N, gen).N_realized > 0
     assert (draw_slab(MULTINOMIAL, cells, MAX_N, 3, gen).sum(axis=-1) == MAX_N).all()
-    assert (draw_slab(COUPLED, cells, MAX_N, 3, gen)[0].sum(axis=-1) == MAX_N).all()
+    nu, rho = draw_slab(COUPLED, cells, MAX_N, 3, gen)
+    assert (nu.sum(axis=-1) == MAX_N).all() and (np.abs(rho.sum(axis=-1) - MAX_N) > M).all()
     kinds = (MULTINOMIAL, POISSONIZED, COUPLED)
     slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in kinds]
     for draw in (draw_multinomial, draw_poissonized, draw_coupled, *slabs):
@@ -131,21 +146,55 @@ def test_draws_reach_the_largest_n(M):
             draw(cells, MAX_N + 1, gen)
 
 
-@pytest.mark.parametrize("kind, draw", [(MULTINOMIAL, draw_multinomial), (POISSONIZED, draw_poissonized),
-                                        (COUPLED, draw_coupled)])
-def test_slab_rows_are_successive_single_draws(kind, draw):
+@pytest.mark.parametrize("kind, draw, cells, n", [
+    (MULTINOMIAL, draw_multinomial, CELLS6, 60),
+    (MULTINOMIAL, draw_multinomial, LONG, 3 * LONG.M),  # rows with N < n and N > n
+    (POISSONIZED, draw_poissonized, CELLS6, 60),
+    (COUPLED, draw_coupled, CELLS6, 60),
+], ids=["multinomial-draw_multinomial", "multinomial-long", "poissonized-draw_poissonized",
+      "coupled-draw_coupled"])
+def test_slab_rows_are_successive_single_draws(kind, draw, cells, n):
     """A slab of rows is, row by row and bit for bit, that many single
     draws in order from the same running generator, which it leaves in the
     same state; a coupled slab holds the two vectors (nu, rho)."""
     slab_gen, single_gen = RngStream(77, 3).generator(), RngStream(77, 3).generator()
-    slab = draw_slab(kind, CELLS6, 60, 9, slab_gen)
+    slab = draw_slab(kind, cells, n, 9, slab_gen)
     vectors = 2 if kind == COUPLED else 1
-    assert slab.dtype == np.int64 and slab.shape == (vectors, 9, 6)
+    assert slab.dtype == np.int64 and slab.shape == (vectors, 9, cells.M)
     for r in range(9):
-        single = draw(CELLS6, 60, single_gen)
+        single = draw(cells, n, single_gen)
         for row, vec in zip(slab[:, r], single if kind == COUPLED else (single,)):
             assert np.array_equal(row, vec.counts)
     assert slab_gen.bit_generator.state == single_gen.bit_generator.state
+
+
+def test_long_multinomial_rows_have_the_exact_law():
+    """A multinomial row of 2**12 cells is the nu of a coupled row, bit for
+    bit, from the same generator. At n = 2**24, |N - n| has standard
+    deviation M, so rows with N < n, with N > n and with |N - n| > M (rebuilt
+    from N) all occur. Every row sums to n, and the sums of 8 equal blocks
+    of cells have the Multinomial(n, q) means n q_i, variances
+    n q_i (1 - q_i) and covariances -n q_i q_j within 4 standard errors."""
+    n, rows = 1 << 24, 500
+    gen = RngStream(2026).generator()
+    slabs = [draw_slab(MULTINOMIAL, LONG, n, rows, gen)[0]]
+    nu, rho = draw_slab(COUPLED, LONG, n, rows, RngStream(2026).generator())
+    assert np.array_equal(slabs[0], nu)
+    excess = rho.sum(axis=1) - n
+    assert (excess < 0).any() and (excess > 0).any()
+    assert (np.abs(excess) > LONG.M).any() and (np.abs(excess) <= LONG.M).any()
+    slabs += [draw_slab(MULTINOMIAL, LONG, n, rows, gen)[0] for _ in range(5)]
+    counts = np.vstack(slabs)
+    assert (counts.sum(axis=1) == n).all()
+    q = group_model(LONG, 8).p
+    centred = counts.reshape(counts.shape[0], 8, -1).sum(axis=2) - n * q
+    products = centred[:, :, None] * centred[:, None, :]  # (row, i, j)
+    cov = np.where(np.eye(8, dtype=bool), n * q * (1 - q), -n * np.outer(q, q))
+    R = centred.shape[0]
+    mean_z = centred.mean(axis=0) / (centred.std(axis=0, ddof=1) / np.sqrt(R))
+    cov_z = (products.mean(axis=0) - cov) / (products.std(axis=0, ddof=1) / np.sqrt(R))
+    assert np.abs(mean_z).max() < 4.0, mean_z
+    assert np.abs(cov_z).max() < 4.0, cov_z
 
 
 class FixedDraws:

@@ -8,7 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom, poisson
 
 import structdist.model as model
@@ -290,6 +291,10 @@ PREFIX_STUDIES = {
         n_ladder=(120, 240)), 40 * 3),
     "trend": (lambda reps, seed: consistency_trend(((60, 180, 6), (120, 360, 6)), "example", reps=reps, seed=seed),
               6),
+    # L = 4096 blocks: each multinomial row is the nu of a coupled row
+    "long": (lambda reps, seed: run_mse_study(
+        StudyConfig("example", M=8192, n=24576, m_values=(2048, 4096), x_grid=X7, reps=reps, seed=seed)),
+        4096 * len(X7)),
 }
 
 
@@ -319,6 +324,7 @@ def drawn_rows(name, reps, seed, rows):
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(PREFIX_STUDIES)), seed=st.integers(0, 2**64 - 1), r=st.integers(1, 6),
        extra=st.integers(0, 10), rows=st.one_of(st.none(), st.integers(1, 5)))
+@example(name="long", seed=2026, r=3, extra=7, rows=2)
 def test_first_replications_do_not_depend_on_reps_or_slab_size(name, seed, r, extra, rows):
     """Replication r is the r-th row drawn from its rung's running
     generator: the first r replications of every rung, and for
@@ -329,7 +335,7 @@ def test_first_replications_do_not_depend_on_reps_or_slab_size(name, seed, r, ex
     assert len(short_rows) == len(long_rows) >= 1
     for a, b in zip(short_rows, long_rows):
         assert len(a) == len(b) and all(np.array_equal(x, y[:r]) for x, y in zip(a, b))
-    if name in ("multinomial", "poissonized"):
+    if name in ("multinomial", "poissonized", "long"):
         assert np.array_equal(short.estimates, long.estimates[..., :r])
 
 
@@ -536,6 +542,16 @@ def test_consistency_trend_rejects_reps_below_one(reps):
         consistency_trend(((100, 300, 10),), "example", reps=reps, seed=1)
 
 
+@pytest.mark.parametrize("name, value", [("reps", 2.5), ("reps", "2"), ("reps", True), ("seed", 1.5), ("seed", "1"),
+                                         ("seed", True)])
+def test_consistency_trend_rejects_reps_and_seeds_that_are_not_integers(name, value):
+    """seed=1.5 used to run on seed 1 and reps=2.5 to end in a TypeError;
+    both go through the integer check StudyConfig makes."""
+    args = {"reps": 2, "seed": 1, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        consistency_trend(((100, 300, 10),), "example", **args)
+
+
 def test_consistency_trend_rejects_non_divisor_m():
     # every rung is checked before any draw; the message names the nearest divisor
     with pytest.raises(ValidationError, match="m=12 does not divide M=100; nearest divisor is 10"):
@@ -589,12 +605,17 @@ def test_mse_study_and_trend_build_no_cell_vector():
     assert _peak_bytes(lambda: consistency_trend(((M, 999999, 21),), "example", reps=2, seed=1)) < 8 * M
 
 
-# sha256 of estimates.tobytes() and of repr(cells), frozen under stream version 4
-# (versions 5 and 6 changed only the coupled draw)
+# The numpy and scipy versions every seeded pin of this module was frozen under
+PINNED_UNDER = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+# sha256 of estimates.tobytes() and of repr(cells): sweep frozen under stream
+# version 7 (its 9009-block rows are the nu of coupled rows), audit and
+# uniform under version 4 (versions 5 and 6 changed only the coupled draw,
+# 7 only multinomial rows of at least 2**12 cells)
 FROZEN_STREAMS = [
     (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
-     "424fb11f9c523a9357f7434fe4045eca57d82c1ca2e0c6bafb9faef84ec52df4",
-     "d8bf9cadcf0c0fc0120a7db9a054a95057ed143e7024917ea19a4bcb68150d0d"),
+     "102302f1340695afe80cb15ef18b3913a2e175ab1922a18af131421a8a8934a5",
+     "7586433f54aa5ef2d0e9c6b040bf983baad7c6ff5dc1a7048d26781f6dd384d5"),
     (StudyConfig("example", M=1000, n=3000, m_values=(10, 40, 100), x_grid=X7, reps=400, seed=505,
                  poissonized=True),
      "b8d84d651a6b793b3a004bebc4bf48be0b997606c40af79d0614888b544a0e17",
@@ -606,37 +627,45 @@ FROZEN_STREAMS = [
 
 
 @pytest.mark.parametrize("cfg, estimates_sha, cells_sha", FROZEN_STREAMS, ids=["sweep", "audit", "uniform"])
-def test_seeded_stream_is_frozen(cfg, estimates_sha, cells_sha):
+def test_seeded_stream_is_frozen(pinned_under, cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 6
-    rep = run_mse_study(cfg)
-    assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha
-    assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha
+    assert STREAM_VERSION == 7
+    rep, note = run_mse_study(cfg), pinned_under(**PINNED_UNDER)
+    assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha, note
+    assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha, note
 
 
-def test_seeded_trend_is_frozen():
-    assert STREAM_VERSION == 6
+def test_seeded_trend_is_frozen(pinned_under):
+    assert STREAM_VERSION == 7
+    note = pinned_under(**PINNED_UNDER)
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
     assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
-                                                                       0.0519833333333333)
+                                                                       0.0519833333333333), note
     ladder = ((1000, 3000, 40), (1000, 3000, 200))
-    assert consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True) == (0.5425000000000001, 0.48375)
+    trend = consistency_trend(ladder, "uniform", reps=20, seed=3, poissonized=True)
+    assert trend == (0.5425000000000001, 0.48375), note
 
 
-def test_seeded_gap_is_frozen():
+def test_seeded_gap_is_frozen(pinned_under):
     """The coupled stream of version 6, pinned by the rungs' summaries and
     the sha256 of repr(rungs)."""
-    assert STREAM_VERSION == 6
+    assert STREAM_VERSION == 7
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
-    rep = poissonization_gap(cfg, n_ladder=(3000, 12000))
+    rep, note = poissonization_gap(cfg, n_ladder=(3000, 12000)), pinned_under(**PINNED_UNDER)
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
         (1000, 25, 0.0005409523809523812, 0.0107, 0),
         (4000, 40, 9.821428571428587e-05, 0.004458333333333333, 0),
-    ]
-    assert rep.decay_exponent == 1.2307484051857531
+    ], note
+    assert rep.decay_exponent == 1.2307484051857531, note
     assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
-        "f8210939aa2c06af3d1798fc0e7b8a1555b02e75afd15ad458a4fb0cb28ca26f")
+        "f8210939aa2c06af3d1798fc0e7b8a1555b02e75afd15ad458a4fb0cb28ca26f"), note
+
+
+def test_a_failing_pin_names_the_frozen_and_the_running_versions(pinned_under):
+    message = pinned_under(numpy="1.0.0", scipy="0.9.0")
+    assert message.startswith("pinned under numpy 1.0.0 and scipy 0.9.0; running numpy ")
+    assert np.__version__ in message and scipy.__version__ in message
 
 
 def test_gap_report_times_its_stages():
