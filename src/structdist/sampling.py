@@ -24,6 +24,15 @@ common and the k extra balls as two multinomials, the same law given N.
 That keeps every row at O(M) memory for any n <= MAX_N; with n/M bounded,
 as in the paper's regime, it does not occur.
 
+A coupled pair can also be drawn at m groups of M/m cells (draw_slab with
+groups=m, a CoupledGroups slab): rho's group counts R ~ Poisson(n q), the
+|N - n| balls between the samples fall on cells and are summed in groups,
+and nu and rho are drawn only in the cells those balls touch, given their
+groups' counts. That is O(m + |N - n|) draws per row rather than O(M),
+with the same joint law of the group counts and of the differing cells,
+which is all the natural gap reads. At m = M nothing is drawn within
+groups, and the rows are those of the full coupled slab, bit for bit.
+
 A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
 one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
 multinomial, which draws one binomial per cell (0.6 of its time on the
@@ -41,7 +50,7 @@ from numpy.random import Generator, PCG64, SeedSequence
 
 from .asymptotics import _lattice_index
 from .errors import ValidationError
-from .model import CellModel, StepCdf, _estimate, _float_or_array
+from .model import CellModel, StepCdf, _block_sums, _estimate, _float_or_array, check_group_count
 
 MULTINOMIAL = "multinomial"
 POISSONIZED = "poissonized"
@@ -64,7 +73,10 @@ COUPLED = "coupled"
 # 7: a multinomial row of at least _LONG_ROW cells is the nu of a coupled
 # row (same law; shorter multinomial rows, Poissonized and coupled draws
 # unchanged).
-STREAM_VERSION = 7
+# 8: poissonization_gap draws its pairs at its m groups, nu and rho only in
+# the cells where they differ (same law; full coupled rows, multinomial and
+# Poissonized draws unchanged).
+STREAM_VERSION = 8
 
 _U64 = (1 << 64) - 1
 
@@ -177,7 +189,8 @@ def _check_n(n: int) -> None:
         raise ValidationError(f"n must be <= {MAX_N}, got {n}")
 
 
-def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) -> np.ndarray:
+def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
+              groups: int | None = None) -> np.ndarray | CoupledGroups:
     """rows independent draws of the given kind, in order from gen, as an
     int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
     of independent Poisson(n * p_j) counts, or the two vectors (nu, rho) of
@@ -186,8 +199,18 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
     multinomial rows are drawn row by row (_coupled_row), a multinomial row
     being the nu of a coupled one. Every vector passes the checks a
     CountsVector makes on each row: no negative count, every multinomial
-    row sums to n, and every coupled rho row to its N."""
+    row sums to n, and every coupled rho row to its N.
+
+    With groups = m, a divisor of M, a coupled slab is drawn at m groups of
+    M/m cells and returned as CoupledGroups: the group counts, and nu and
+    rho only in the cells where they differ, which must then differ by
+    |N - n| balls on every row. At m = M its rows are those of the full
+    coupled slab, bit for bit."""
     _check_n(n)
+    if groups is not None:
+        if kind != COUPLED:
+            raise ValidationError(f"only coupled draws are drawn at groups, not {kind!r}")
+        check_group_count(cells.M, groups)
     # totals: per vector, what its rows must sum to (a Poissonized row: any total)
     if kind == MULTINOMIAL and cells.M < _LONG_ROW:
         slab, totals = gen.multinomial(n, cells.p, size=rows)[None], [n]
@@ -195,14 +218,14 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
     elif kind in (MULTINOMIAL, COUPLED):
         # a multinomial slab keeps only nu
-        vectors = 2 if kind == COUPLED else 1
-        slab, Ns = np.empty((vectors, rows, cells.M), dtype=np.int64), np.empty(rows, dtype=np.int64)
-        positive = np.flatnonzero(cells.p > 0)
-        cum_p = np.cumsum(cells.p[positive])
+        vectors, m = (2 if kind == COUPLED else 1), groups or cells.M
+        slab, Ns = np.empty((vectors, rows, m), dtype=np.int64), np.empty(rows, dtype=np.int64)
+        layout, differ = _Layout(cells, n, m), []
         for i in range(rows):
-            Ns[i], *pair = _coupled_row(cells, n, gen, positive, cum_p)
+            Ns[i], *pair, cells_i = _coupled_row(cells, n, gen, layout)
             for vector, counts in zip(slab, pair):
                 vector[i] = counts
+            differ.append(cells_i)
         totals = [n, Ns]
     else:
         raise ValidationError(f"unknown counts kind {kind!r}")
@@ -214,31 +237,157 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator) ->
         bad = np.flatnonzero(got != expected)
         if bad.size:
             raise ValidationError(f"{name} counts sum to {got[bad[0]]}, expected {expected[bad[0]]}")
-    return slab
+    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, cells.M)
 
 
-def _coupled_row(cells: CellModel, n: int, gen: Generator, positive: np.ndarray, cum_p: np.ndarray):
-    """(N, nu, rho) of one coupled row: rho ~ Poisson(n p) cell by cell and
-    N its total. If N < n, nu is rho plus n - N new balls, each a uniform
-    looked up in cum_p, the cumulative p of the cells `positive`; if N > n,
-    nu is rho minus N - n of its own balls, drawn without replacement. When
-    |N - n| > M the pair is rebuilt from N by two multinomials (common and
-    extra balls), which keeps the row at O(M) memory."""
-    rho = gen.poisson(n * cells.p)
-    N = int(rho.sum())
+@dataclass(frozen=True, eq=False)
+class CoupledGroups:
+    """A slab of coupled pairs (nu, rho) seen at m groups of M/m cells.
+
+    V and R are the int64 (rows, m) group counts of nu and of rho, one row
+    per replication; iterating the slab yields them, as a full coupled slab
+    yields (nu, rho). The cells where nu and rho differ are listed row by
+    row: `row`, `cell`, and the counts `nu` and `rho` there. `revealed`
+    counts the cells whose counts were drawn beyond the groups, summed over
+    the rows: a row's differing cells, or all M cells of a row rebuilt from
+    N; none at m = M, where the groups are the cells."""
+
+    V: np.ndarray
+    R: np.ndarray
+    row: np.ndarray
+    cell: np.ndarray
+    nu: np.ndarray
+    rho: np.ndarray
+    revealed: int
+
+    def __iter__(self):
+        return iter((self.V, self.R))
+
+    @classmethod
+    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: list, M: int) -> "CoupledGroups":
+        """The slab's group counts and the differing cells of each row (None
+        at m = M, where they are read off the rows), checked: no negative
+        count, and sum_j |nu_j - rho_j| = |N - n| on every row."""
+        V, R = slab
+        rows, m = V.shape
+        if m == M:
+            row, cell = np.divmod(np.flatnonzero(V != R), M)
+            nu, rho, revealed = V[row, cell], R[row, cell], 0
+        else:
+            sizes = [c.size for c, _, _ in differ]
+            row = np.repeat(np.arange(rows), sizes)
+            cell, nu, rho = (np.concatenate(a).astype(np.int64, copy=False) for a in zip(*differ))
+            revealed = sum(M if abs(N - n) > M else size for N, size in zip(Ns.tolist(), sizes))
+        if min(nu.min(initial=0), rho.min(initial=0)) < 0:
+            raise ValidationError("counts must be nonnegative")
+        got, expected = np.bincount(row, np.abs(nu - rho), minlength=rows), np.abs(Ns - n)
+        bad = np.flatnonzero(got != expected)
+        if bad.size:
+            raise ValidationError(
+                f"coupled counts differ by {got[bad[0]]:g} balls, expected |N - n| = {expected[bad[0]]}")
+        return cls(V, R, row, cell, nu, rho, revealed)
+
+
+class _Layout:
+    """What every coupled row of a slab at m groups reads: the positive
+    cells, the cumulative sum of their p after a leading 0 (`edges`), the
+    group probabilities q, the Poisson means n q and, for groups of more
+    than one cell, where each group's positive cells start among them."""
+
+    def __init__(self, cells: CellModel, n: int, m: int):
+        self.m, self.width = m, cells.M // m
+        self.positive = np.flatnonzero(cells.p > 0)
+        self.edges = np.concatenate(([0.0], np.cumsum(cells.p[self.positive])))
+        self.q = _block_sums(cells.p, m)
+        self.means = n * self.q
+        if self.width > 1:
+            self.starts = np.searchsorted(self.positive, np.arange(m + 1) * self.width)
+
+
+_NO_CELLS = (np.empty(0, dtype=np.int64),) * 3
+
+
+def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
+    """(N, V, R, differ) of one coupled row seen at the layout's m groups.
+
+    R ~ Poisson(n q) group by group and N is its total. If N < n, nu adds
+    n - N new balls, each a uniform looked up in the cumulative p of the
+    positive cells; if N > n, it removes N - n of rho's balls, drawn without
+    replacement and mapped to their groups through the running sum of R.
+    V is R plus or minus those balls. When |N - n| > M the pair is rebuilt
+    from N by two multinomials over the cells (common and extra balls),
+    which keeps the row at O(M) memory, and then summed in groups.
+
+    At m = M the groups are the cells and differ is None. Otherwise differ
+    is (cells, nu, rho) at the cells the |N - n| balls touch, the only ones
+    where nu and rho differ, drawn given the group counts (_within): if
+    N < n, rho there given R; if N > n, each removed ball's cell from p/q_g
+    within its group (a group's R_g balls fall i.i.d. on its cells, and the
+    removed ones are a uniform subset), then the kept balls there given
+    R - D."""
+    width = layout.width
+    R = gen.poisson(layout.means)
+    N = int(R.sum())
     k = abs(N - n)
     if k > cells.M:
         common, extra = gen.multinomial([min(N, n), k], cells.p)
-        return N, common + extra if N < n else common, common + extra if N > n else common
+        nu, rho = (common + extra, common) if N < n else (common, common + extra)
+        if width == 1:
+            return N, nu, rho, None
+        differ = np.flatnonzero(extra)
+        return N, _block_sums(nu, layout.m), _block_sums(rho, layout.m), (differ, nu[differ], rho[differ])
     if N < n:
         # the last positive cell takes every u at or above the second-last
         # cumulative value, so a rounded-up u * total stays in range
-        balls = positive[np.searchsorted(cum_p[:-1], gen.random(k) * cum_p[-1], side="right")]
-        return N, rho + np.bincount(balls, minlength=cells.M), rho
+        edges = layout.edges
+        balls = layout.positive[np.searchsorted(edges[1:-1], gen.random(k) * edges[-1], side="right")]
+        if width == 1:
+            return N, R + np.bincount(balls, minlength=cells.M), R, None
+        differ, new = np.unique(balls, return_counts=True)
+        rho = _within(gen, R, differ, cells.p, layout)
+        return N, R + np.bincount(balls // width, minlength=layout.m), R, (differ, rho + new, rho)
     if N > n:
-        balls = np.searchsorted(np.cumsum(rho), gen.choice(N, k, replace=False, shuffle=False), side="right")
-        return N, rho - np.bincount(balls, minlength=cells.M), rho
-    return N, rho, rho
+        removed = np.searchsorted(np.cumsum(R), gen.choice(N, k, replace=False, shuffle=False), side="right")
+        V = R - np.bincount(removed, minlength=layout.m)
+        if width == 1:
+            return N, V, R, None
+        starts = layout.starts
+        balls = layout.positive[_fall(gen, starts[removed], starts[removed + 1], layout.edges)]
+        differ, out = np.unique(balls, return_counts=True)
+        nu = _within(gen, V, differ, cells.p, layout)
+        return N, V, R, (differ, nu, nu + out)
+    return N, R, R, None if width == 1 else _NO_CELLS
+
+
+def _fall(gen: Generator, lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """For each ball, an index i in its own range [lo, hi), drawn with
+    probability proportional to edges[i + 1] - edges[i]: a uniform looked
+    up in the range's stretch of edges, then clipped into the range, so
+    that rounding at a range's end never moves a ball into the next."""
+    t = edges[lo] + gen.random(lo.size) * (edges[hi] - edges[lo])
+    return np.minimum(np.maximum(np.searchsorted(edges, t, side="right") - 1, lo), hi - 1)
+
+
+def _runs(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a starts, then a.size."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
+
+
+def _within(gen: Generator, totals: np.ndarray, cells: np.ndarray, p: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The counts at the sorted distinct positive `cells` of a row whose
+    group g holds totals[g] balls, each in cell j of g with probability
+    p_j / q_g: a Multinomial(totals[g]) over the group's given cells and
+    the rest. Per group, the balls in the given cells are Binomial(totals[g],
+    their share of q_g); each of them then falls on one of those cells in
+    proportion to p (_fall)."""
+    edges = np.zeros(cells.size + 1)
+    np.cumsum(p[cells], out=edges[1:])
+    group = cells // layout.width
+    ends = _runs(group)
+    lo, hi = ends[:-1], ends[1:]
+    g = group[lo]
+    inside = gen.binomial(totals[g], np.minimum(1.0, (edges[hi] - edges[lo]) / layout.q[g]))
+    return np.bincount(_fall(gen, np.repeat(lo, inside), np.repeat(hi, inside), edges), minlength=cells.size)
 
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:

@@ -7,10 +7,10 @@ generator, stream `rung` of the config seed: replication r is the r-th
 row drawn, so the first r replications do not depend on reps. The studies
 handle them in slabs: the draws of up to a few thousand consecutive
 replications form one int64 count array, drawn by one `sampling.draw_slab`
-call (one vector of rows, or the two of coupled pairs; since stream version
-7 a multinomial row of at least 2^12 cells, such as the 9009 blocks of the
-criterion-9 sweep, is drawn as the nu of a coupled row), which is then
-grouped, evaluated and reduced with whole-array numpy. Every reduction
+call (one vector of rows, or the group counts of coupled pairs; since
+stream version 7 a multinomial row of at least 2^12 cells, such as the 9009
+blocks of the criterion-9 sweep, is drawn as the nu of a coupled row),
+which is then grouped, evaluated and reduced with whole-array numpy. Every reduction
 keeps a fixed order (a slab's rows are the replications in order, running
 sums carry across slabs), so the floating-point results do not depend on
 where the slabs break.
@@ -28,8 +28,11 @@ grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
 runs with m = M), so neither holds all M cells at once unless one group has
 more than 2^14 of them. `run_mse_study` then groups each slab once per m by
 strided differences of one running sum (`model._prefix_block_sums`).
-`poissonization_gap` draws coupled cells, which its natural gap needs. The
-seeded stream is the one `sampling.STREAM_VERSION` names.
+`poissonization_gap` draws its coupled pairs at its m groups as well: the
+group counts of nu and rho, and both only in the cells where they differ,
+the only cells its natural gap reads (`sampling.CoupledGroups`), so no
+study draws a row of all M cells unless |N - n| > M. The seeded stream is
+the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
 from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
-from .model import (_MAX_SIZE, CellModel, _block_sums, _estimate, _prefix_block_sums, _prefix_sums,
+from .model import (_MAX_SIZE, CellModel, _estimate, _prefix_block_sums, _prefix_sums,
                     _sup_to_function, check_group_count, nearest_divisor)
 from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, draw_slab
 
@@ -149,7 +152,9 @@ def _summarize(config: StudyConfig, fx: tuple[float, ...], estimates: np.ndarray
     if reps > 1:
         var = estimates.var(axis=-1, ddof=1)
         se_mean = np.sqrt(var / reps)
-        m4 = ((estimates - mean[..., None]) ** 4).mean(axis=-1)
+        # squared twice: ** 4 calls pow on every element
+        d2 = (estimates - mean[..., None]) ** 2
+        m4 = (d2 * d2).mean(axis=-1)
         # Var(s^2) = (m4 - sigma^4 (reps-3)/(reps-1)) / reps, plugged in
         se_var = np.sqrt(np.maximum(0.0, (m4 - var * var * (reps - 3) / (reps - 1)) / reps))
     else:
@@ -176,43 +181,44 @@ def decomposition_residual(cell: MseCell, reps: int) -> float:
 _SLAB = 1 << 22
 
 
-def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0):
+def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int, rung: int = 0,
+           groups: Optional[int] = None):
     """A rung's replications in slabs of at most max(1, _SLAB // width) rows.
 
     Yields (rows, counts): the slice of replication indices the slab holds
-    and the `draw_slab` array of its draws, an int64 matrix with one row per
-    replication for each count vector a draw makes (a pair for COUPLED),
-    every row checked as a CountsVector would check it. Replication r is
-    the r-th row drawn from one running generator, stream `rung` of the
-    seed, so a replication does not depend on reps or on where the slabs
-    break."""
+    and the `draw_slab` result of its draws, an int64 matrix with one row per
+    replication for each count vector a draw makes (a pair for COUPLED;
+    with `groups`, the pair of group counts of a `CoupledGroups`), every row
+    checked as a CountsVector would check it. Replication r is the r-th row
+    drawn from one running generator, stream `rung` of the seed, so a
+    replication does not depend on reps or on where the slabs break."""
     gen = RngStream(seed, rung).generator()
     size = max(1, _SLAB // width)
     for start in range(0, reps, size):
         rows = min(size, reps - start)
-        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen)
+        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen, groups)
 
 
-def _natural_gap(nu: np.ndarray, rho: np.ndarray):
-    """M times the sup distance between the natural estimators of nu and rho,
-    per row of any leading axes: both step on the integer counts, so it is
-    max_k |#{nu_j <= k} - #{rho_j <= k}|. Cells with nu_j = rho_j cancel at
-    every k, so only the others enter. Their counts, sorted within each row,
-    step the difference by +1 (nu) or -1 (rho), and its value at k is the
+def _natural_gap(row: np.ndarray, nu: np.ndarray, rho: np.ndarray, rows: int) -> np.ndarray:
+    """M times the sup distance between the natural estimators of nu and
+    rho, for each of `rows` coupled rows, from the cells where they differ:
+    the row of each such cell and the counts nu and rho there. Both
+    estimators step on the integer counts, so the gap is
+    max_k |#{nu_j <= k} - #{rho_j <= k}|, and the cells with nu_j = rho_j
+    cancel at every k. The differing counts, sorted within each row, step
+    the difference by +1 (nu) or -1 (rho), and its value at k is the
     running sum after the last count equal to k. A row's steps sum to 0, so
     one running sum over the rows in order serves them all."""
-    width = nu.shape[-1]
-    cells = np.flatnonzero(nu != rho)
-    row = np.concatenate((cells, cells)) // width
-    count = np.concatenate((nu.ravel()[cells], rho.ravel()[cells]))
+    row = np.concatenate((row, row))
+    count = np.concatenate((nu, rho))
     order = np.lexsort((count, row))
     row, count = row[order], count[order]
-    running = np.abs(np.cumsum(np.where(order < cells.size, 1, -1)))
+    running = np.abs(np.cumsum(np.where(order < nu.size, 1, -1)))
     last = np.ones(row.size, dtype=bool)
     last[:-1] = (row[1:] != row[:-1]) | (count[1:] != count[:-1])
-    gaps = np.zeros(nu.size // width, dtype=np.int64)
+    gaps = np.zeros(rows, dtype=np.int64)
     np.maximum.at(gaps, row[last], running[last])
-    return gaps.reshape(nu.shape[:-1])
+    return gaps
 
 
 # ---------- core study ----------
@@ -332,9 +338,11 @@ class PoissonizationGapReport:
     rungs: tuple[GapRung, ...]
     decay_exponent: Optional[float]  # fitted decay rate of avg sq gap in n; None for < 2 rungs
     # what the run cost, summed over the rungs: seconds per stage (cells_s:
-    # generator and cells; draw_s: coupled draws; gap_s: natural gaps and
-    # their bound; evaluate_s: grouped estimates and squared gaps) and the
-    # numbers of draws and slabs
+    # generator and cells; draw_s: coupled draws at the groups; gap_s:
+    # natural gaps and their bound; evaluate_s: grouped estimates and squared
+    # gaps), the numbers of draws and slabs, and cells_revealed: the cells
+    # whose counts were drawn beyond the groups, summed over the rows (those
+    # the |N - n| balls touch, all M in a row rebuilt from N, none at m = M)
     timings: dict = field(compare=False, repr=False, default_factory=dict)
 
 
@@ -342,21 +350,26 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
     """Measure the multinomial-vs-Poissonized estimator gap on coupled draws.
 
     Each rung rescales M to keep lambda = n/M fixed and uses the divisor of M
-    nearest to n^(2/5) as group count. Per replication: the natural
-    estimators of the coupled pair must differ by at most |N - n|/M in sup
-    norm, checked exactly on integer counts (counted as violations
+    nearest to n^(2/5) as group count m, and draws each coupled pair at its
+    m groups. Per replication: the natural estimators of the coupled pair
+    must differ by at most |N - n|/M in sup norm, checked exactly on the
+    integer counts of the cells where they differ (counted as violations
     otherwise, expect zero), and the grouped pair's squared gap is recorded
-    on the x_grid. With >= 2 rungs the decay exponent of the average squared
-    gap is fitted in log-log scale.
+    on the x_grid. Every n of the ladder must be an integer. With >= 2
+    rungs the decay exponent of the average squared gap is fitted in
+    log-log scale.
     """
     mark = time.perf_counter()
     gen = by_name(config.generator)
     lam = config.n / config.M
-    ns = [int(v) for v in (n_ladder if n_ladder is not None else [config.n])]
+    ns = list(n_ladder if n_ladder is not None else [config.n])
+    for v in ns:
+        _check_integer("every n of the ladder", v)
+    ns = [int(v) for v in ns]
     if any(v < 1 for v in ns):
         raise ValidationError(f"n ladder must be positive, got {ns}")
     timings = {"cells_s": 0.0, "draw_s": 0.0, "gap_s": 0.0, "evaluate_s": 0.0,
-               "draws": len(ns) * config.reps, "slabs": 0}
+               "draws": len(ns) * config.reps, "slabs": 0, "cells_revealed": 0}
     rungs = []
     for rung_idx, n in enumerate(ns):
         M = max(1, round(n / lam))
@@ -365,16 +378,18 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
         K = _lattice_index(config.x_grid, n, m)
         sq = np.zeros(len(config.x_grid))
         gap_sum = violations = 0
+        # bounds what a row holds: at most M differing cells, m comparisons per x
         width = M * len(config.x_grid)
         timings["cells_s"] += time.perf_counter() - mark
         mark = time.perf_counter()
-        for _, (nu, rho) in _slabs(COUPLED, cells, n, config.seed, config.reps, width, rung_idx):
+        for _, pairs in _slabs(COUPLED, cells, n, config.seed, config.reps, width, rung_idx, groups=m):
             drawn = time.perf_counter()
-            gaps = _natural_gap(nu, rho)
+            V, R = pairs
+            gaps = _natural_gap(pairs.row, pairs.nu, pairs.rho, V.shape[0])
             gap_sum += int(gaps.sum())
-            violations += int(np.count_nonzero(gaps > np.abs(rho.sum(axis=1) - n)))
+            violations += int(np.count_nonzero(gaps > np.abs(R.sum(axis=1) - n)))
             gapped = time.perf_counter()
-            diff = _estimate(_block_sums(nu, m), K) - _estimate(_block_sums(rho, m), K)
+            diff = _estimate(V, K) - _estimate(R, K)
             # a running sum in replication order, carried across slabs
             sq = np.cumsum(np.vstack((sq, diff**2)), axis=0)[-1]
             timings["draw_s"] += drawn - mark
@@ -382,6 +397,7 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
             timings["gap_s"] += gapped - drawn
             timings["evaluate_s"] += mark - gapped
             timings["slabs"] += 1
+            timings["cells_revealed"] += pairs.revealed
         sq /= config.reps
         rungs.append(
             GapRung(M=M, n=n, m=m, mean_sq_gap=tuple(float(v) for v in sq),
@@ -413,6 +429,7 @@ def poisson_tail_audit(
     samples per mean, against the Bernstein-type tail bound. Every mean must
     lie in (0, MAX_N] and every epsilon be positive and finite; both are
     checked before the first draw."""
+    _check_integer("draws", draws)
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     for mean in means:

@@ -53,7 +53,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 7
+    assert meta["stream_version"] == STREAM_VERSION == 8
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 

@@ -20,7 +20,9 @@ from structdist import (
     grouped_estimator,
     group_model,
 )
-from structdist.sampling import COUPLED, MAX_N, draw_slab
+from structdist.generators import table_generator
+from structdist.sampling import COUPLED, MAX_N, CoupledGroups, draw_slab
+from structdist.study import _natural_gap
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
 # the shortest multinomial rows drawn as the nu of a coupled row
@@ -130,8 +132,9 @@ def test_poissonized_moments_and_realized_total():
 
 @pytest.mark.parametrize("M", [1, 10, 1 << 12])
 def test_draws_reach_the_largest_n(M):
-    """At n = MAX_N, |N - n| is about 2**31 > M, so every coupled row, and
-    every multinomial row of at least 2**12 cells, is rebuilt from N."""
+    """At n = MAX_N, |N - n| is about 2**31 > M, so every coupled row, at
+    cells or at groups, and every multinomial row of at least 2**12 cells,
+    is rebuilt from N."""
     cells = CellModel(M, np.full(M, 1.0 / M))
     gen = RngStream(0).generator()
     assert int(draw_multinomial(cells, MAX_N, gen).counts.sum()) == MAX_N
@@ -139,8 +142,11 @@ def test_draws_reach_the_largest_n(M):
     assert (draw_slab(MULTINOMIAL, cells, MAX_N, 3, gen).sum(axis=-1) == MAX_N).all()
     nu, rho = draw_slab(COUPLED, cells, MAX_N, 3, gen)
     assert (nu.sum(axis=-1) == MAX_N).all() and (np.abs(rho.sum(axis=-1) - MAX_N) > M).all()
+    pairs = draw_slab(COUPLED, cells, MAX_N, 3, gen, groups=1)  # one group
+    assert (pairs.V == MAX_N).all() and pairs.revealed == (3 * M if M > 1 else 0)
     kinds = (MULTINOMIAL, POISSONIZED, COUPLED)
     slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in kinds]
+    slabs.append(lambda c, n, rng: draw_slab(COUPLED, c, n, 3, rng, groups=1))
     for draw in (draw_multinomial, draw_poissonized, draw_coupled, *slabs):
         with pytest.raises(ValidationError, match=f"n must be <= {MAX_N}, got {MAX_N + 1}"):
             draw(cells, MAX_N + 1, gen)
@@ -381,6 +387,176 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
     expect = n * gm.p[0]
     assert abs(direct.mean() - expect) < 5 * np.sqrt(expect / reps)
     assert abs(via_coupling.mean() - expect) < 5 * np.sqrt(expect / reps)
+
+
+# ---------- coupled pairs seen at groups ----------
+
+def check_grouped(pairs, cells, n, m):
+    """The exact invariants of every row of a CoupledGroups slab: V sums to
+    n and R to N; the listed cells of a row are distinct, sorted, positive
+    and differ, by |N - n| balls in all, and within each group they account
+    for V - R; a cell never holds more than its group, and the shorter
+    sample lies inside the longer one."""
+    V, R = pairs
+    rows, width = V.shape[0], cells.M // m
+    N = R.sum(axis=1)
+    assert V.shape == R.shape == (rows, m) and V.dtype == R.dtype == np.int64
+    assert (V.sum(axis=1) == n).all() and (V >= 0).all() and (R >= 0).all()
+    row, cell, nu, rho = pairs.row, pairs.cell, pairs.nu, pairs.rho
+    assert np.array_equal(row, np.sort(row)) and (nu != rho).all() and (nu >= 0).all() and (rho >= 0).all()
+    assert ((row[1:] != row[:-1]) | (cell[1:] > cell[:-1])).all()
+    assert (cells.p[cell] > 0).all()
+    assert np.array_equal(np.bincount(row, np.abs(nu - rho), minlength=rows), np.abs(N - n))
+    per_group = np.zeros((rows, m), dtype=np.int64)
+    np.add.at(per_group, (row, cell // width), nu - rho)
+    assert np.array_equal(per_group, V - R)
+    assert (nu <= V[row, cell // width]).all() and (rho <= R[row, cell // width]).all()
+    assert ((nu >= rho) == (N[row] < n)).all()
+    return N
+
+
+@pytest.mark.parametrize("cells, n, m", [
+    (CELLS6, 60, 6),
+    (CELLS6, 10**12, 6),  # every row rebuilt from N
+    (cells_from_generator(example_generator(), 40), 120, 40),
+])
+def test_grouped_rows_at_one_cell_per_group_are_the_coupled_slab(cells, n, m):
+    """At m = M a grouped slab draws nothing within groups: V and R are the
+    coupled slab's nu and rho bit for bit, the generator ends in the same
+    state, and the differing cells are read off the rows. A slab of rows is
+    that many one-row grouped draws in order."""
+    full_gen, grouped_gen = RngStream(5, 1).generator(), RngStream(5, 1).generator()
+    nu, rho = draw_slab(COUPLED, cells, n, 30, full_gen)
+    pairs = draw_slab(COUPLED, cells, n, 30, grouped_gen, groups=m)
+    assert isinstance(pairs, CoupledGroups) and pairs.revealed == 0
+    assert np.array_equal(pairs.V, nu) and np.array_equal(pairs.R, rho)
+    assert full_gen.bit_generator.state == grouped_gen.bit_generator.state
+    row, cell = np.nonzero(nu != rho)
+    assert np.array_equal(pairs.row, row) and np.array_equal(pairs.cell, cell)
+    assert np.array_equal(pairs.nu, nu[row, cell]) and np.array_equal(pairs.rho, rho[row, cell])
+    check_grouped(pairs, cells, n, m)
+
+
+@st.composite
+def grouped_models(draw):
+    """(m, cell weights): m groups of 1 to 5 cells each, some weights 0."""
+    m, width = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    return m, draw(st.lists(st.integers(0, 5), min_size=m * width, max_size=m * width).filter(any))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=grouped_models(), n=st.integers(1, 400), rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+@example(model=(3, [0, 0, 1, 0, 0, 3]), n=200, rows=12, seed=1)  # zero cells within and across groups
+@example(model=(1, [1, 2]), n=10**6, rows=4, seed=2)  # every row rebuilt from N
+def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
+    """Over any model, group count and width, n and row count, every row of
+    a grouped slab keeps the exact invariants (check_grouped); no ball
+    lands on or leaves a zero-probability cell; a row reveals the cells it
+    lists, or all M cells when it is rebuilt from N; and a slab of rows is
+    that many one-row grouped draws in order."""
+    m, weights = model[0], np.array(model[1], dtype=float)
+    cells, width = CellModel(weights.size, weights / weights.sum()), weights.size // m
+    gen, single = RngStream(seed).generator(), RngStream(seed).generator()
+    pairs = draw_slab(COUPLED, cells, n, rows, gen, groups=m)
+    N = check_grouped(pairs, cells, n, m)
+    zero_groups = cells.p.reshape(m, -1).sum(axis=1) == 0
+    assert not pairs.V[:, zero_groups].any() and not pairs.R[:, zero_groups].any()
+    rebuilt = np.abs(N - n) > cells.M
+    revealed = cells.M * rebuilt.sum() + np.count_nonzero(~rebuilt[pairs.row])
+    assert pairs.revealed == (revealed if width > 1 else 0)
+    for r in range(rows):
+        V, R = draw_slab(COUPLED, cells, n, 1, single, groups=m)
+        assert np.array_equal(V[0], pairs.V[r]) and np.array_equal(R[0], pairs.R[r])
+    assert gen.bit_generator.state == single.bit_generator.state
+
+
+def test_grouped_rows_of_a_table_with_a_flat_piece(tmp_path):
+    """A table whose G is flat on [0.2, 0.35] has zero-probability cells
+    inside two groups at M = 40, m = 8: over rows with N < n and N > n, no
+    listed cell is one of them, and every invariant holds."""
+    path = tmp_path / "flat.csv"
+    path.write_text("0,0\n0.2,0.3\n0.35,0.3\n1,1\n")
+    cells = cells_from_generator(table_generator(str(path)), 40)
+    zero = np.flatnonzero(cells.p == 0)
+    assert zero.size and len(set(zero // 5)) == 2 and (cells.p.reshape(8, 5).sum(axis=1) > 0).all()
+    pairs = draw_slab(COUPLED, cells, 80, 2000, RngStream(17).generator(), groups=8)
+    N = check_grouped(pairs, cells, 80, 8)
+    assert (N < 80).any() and (N > 80).any()
+    assert not np.isin(pairs.cell, zero).any()
+
+
+def test_grouped_rows_rebuilt_from_n():
+    """When |N - n| > M the pair is rebuilt from N over the cells and summed
+    in groups: every row reveals all M cells and keeps every invariant, and
+    V has the Multinomial(n, q) means within 4 standard errors."""
+    n, rows = 10**8, 400
+    pairs = draw_slab(COUPLED, CELLS6, n, rows, RngStream(23).generator(), groups=3)
+    N = check_grouped(pairs, CELLS6, n, 3)
+    assert (np.abs(N - n) > CELLS6.M).all() and pairs.revealed == rows * CELLS6.M
+    q = group_model(CELLS6, 3).p
+    z = (pairs.V.mean(axis=0) - n * q) / np.sqrt(n * q * (1 - q) / rows)
+    assert np.abs(z).max() < 4.0, z
+
+
+def test_grouped_pairs_have_the_exact_law():
+    """Over 20000 rows at M = 200 cells in m = 8 groups, n = 400 (rows with
+    N < n and with N > n): V has the Multinomial(n, q) means n q_i,
+    variances n q_i (1 - q_i) and covariances -n q_i q_j; R has the
+    Poisson(n q) means and variances, and Cov(V_i, R_i) =
+    E[min(n, N)] q_i (1 - q_i), all within 4 standard errors."""
+    cells, m, n, rows = cells_from_generator(example_generator(), 200), 8, 400, 20000
+    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(4243).generator(), groups=m)
+    N = check_grouped(pairs, cells, n, m)
+    assert (N < n).any() and (N > n).any()
+    q = group_model(cells, m).p
+    V, R = (a - n * q for a in pairs)
+    cov = np.where(np.eye(m, dtype=bool), n * q * (1 - q), -n * np.outer(q, q))
+    e_min = n * (1.0 - float(poisson.pmf(n, n)))
+    exact = {  # (products whose means are estimated, their exact means)
+        "V mean": (V, 0.0),
+        "V cov": (V[:, :, None] * V[:, None, :], cov),
+        "R mean": (R, 0.0),
+        "R var": (R**2, n * q),
+        "V R cov": (V * R, e_min * q * (1 - q)),
+    }
+    for name, (products, want) in exact.items():
+        z = (products.mean(axis=0) - want) / (products.std(axis=0, ddof=1) / np.sqrt(rows))
+        assert np.abs(z).max() < 4.0, (name, z)
+
+
+@pytest.mark.parametrize("M, m, n", [(40, 4, 120), (30, 3, 30), (20, 2, 200)])
+def test_grouped_natural_gap_matches_full_rows(M, m, n):
+    """The natural gap read from a grouped slab's differing cells has the
+    law of the gap of full coupled rows: over 10000 rows each, its mean and
+    its second moment lie within 4 standard errors of the full rows'."""
+    cells, rows = cells_from_generator(example_generator(), M), 10000
+    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).generator(), groups=m)
+    grouped = _natural_gap(pairs.row, pairs.nu, pairs.rho, rows).astype(float)
+    nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(M, 1).generator())
+    row, cell = np.nonzero(nu != rho)
+    full = _natural_gap(row, nu[row, cell], rho[row, cell], rows).astype(float)
+    for power in (1, 2):
+        a, b = grouped**power, full**power
+        z = (a.mean() - b.mean()) / np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / rows)
+        assert abs(z) < 4.0, (power, z)
+
+
+def test_grouped_slab_checks_its_groups_and_cells():
+    """A grouped draw is a coupled one at a divisor of M, and a slab whose
+    listed cells have a negative count, or do not differ by |N - n| balls,
+    is refused."""
+    with pytest.raises(ValidationError, match="only coupled draws are drawn at groups"):
+        draw_slab(MULTINOMIAL, CELLS6, 60, 2, RngStream(1).generator(), groups=3)
+    with pytest.raises(ValidationError, match="m=4 does not divide M=6"):
+        draw_slab(COUPLED, CELLS6, 60, 2, RngStream(1).generator(), groups=4)
+    slab, Ns = np.array([[[30, 30]], [[28, 30]]]), np.array([58])
+    cell = np.array([1])
+    with pytest.raises(ValidationError, match=r"coupled counts differ by 1 balls, expected \|N - n\| = 2"):
+        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([3]), np.array([2]))], 6)
+    with pytest.raises(ValidationError, match="counts must be nonnegative"):
+        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([0]), np.array([-2]))], 6)
+    ok = CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([4]), np.array([2]))], 6)
+    assert ok.revealed == 1 and ok.row.tolist() == [0]
 
 
 # ---------- grouping counts ----------

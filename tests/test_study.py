@@ -15,6 +15,9 @@ from scipy.stats import binom, poisson
 import structdist.model as model
 import structdist.study as study
 from structdist import (
+    MULTINOMIAL,
+    POISSONIZED,
+    CountsVector,
     NumericError,
     RngStream,
     SmoothGenerator,
@@ -43,7 +46,7 @@ from structdist import (
 )
 from structdist.asymptotics import _lattice_index
 from structdist.model import _estimate
-from structdist.sampling import MAX_N, STREAM_VERSION
+from structdist.sampling import COUPLED, MAX_N, STREAM_VERSION, draw_slab
 from structdist.study import _natural_gap
 
 X7 = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
@@ -347,7 +350,8 @@ def per_cell_summary(m, x, fx, vals):
     if reps == 1:
         return (m, x, mean, mean - fx, 0.0, mse, 0.0, 0.0)
     var = float(np.var(vals, ddof=1))
-    m4 = float(np.mean((vals - mean) ** 4))
+    d2 = (vals - mean) ** 2
+    m4 = float(np.mean(d2 * d2))
     se_var = math.sqrt(max(0.0, (m4 - var * var * (reps - 3) / (reps - 1)) / reps))
     return (m, x, mean, mean - fx, var, mse, math.sqrt(var / reps), se_var)
 
@@ -438,7 +442,8 @@ def test_gap_ladder_decays_with_n():
         assert rung.M == max(1, round(rung.n / 3.0))  # lambda held at n/M = 3
     gaps = [r.mean_sq_gap_avg for r in rep.rungs]
     assert gaps[0] > gaps[1] > gaps[2]
-    # fitted decay of the mean squared gap in n (frozen run: ~0.92)
+    # fitted decay of the mean squared gap in n (1.07 on this seed under
+    # stream version 8; 0.79 to 1.17 over seeds 0 to 39)
     assert 0.5 <= rep.decay_exponent <= 2.0
 
 
@@ -450,27 +455,36 @@ def test_gap_ladder_decays_with_n():
     xs=st.lists(st.one_of(st.floats(0.0, 4.0), st.integers(0, 32).map(lambda k: k / 8)), min_size=1, max_size=6),
 )
 def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
-    """On one coupled draw (reps=1), poissonization_gap's integer natural gap
-    over M is the StepCdf sup distance and at most |N - n|, and its grouped
-    estimates equal the StepCdf values wherever K = lattice_floor(x n / m)
-    is the count the float comparison count * (m/n) <= x picks too."""
+    """On one coupled draw of full rows, the integer natural gap read from
+    the cells where nu and rho differ, over M, is the StepCdf sup distance
+    and at most |N - n|. poissonization_gap (reps=1) reports that gap for the
+    first pair its rung draws at its m groups, and the squared gap of that
+    pair's grouped estimates, which equal the StepCdf values wherever
+    K = lattice_floor(x n / m) is the count the float comparison
+    count * (m/n) <= x picks too."""
     xs = sorted(xs)
+    cells = cells_from_generator(example_generator(), M)
+    nu, rho = draw_coupled(cells, n, RngStream(seed).generator())
+    differ = np.flatnonzero(nu.counts != rho.counts)
+    (gap,) = _natural_gap(np.zeros_like(differ), nu.counts[differ], rho.counts[differ], 1)
+    assert abs(gap / M - sup_distance(natural_estimator(nu).cdf, natural_estimator(rho).cdf)) <= 1e-15
+    assert gap <= abs(rho.N_realized - n)
+
     cfg = StudyConfig("example", M=M, n=n, m_values=(1,), x_grid=xs, reps=1, seed=seed)
     rung = poissonization_gap(cfg).rungs[0]
     assert rung.M == M
-    nu, rho = draw_coupled(cells_from_generator(example_generator(), M), n, RngStream(seed).generator())
-    gap = _natural_gap(nu.counts, rho.counts)
-    assert abs(gap / M - sup_distance(natural_estimator(nu).cdf, natural_estimator(rho).cdf)) <= 1e-15
-    assert gap <= abs(rho.N_realized - n)
+    m = rung.m
+    pairs = draw_slab(COUPLED, cells, n, 1, RngStream(seed).generator(), groups=m)
+    (gap,) = _natural_gap(pairs.row, pairs.nu, pairs.rho, 1)
+    assert gap <= abs(int(pairs.R.sum()) - n)
     assert rung.mean_sup_gap_natural == gap / M and rung.bound_violations == 0
 
-    m = rung.m
     K = _lattice_index(xs, n, m)
     ks = np.arange(K.max() + 2)
     agree = K == np.array([ks[ks * (m / n) <= x].max() for x in xs])
     halves = []
-    for vec in (nu, rho):
-        halves.append(_estimate(vec.counts.reshape(m, -1).sum(axis=1), K))
+    for vec in (CountsVector(MULTINOMIAL, pairs.V[0], n=n), CountsVector(POISSONIZED, pairs.R[0], n=n)):
+        halves.append(_estimate(vec.counts, K))
         est = grouped_estimator(vec, m)
         assert np.array_equal(halves[-1], est(xs))
         np.testing.assert_allclose(halves[-1][agree], est.cdf(np.asarray(xs))[agree], rtol=0, atol=1e-15)
@@ -481,9 +495,10 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
 def test_gap_sums_replications_in_order(monkeypatch, rows):
     """Each rung's mean squared grouped gap is a running sum over the
     replications in order, whole or in slabs of 7 rows, as a row-by-row loop
-    over the public draw and grouped estimator adds it up (a pairwise sum
-    differs in the last bits on this config). Rung i draws its pairs in
-    order from the running generator of stream i."""
+    over one-row grouped draws and the public grouped estimator adds it up
+    (a pairwise sum differs in the last bits on this config). Rung i draws
+    its pairs at its m groups in order from the running generator of
+    stream i: replication r is the r-th grouped row drawn."""
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=66, seed=1)
     ladder = (3000, 12000)
     if rows is not None:
@@ -494,9 +509,18 @@ def test_gap_sums_replications_in_order(monkeypatch, rows):
         rng = RngStream(cfg.seed, i).generator()
         sq = np.zeros(len(X7))
         for r in range(cfg.reps):
-            nu, rho = draw_coupled(cells, n, rng)
+            V, R = draw_slab(COUPLED, cells, n, 1, rng, groups=rung.m)
+            nu, rho = CountsVector(MULTINOMIAL, V[0], n=n), CountsVector(POISSONIZED, R[0], n=n)
             sq += (grouped_estimator(nu, rung.m)(X7) - grouped_estimator(rho, rung.m)(X7)) ** 2
         assert rung.mean_sq_gap == tuple(sq / cfg.reps)
+
+
+@pytest.mark.parametrize("ladder", [(300.9,), (True,), (300, "600")], ids=["float", "bool", "str"])
+def test_gap_ladder_rejects_ns_that_are_not_integers(ladder):
+    """300.9 used to run at n = 300 and True at n = 1."""
+    cfg = StudyConfig("example", M=100, n=300, m_values=(10,), x_grid=(1.0,), reps=2, seed=1)
+    with pytest.raises(ValidationError, match="every n of the ladder must be an integer"):
+        poissonization_gap(cfg, n_ladder=ladder)
 
 
 def test_gap_ladder_single_rung_has_no_exponent():
@@ -608,21 +632,23 @@ def test_mse_study_and_trend_build_no_cell_vector():
 # The numpy and scipy versions every seeded pin of this module was frozen under
 PINNED_UNDER = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
-# sha256 of estimates.tobytes() and of repr(cells): sweep frozen under stream
-# version 7 (its 9009-block rows are the nu of coupled rows), audit and
-# uniform under version 4 (versions 5 and 6 changed only the coupled draw,
-# 7 only multinomial rows of at least 2**12 cells)
+# sha256 of estimates.tobytes() and of repr(cells): the estimates of sweep
+# frozen under stream version 7 (its 9009-block rows are the nu of coupled
+# rows), of audit and uniform under version 4 (versions 5, 6 and 8 changed
+# only the coupled draw, 7 only multinomial rows of at least 2**12 cells);
+# the cells of all three re-frozen when se_var took the fourth moment by two
+# squarings instead of pow, which moves it by at most 2.8e-15 relative here
 FROZEN_STREAMS = [
     (StudyConfig("example", M=333333, n=999999, m_values=SWEEP_MS, x_grid=X7, reps=20, seed=909),
      "102302f1340695afe80cb15ef18b3913a2e175ab1922a18af131421a8a8934a5",
-     "7586433f54aa5ef2d0e9c6b040bf983baad7c6ff5dc1a7048d26781f6dd384d5"),
+     "9751f21ffbda696ea11d11d8e2e7f1ebfc8115897b81af4b501dc72abb4ca3e8"),
     (StudyConfig("example", M=1000, n=3000, m_values=(10, 40, 100), x_grid=X7, reps=400, seed=505,
                  poissonized=True),
      "b8d84d651a6b793b3a004bebc4bf48be0b997606c40af79d0614888b544a0e17",
-     "7dca07da9726010ac699d9f8f4a5fe1cc66bd76b69895126f18155f97c7ebb8e"),
+     "036262b9cf06402394b2df8ab09f55668bc1061e2ace494192ccc72c6a8c74d9"),
     (StudyConfig("uniform", M=1000, n=3000, m_values=(10, 40, 100), x_grid=(0.5, 1.0, 1.5), reps=50, seed=5),
      "3cbcdceae5c299c6ff9d7ae4593e27dcd39559c5f104b96f0ec1a079d2733d18",
-     "30c623fbc7f41462c8b6dfbd2d21dca942c2a64f879f600cb1fb0c762f3299a6"),
+     "2e5b61765fcd8ee1132f2e817a36626b2b14dbf44a9bd706af87f846a3c8936a"),
 ]
 
 
@@ -630,14 +656,14 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(pinned_under, cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 7
+    assert STREAM_VERSION == 8
     rep, note = run_mse_study(cfg), pinned_under(**PINNED_UNDER)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha, note
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha, note
 
 
 def test_seeded_trend_is_frozen(pinned_under):
-    assert STREAM_VERSION == 7
+    assert STREAM_VERSION == 8
     note = pinned_under(**PINNED_UNDER)
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
     assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
@@ -648,18 +674,18 @@ def test_seeded_trend_is_frozen(pinned_under):
 
 
 def test_seeded_gap_is_frozen(pinned_under):
-    """The coupled stream of version 6, pinned by the rungs' summaries and
-    the sha256 of repr(rungs)."""
-    assert STREAM_VERSION == 7
+    """The coupled stream of version 8 (pairs drawn at the rung's m groups),
+    pinned by the rungs' summaries and the sha256 of repr(rungs)."""
+    assert STREAM_VERSION == 8
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
     rep, note = poissonization_gap(cfg, n_ladder=(3000, 12000)), pinned_under(**PINNED_UNDER)
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
-        (1000, 25, 0.0005409523809523812, 0.0107, 0),
-        (4000, 40, 9.821428571428587e-05, 0.004458333333333333, 0),
+        (1000, 25, 0.0003504761904761908, 0.008333333333333333, 0),
+        (4000, 40, 0.0001309523809523811, 0.0047666666666666664, 0),
     ], note
-    assert rep.decay_exponent == 1.2307484051857531, note
+    assert rep.decay_exponent == 0.7101370738224972, note
     assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
-        "f8210939aa2c06af3d1798fc0e7b8a1555b02e75afd15ad458a4fb0cb28ca26f"), note
+        "151460fa09448f4d22e8197f9b283c5ec1d5128ffed29687520f3c57494f82bb"), note
 
 
 def test_a_failing_pin_names_the_frozen_and_the_running_versions(pinned_under):
@@ -674,8 +700,10 @@ def test_gap_report_times_its_stages():
     rep = poissonization_gap(cfg, n_ladder=(3000, 12000))
     wall = time.perf_counter() - start
     t = rep.timings
-    assert set(t) == {"cells_s", "draw_s", "gap_s", "evaluate_s", "draws", "slabs"}
+    assert set(t) == {"cells_s", "draw_s", "gap_s", "evaluate_s", "draws", "slabs", "cells_revealed"}
     assert t["draws"] == 12 and t["slabs"] == 2
+    # rows at m < M reveal the cells their |N - n| balls touch, and no more
+    assert 0 < t["cells_revealed"] <= 12 * 3 * math.isqrt(12000)
     stages = [t[k] for k in ("cells_s", "draw_s", "gap_s", "evaluate_s")]
     assert all(v >= 0.0 for v in stages) and sum(stages) <= wall
     assert dataclasses.replace(rep, timings={}) == rep  # timings do not enter equality
@@ -698,6 +726,13 @@ def test_poisson_tail_audit_rejects_bad_means_and_epsilons(means, epsilons, mess
     is a ValidationError, never numpy's ValueError or a RuntimeWarning."""
     with pytest.raises(ValidationError, match=message):
         poisson_tail_audit(means, epsilons, draws=10, seed=1)
+
+
+@pytest.mark.parametrize("draws", [2.5, 10.0, "10", True], ids=["float", "whole-float", "str", "bool"])
+def test_poisson_tail_audit_rejects_draws_that_are_not_integers(draws):
+    """2.5 used to end in numpy's bare TypeError."""
+    with pytest.raises(ValidationError, match=f"draws must be an integer, got {draws!r}"):
+        poisson_tail_audit((4.0,), (1.0,), draws=draws, seed=1)
 
 
 def test_poisson_tail_audit_accepts_the_largest_mean():
