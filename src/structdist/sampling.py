@@ -28,10 +28,14 @@ A coupled pair can also be drawn at m groups of M/m cells (draw_slab with
 groups=m, a CoupledGroups slab): rho's group counts R ~ Poisson(n q), the
 |N - n| balls between the samples fall on cells and are summed in groups,
 and nu and rho are drawn only in the cells those balls touch, given their
-groups' counts. That is O(m + |N - n|) draws per row rather than O(M),
-with the same joint law of the group counts and of the differing cells,
-which is all the natural gap reads. At m = M nothing is drawn within
-groups, and the rows are those of the full coupled slab, bit for bit.
+groups' counts, one conditional binomial per touched cell. That is
+O(m + |N - n| min(M/m, |N - n|)) draws per row rather than O(M), at any
+n/M, with the same joint law of the group counts and of the differing
+cells, which is all the natural gap reads. It pays only where the balls,
+about sqrt(n) of them, touch a small share of many cells; elsewhere
+(_at_groups) the slab is drawn as full rows and summed in groups. At
+m = M nothing is drawn within groups, and the rows are those of the full
+coupled slab, bit for bit.
 
 A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
 one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
@@ -74,7 +78,8 @@ COUPLED = "coupled"
 # row (same law; shorter multinomial rows, Poissonized and coupled draws
 # unchanged).
 # 8: poissonization_gap draws its pairs at its m groups, nu and rho only in
-# the cells where they differ (same law; full coupled rows, multinomial and
+# the cells where they differ, on rungs of M >= 2 sqrt(n) + 1400 cells
+# (same law; its other rungs, full coupled rows, multinomial and
 # Poissonized draws unchanged).
 STREAM_VERSION = 8
 
@@ -201,11 +206,12 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
     CountsVector makes on each row: no negative count, every multinomial
     row sums to n, and every coupled rho row to its N.
 
-    With groups = m, a divisor of M, a coupled slab is drawn at m groups of
-    M/m cells and returned as CoupledGroups: the group counts, and nu and
-    rho only in the cells where they differ, which must then differ by
-    |N - n| balls on every row. At m = M its rows are those of the full
-    coupled slab, bit for bit."""
+    With groups = m, a divisor of M, a coupled slab is returned as
+    CoupledGroups: the group counts, and nu and rho only in the cells where
+    they differ, which must then differ by |N - n| balls on every row. It
+    is drawn at the m groups where _at_groups finds that cheaper, and
+    otherwise as the full coupled slab, summed in groups. At m = M its rows
+    are those of the full coupled slab, bit for bit."""
     _check_n(n)
     if groups is not None:
         if kind != COUPLED:
@@ -218,7 +224,8 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
     elif kind in (MULTINOMIAL, COUPLED):
         # a multinomial slab keeps only nu
-        vectors, m = (2 if kind == COUPLED else 1), groups or cells.M
+        vectors = 2 if kind == COUPLED else 1
+        m = groups if groups and _at_groups(cells.M, groups, n) else cells.M
         slab, Ns = np.empty((vectors, rows, m), dtype=np.int64), np.empty(rows, dtype=np.int64)
         layout, differ = _Layout(cells, n, m), []
         for i in range(rows):
@@ -237,7 +244,7 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
         bad = np.flatnonzero(got != expected)
         if bad.size:
             raise ValidationError(f"{name} counts sum to {got[bad[0]]}, expected {expected[bad[0]]}")
-    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, cells.M)
+    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, cells.M, groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +257,7 @@ class CoupledGroups:
     row: `row`, `cell`, and the counts `nu` and `rho` there. `revealed`
     counts the cells whose counts were drawn beyond the groups, summed over
     the rows: a row's differing cells, or all M cells of a row rebuilt from
-    N; none at m = M, where the groups are the cells."""
+    N or drawn in full; none at m = M, where the groups are the cells."""
 
     V: np.ndarray
     R: np.ndarray
@@ -264,15 +271,18 @@ class CoupledGroups:
         return iter((self.V, self.R))
 
     @classmethod
-    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: list, M: int) -> "CoupledGroups":
-        """The slab's group counts and the differing cells of each row (None
-        at m = M, where they are read off the rows), checked: no negative
-        count, and sum_j |nu_j - rho_j| = |N - n| on every row."""
+    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: list, M: int,
+                groups: int) -> "CoupledGroups":
+        """The slab's counts at the groups and the differing cells of each
+        row (None in a slab of full rows, where they are read off the rows
+        before the rows are summed in groups), checked: no negative count,
+        and sum_j |nu_j - rho_j| = |N - n| on every row."""
         V, R = slab
-        rows, m = V.shape
-        if m == M:
+        rows, drawn = V.shape
+        if drawn == M:
             row, cell = np.divmod(np.flatnonzero(V != R), M)
-            nu, rho, revealed = V[row, cell], R[row, cell], 0
+            nu, rho, revealed = V[row, cell], R[row, cell], 0 if groups == M else rows * M
+            V, R = _block_sums(V, groups), _block_sums(R, groups)
         else:
             sizes = [c.size for c, _, _ in differ]
             row = np.repeat(np.arange(rows), sizes)
@@ -302,6 +312,21 @@ class _Layout:
         self.means = n * self.q
         if self.width > 1:
             self.starts = np.searchsorted(self.positive, np.arange(m + 1) * self.width)
+
+
+def _at_groups(M: int, m: int, n: int) -> bool:
+    """Whether a coupled slab asked for at m < M groups is drawn at them:
+    when M >= 2 sqrt(n) + 1400, else as full rows summed in groups.
+
+    Against full rows in 16-row slabs (2-vCPU x86-64 VM, numpy 2.4), a
+    full row costs about 76 ns per cell; a row at groups costs about 100 us
+    more in its few dozen numpy calls, and about 0.2 us more per ball of its
+    |N - n| ~ 0.8 sqrt(n), spent on the touched cells' conditional
+    binomials. The two met near M = 2 sqrt(n) + 1400, from n/M = 1 to 1000
+    and M = 1000 to 16000. So the groups pay where the balls touch a small
+    share of many cells: at n/M = 3 from about 1540 cells on, at n/M = 1000
+    from about 6500, and never at 1400 cells or fewer."""
+    return m < M and M >= 2 * np.sqrt(n) + 1400
 
 
 _NO_CELLS = (np.empty(0, dtype=np.int64),) * 3
@@ -340,10 +365,15 @@ def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
         # the last positive cell takes every u at or above the second-last
         # cumulative value, so a rounded-up u * total stays in range
         edges = layout.edges
-        balls = layout.positive[np.searchsorted(edges[1:-1], gen.random(k) * edges[-1], side="right")]
+        u = gen.random(k)
+        if width > 1:
+            # sorted balls, the same counts: a ball's cell is all that is kept
+            u.sort()
+        balls = layout.positive[np.searchsorted(edges[1:-1], u * edges[-1], side="right")]
         if width == 1:
             return N, R + np.bincount(balls, minlength=cells.M), R, None
-        differ, new = np.unique(balls, return_counts=True)
+        ends = _runs(balls)
+        differ, new = balls[ends[:-1]], np.diff(ends)
         rho = _within(gen, R, differ, cells.p, layout)
         return N, R + np.bincount(balls // width, minlength=layout.m), R, (differ, rho + new, rho)
     if N > n:
@@ -376,18 +406,27 @@ def _runs(a: np.ndarray) -> np.ndarray:
 def _within(gen: Generator, totals: np.ndarray, cells: np.ndarray, p: np.ndarray, layout: _Layout) -> np.ndarray:
     """The counts at the sorted distinct positive `cells` of a row whose
     group g holds totals[g] balls, each in cell j of g with probability
-    p_j / q_g: a Multinomial(totals[g]) over the group's given cells and
-    the rest. Per group, the balls in the given cells are Binomial(totals[g],
-    their share of q_g); each of them then falls on one of those cells in
-    proportion to p (_fall)."""
-    edges = np.zeros(cells.size + 1)
-    np.cumsum(p[cells], out=edges[1:])
+    p_j / q_g: per group, one Multinomial(totals[g]) over "the rest" of the
+    group and its given cells, all groups in one numpy call.
+
+    The groups' cells fill the rows of a table right-aligned, after a
+    column for the rest and zero padding: numpy draws a row's columns as
+    conditional binomials in order and gives the last column what is left,
+    so a group whose given cells are all of its mass (the rest rounds to 0)
+    puts every ball on them. The cost is one binomial per table entry,
+    O(min(m, |N - n|) * min(M/m, |N - n|)), whatever totals[g] is."""
     group = cells // layout.width
     ends = _runs(group)
     lo, hi = ends[:-1], ends[1:]
-    g = group[lo]
-    inside = gen.binomial(totals[g], np.minimum(1.0, (edges[hi] - edges[lo]) / layout.q[g]))
-    return np.bincount(_fall(gen, np.repeat(lo, inside), np.repeat(hi, inside), edges), minlength=cells.size)
+    sizes = hi - lo
+    wide = int(sizes.max()) + 1
+    # the group's row of the table, and the column: its last cell in the last
+    row = np.repeat(np.arange(lo.size), sizes)
+    col = np.arange(cells.size) + np.repeat(wide - hi, sizes)
+    table = np.zeros((lo.size, wide))
+    table[row, col] = np.minimum(1.0, p[cells] / layout.q[group])
+    table[:, 0] = np.maximum(0.0, 1.0 - table.sum(axis=1))
+    return gen.multinomial(totals[group[lo]], table)[row, col]
 
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:

@@ -28,11 +28,13 @@ grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
 runs with m = M), so neither holds all M cells at once unless one group has
 more than 2^14 of them. `run_mse_study` then groups each slab once per m by
 strided differences of one running sum (`model._prefix_block_sums`).
-`poissonization_gap` draws its coupled pairs at its m groups as well: the
+`poissonization_gap` takes its coupled pairs at its m groups as well: the
 group counts of nu and rho, and both only in the cells where they differ,
-the only cells its natural gap reads (`sampling.CoupledGroups`), so no
-study draws a row of all M cells unless |N - n| > M. The seeded stream is
-the one `sampling.STREAM_VERSION` names.
+the only cells its natural gap reads (`sampling.CoupledGroups`). They are
+drawn at the groups where the |N - n| ~ sqrt(n) balls between nu and rho
+touch a small share of many cells, and as full rows summed in groups
+elsewhere (`sampling._at_groups`), where drawing all M cells costs less.
+The seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
 
@@ -350,8 +352,9 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
     """Measure the multinomial-vs-Poissonized estimator gap on coupled draws.
 
     Each rung rescales M to keep lambda = n/M fixed and uses the divisor of M
-    nearest to n^(2/5) as group count m, and draws each coupled pair at its
-    m groups. Per replication: the natural estimators of the coupled pair
+    nearest to n^(2/5) as group count m, and takes each coupled pair at its
+    m groups (drawn at them, or as a full row summed in groups where that
+    costs less). Per replication: the natural estimators of the coupled pair
     must differ by at most |N - n|/M in sup norm, checked exactly on the
     integer counts of the cells where they differ (counted as violations
     otherwise, expect zero), and the grouped pair's squared gap is recorded

@@ -1,5 +1,7 @@
 """Seeded draws, the multinomial/Poisson coupling, and count grouping."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,8 +22,9 @@ from structdist import (
     grouped_estimator,
     group_model,
 )
+import structdist.sampling as sampling
 from structdist.generators import table_generator
-from structdist.sampling import COUPLED, MAX_N, CoupledGroups, draw_slab
+from structdist.sampling import COUPLED, MAX_N, CoupledGroups, _Layout, _at_groups, _coupled_row, draw_slab
 from structdist.study import _natural_gap
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
@@ -391,6 +394,15 @@ def test_grouped_counts_of_coupled_match_direct_poisson_in_law():
 
 # ---------- coupled pairs seen at groups ----------
 
+@contextlib.contextmanager
+def at_groups():
+    """Draw every coupled slab asked for at m < M groups at them, whatever M
+    and n, so that the grouped kernel is tested on few cells, which
+    draw_slab would otherwise draw as full rows (_at_groups)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_at_groups", lambda M, m, n: m < M)
+        yield
+
 def check_grouped(pairs, cells, n, m):
     """The exact invariants of every row of a CoupledGroups slab: V sums to
     n and R to N; the listed cells of a row are distinct, sorted, positive
@@ -445,28 +457,31 @@ def grouped_models(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=grouped_models(), n=st.integers(1, 400), rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
-@example(model=(3, [0, 0, 1, 0, 0, 3]), n=200, rows=12, seed=1)  # zero cells within and across groups
-@example(model=(1, [1, 2]), n=10**6, rows=4, seed=2)  # every row rebuilt from N
-def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
-    """Over any model, group count and width, n and row count, every row of
-    a grouped slab keeps the exact invariants (check_grouped); no ball
-    lands on or leaves a zero-probability cell; a row reveals the cells it
-    lists, or all M cells when it is rebuilt from N; and a slab of rows is
-    that many one-row grouped draws in order."""
+@given(model=grouped_models(), n=st.integers(1, 400), rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
+       grouped=st.booleans())
+@example(model=(3, [0, 0, 1, 0, 0, 3]), n=200, rows=12, seed=1, grouped=True)  # zero cells within and across groups
+@example(model=(1, [1, 2]), n=10**6, rows=4, seed=2, grouped=True)  # every row rebuilt from N
+def test_grouped_rows_keep_every_invariant(model, n, rows, seed, grouped):
+    """Over any model, group count and width, n and row count, drawn at the
+    groups or as full rows summed in groups, every row of a grouped slab
+    keeps the exact invariants (check_grouped); no ball lands on or leaves
+    a zero-probability cell; a row at the groups reveals the cells it
+    lists, or all M cells when it is rebuilt from N, and a full row all M;
+    and a slab of rows is that many one-row grouped draws in order."""
     m, weights = model[0], np.array(model[1], dtype=float)
     cells, width = CellModel(weights.size, weights / weights.sum()), weights.size // m
     gen, single = RngStream(seed).generator(), RngStream(seed).generator()
-    pairs = draw_slab(COUPLED, cells, n, rows, gen, groups=m)
-    N = check_grouped(pairs, cells, n, m)
-    zero_groups = cells.p.reshape(m, -1).sum(axis=1) == 0
-    assert not pairs.V[:, zero_groups].any() and not pairs.R[:, zero_groups].any()
-    rebuilt = np.abs(N - n) > cells.M
-    revealed = cells.M * rebuilt.sum() + np.count_nonzero(~rebuilt[pairs.row])
-    assert pairs.revealed == (revealed if width > 1 else 0)
-    for r in range(rows):
-        V, R = draw_slab(COUPLED, cells, n, 1, single, groups=m)
-        assert np.array_equal(V[0], pairs.V[r]) and np.array_equal(R[0], pairs.R[r])
+    with at_groups() if grouped else contextlib.nullcontext():
+        pairs = draw_slab(COUPLED, cells, n, rows, gen, groups=m)
+        N = check_grouped(pairs, cells, n, m)
+        zero_groups = cells.p.reshape(m, -1).sum(axis=1) == 0
+        assert not pairs.V[:, zero_groups].any() and not pairs.R[:, zero_groups].any()
+        rebuilt = np.abs(N - n) > cells.M if grouped else np.ones(rows, dtype=bool)
+        revealed = cells.M * rebuilt.sum() + np.count_nonzero(~rebuilt[pairs.row])
+        assert pairs.revealed == (revealed if width > 1 else 0)
+        for r in range(rows):
+            V, R = draw_slab(COUPLED, cells, n, 1, single, groups=m)
+            assert np.array_equal(V[0], pairs.V[r]) and np.array_equal(R[0], pairs.R[r])
     assert gen.bit_generator.state == single.bit_generator.state
 
 
@@ -479,7 +494,8 @@ def test_grouped_rows_of_a_table_with_a_flat_piece(tmp_path):
     cells = cells_from_generator(table_generator(str(path)), 40)
     zero = np.flatnonzero(cells.p == 0)
     assert zero.size and len(set(zero // 5)) == 2 and (cells.p.reshape(8, 5).sum(axis=1) > 0).all()
-    pairs = draw_slab(COUPLED, cells, 80, 2000, RngStream(17).generator(), groups=8)
+    with at_groups():
+        pairs = draw_slab(COUPLED, cells, 80, 2000, RngStream(17).generator(), groups=8)
     N = check_grouped(pairs, cells, 80, 8)
     assert (N < 80).any() and (N > 80).any()
     assert not np.isin(pairs.cell, zero).any()
@@ -490,7 +506,8 @@ def test_grouped_rows_rebuilt_from_n():
     in groups: every row reveals all M cells and keeps every invariant, and
     V has the Multinomial(n, q) means within 4 standard errors."""
     n, rows = 10**8, 400
-    pairs = draw_slab(COUPLED, CELLS6, n, rows, RngStream(23).generator(), groups=3)
+    with at_groups():
+        pairs = draw_slab(COUPLED, CELLS6, n, rows, RngStream(23).generator(), groups=3)
     N = check_grouped(pairs, CELLS6, n, 3)
     assert (np.abs(N - n) > CELLS6.M).all() and pairs.revealed == rows * CELLS6.M
     q = group_model(CELLS6, 3).p
@@ -498,14 +515,16 @@ def test_grouped_rows_rebuilt_from_n():
     assert np.abs(z).max() < 4.0, z
 
 
-def test_grouped_pairs_have_the_exact_law():
-    """Over 20000 rows at M = 200 cells in m = 8 groups, n = 400 (rows with
-    N < n and with N > n): V has the Multinomial(n, q) means n q_i,
-    variances n q_i (1 - q_i) and covariances -n q_i q_j; R has the
+@pytest.mark.parametrize("n", [400, 20000])
+def test_grouped_pairs_have_the_exact_law(n):
+    """Over 20000 rows at M = 200 cells in m = 8 groups, n/M = 2 and 100
+    (rows with N < n and with N > n): V has the Multinomial(n, q) means
+    n q_i, variances n q_i (1 - q_i) and covariances -n q_i q_j; R has the
     Poisson(n q) means and variances, and Cov(V_i, R_i) =
     E[min(n, N)] q_i (1 - q_i), all within 4 standard errors."""
-    cells, m, n, rows = cells_from_generator(example_generator(), 200), 8, 400, 20000
-    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(4243).generator(), groups=m)
+    cells, m, rows = cells_from_generator(example_generator(), 200), 8, 20000
+    with at_groups():
+        pairs = draw_slab(COUPLED, cells, n, rows, RngStream(4243).generator(), groups=m)
     N = check_grouped(pairs, cells, n, m)
     assert (N < n).any() and (N > n).any()
     q = group_model(cells, m).p
@@ -530,7 +549,8 @@ def test_grouped_natural_gap_matches_full_rows(M, m, n):
     law of the gap of full coupled rows: over 10000 rows each, its mean and
     its second moment lie within 4 standard errors of the full rows'."""
     cells, rows = cells_from_generator(example_generator(), M), 10000
-    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).generator(), groups=m)
+    with at_groups():
+        pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).generator(), groups=m)
     grouped = _natural_gap(pairs.row, pairs.nu, pairs.rho, rows).astype(float)
     nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(M, 1).generator())
     row, cell = np.nonzero(nu != rho)
@@ -552,11 +572,84 @@ def test_grouped_slab_checks_its_groups_and_cells():
     slab, Ns = np.array([[[30, 30]], [[28, 30]]]), np.array([58])
     cell = np.array([1])
     with pytest.raises(ValidationError, match=r"coupled counts differ by 1 balls, expected \|N - n\| = 2"):
-        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([3]), np.array([2]))], 6)
+        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([3]), np.array([2]))], 6, 2)
     with pytest.raises(ValidationError, match="counts must be nonnegative"):
-        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([0]), np.array([-2]))], 6)
-    ok = CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([4]), np.array([2]))], 6)
+        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([0]), np.array([-2]))], 6, 2)
+    ok = CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([4]), np.array([2]))], 6, 2)
     assert ok.revealed == 1 and ok.row.tolist() == [0]
+
+
+def test_groups_pay_only_on_many_cells_against_sqrt_n():
+    """A slab asked for at m < M groups is drawn at them from M >=
+    2 sqrt(n) + 1400 on: on the benchmark's gap ladder at n/M = 3, not at
+    1000 cells but at 4000 and 16000; at n/M = 1000, not at 1000 or 4000
+    cells but at 16000; and never at m = M, where the groups are the
+    cells."""
+    assert not _at_groups(1000, 25, 3000)
+    assert _at_groups(4000, 40, 12000) and _at_groups(16000, 80, 48000)
+    assert not _at_groups(1000, 250, 10**6) and not _at_groups(4000, 400, 4 * 10**6)
+    assert _at_groups(16000, 800, 16 * 10**6) and not _at_groups(10**6, 10**6, 10)
+
+
+@pytest.mark.parametrize("cells, n, m", [
+    (CELLS6, 60, 3),
+    (cells_from_generator(example_generator(), 1000), 3000, 25),
+    (cells_from_generator(example_generator(), 1000), 10**6, 250),
+])
+def test_grouped_slab_where_groups_do_not_pay_is_the_full_slab_summed(cells, n, m):
+    """Where _at_groups says no, a grouped slab is the full coupled slab of
+    the same stream summed in groups, bit for bit, with the differing cells
+    read off its rows; the generator ends in the same state, and every row
+    reveals all M cells."""
+    assert not _at_groups(cells.M, m, n)
+    full_gen, grouped_gen = RngStream(8, 2).generator(), RngStream(8, 2).generator()
+    nu, rho = draw_slab(COUPLED, cells, n, 20, full_gen)
+    pairs = draw_slab(COUPLED, cells, n, 20, grouped_gen, groups=m)
+    assert full_gen.bit_generator.state == grouped_gen.bit_generator.state
+    blocks = lambda a: a.reshape(20, m, -1).sum(axis=2)
+    assert np.array_equal(pairs.V, blocks(nu)) and np.array_equal(pairs.R, blocks(rho))
+    row, cell = np.nonzero(nu != rho)
+    assert np.array_equal(pairs.row, row) and np.array_equal(pairs.cell, cell)
+    assert np.array_equal(pairs.nu, nu[row, cell]) and np.array_equal(pairs.rho, rho[row, cell])
+    assert pairs.revealed == 20 * cells.M
+    check_grouped(pairs, cells, n, m)
+
+
+class CountingGenerator:
+    """A Generator that counts the variates its draws return."""
+
+    def __init__(self, gen):
+        self.gen, self.variates = gen, 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.variates += np.size(out)
+            return out
+        return counted
+
+
+def test_grouped_row_draws_what_its_balls_touch_at_any_n_over_m():
+    """At n/M = 1000 (M = 1000, n = 10**6, m = 250 groups of 4 cells), a row
+    drawn at the groups takes m Poisson group counts, its k = |N - n| balls
+    (twice k if N > n: the balls, then their cells) and one binomial per
+    entry of its table of groups by touched cells, at most
+    min(m, k) * (min(M/m, k) + 1); a row rebuilt from N (k > M) takes two
+    multinomials over the M cells. Neither grows with n/M: placing the
+    touched groups' balls one by one would take about 5.5e5 variates a row."""
+    cells, n, m, width = cells_from_generator(example_generator(), 1000), 10**6, 250, 4
+    layout, gen = _Layout(cells, n, m), CountingGenerator(RngStream(9).generator())
+    ks = []
+    for _ in range(60):
+        before = gen.variates
+        N, V, R, _ = _coupled_row(cells, n, gen, layout)
+        k, drawn = abs(N - n), gen.variates - before
+        bound = m + 2 * cells.M if k > cells.M else m + 2 * k + min(m, k) * (min(width, k) + 1)
+        assert drawn <= bound, (k, drawn, bound)
+        ks.append(k)
+    assert min(ks) <= cells.M < max(ks)
 
 
 # ---------- grouping counts ----------

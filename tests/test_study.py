@@ -674,18 +674,20 @@ def test_seeded_trend_is_frozen(pinned_under):
 
 
 def test_seeded_gap_is_frozen(pinned_under):
-    """The coupled stream of version 8 (pairs drawn at the rung's m groups),
-    pinned by the rungs' summaries and the sha256 of repr(rungs)."""
+    """The coupled stream of version 8, pinned by the rungs' summaries and
+    the sha256 of repr(rungs): the rung on 1000 cells is drawn as full rows
+    and keeps its version-7 summary; the rung on 4000 cells is drawn at its
+    40 groups."""
     assert STREAM_VERSION == 8
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
     rep, note = poissonization_gap(cfg, n_ladder=(3000, 12000)), pinned_under(**PINNED_UNDER)
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
-        (1000, 25, 0.0003504761904761908, 0.008333333333333333, 0),
-        (4000, 40, 0.0001309523809523811, 0.0047666666666666664, 0),
+        (1000, 25, 0.0005409523809523812, 0.0107, 0),
+        (4000, 40, 0.0001250000000000002, 0.004016666666666667, 0),
     ], note
-    assert rep.decay_exponent == 0.7101370738224972, note
+    assert rep.decay_exponent == 1.056786753475598, note
     assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
-        "151460fa09448f4d22e8197f9b283c5ec1d5128ffed29687520f3c57494f82bb"), note
+        "64282d979e0255cfa2d33e8d037fedf19cab45364b451f4ff6cb879e688b070a"), note
 
 
 def test_a_failing_pin_names_the_frozen_and_the_running_versions(pinned_under):
@@ -702,8 +704,9 @@ def test_gap_report_times_its_stages():
     t = rep.timings
     assert set(t) == {"cells_s", "draw_s", "gap_s", "evaluate_s", "draws", "slabs", "cells_revealed"}
     assert t["draws"] == 12 and t["slabs"] == 2
-    # rows at m < M reveal the cells their |N - n| balls touch, and no more
-    assert 0 < t["cells_revealed"] <= 12 * 3 * math.isqrt(12000)
+    # the 6 full rows of the rung on 1000 cells reveal them all; the rows at
+    # the groups of the rung on 4000 cells, the cells their |N - n| balls touch
+    assert 6 * 1000 < t["cells_revealed"] <= 6 * 1000 + 6 * 3 * math.isqrt(12000)
     stages = [t[k] for k in ("cells_s", "draw_s", "gap_s", "evaluate_s")]
     assert all(v >= 0.0 for v in stages) and sum(stages) <= wall
     assert dataclasses.replace(rep, timings={}) == rep  # timings do not enter equality
