@@ -215,16 +215,27 @@ def group_model(cells: CellModel, m: int) -> CellModel:
     return CellModel(m, _block_sums(cells.p, m))
 
 
-def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf) -> float:
-    """Exact sup |S(x) - F(x)| over all x, for the step CDF S that jumps at
-    the increasing `locations` to `values` against any CDF F that takes
-    arrays. S is constant between its jumps and F monotone, so the sup is at
-    a jump x, from the right (S(x) against F(x)) or the left (the previous
-    value against F(x-), read at the float just below x, which is F(x) only
-    where F is continuous at x)."""
-    before = np.concatenate(([0.0], values[:-1]))
-    left = cdf(np.nextafter(locations, -np.inf))
-    return float(max(np.abs(values - cdf(locations)).max(), np.abs(before - left).max()))
+def _sup_to_function(locations: np.ndarray, values: np.ndarray, cdf):
+    """Exact sup |S(x) - F(x)| over all x, for each step CDF S along the last
+    axis against any CDF F that takes arrays: S jumps at the sorted
+    `locations` to `values`, where a location may repeat and S's value
+    there is that of its last entry (the end of its run). S is constant
+    between its jumps and F monotone, so the sup is at a jump x, from the
+    right (S(x) against F(x), at each run's end) or the left (the previous
+    run's value against F(x-), at each run's start, read at the float just
+    below x, which is F(x) only where F is continuous at x). For strictly
+    increasing locations every entry is a run; a 1-D input gives a float,
+    leading axes (one step CDF per row) an array of sups."""
+    values = np.broadcast_to(values, locations.shape)
+    ends = np.ones(locations.shape, dtype=bool)
+    np.not_equal(locations[..., 1:], locations[..., :-1], out=ends[..., :-1])
+    starts = np.ones_like(ends)
+    starts[..., 1:] = ends[..., :-1]
+    before = np.zeros(locations.shape)
+    before[..., 1:] = values[..., :-1]
+    right = np.where(ends, np.abs(values - cdf(locations)), 0.0).max(axis=-1)
+    left = np.where(starts, np.abs(before - cdf(np.nextafter(locations, -np.inf))), 0.0).max(axis=-1)
+    return _float_or_array(np.maximum(right, left))
 
 
 def sup_distance(step, cdf) -> float:

@@ -24,17 +24,16 @@ common and the k extra balls as two multinomials, the same law given N.
 That keeps every row at O(M) memory for any n <= MAX_N; with n/M bounded,
 as in the paper's regime, it does not occur.
 
-A coupled pair can also be drawn at m groups of M/m cells (draw_slab with
-groups=m, a CoupledGroups slab): rho's group counts R ~ Poisson(n q), the
-|N - n| balls between the samples fall on cells and are summed in groups,
-and nu and rho are drawn only in the cells those balls touch, given their
-groups' counts, one conditional binomial per touched cell. That is
-O(m + |N - n| min(M/m, |N - n|)) draws per row rather than O(M), at any
-n/M, with the same joint law of the group counts and of the differing
-cells, which is all the natural gap reads. It pays only where the balls,
-about sqrt(n) of them, touch a small share of many cells; elsewhere
-(_at_groups) the slab is drawn as full rows and summed in groups. At
-m = M nothing is drawn within groups, and the rows are those of the full
+A coupled pair can also be drawn at m < M groups of M/m cells (draw_slab
+with groups=m, a CoupledGroups slab), N first, as Poissonization reads it:
+N ~ Poisson(n), the k = |N - n| extra balls fall on cells, and the
+min(n, N) common balls are one multinomial over the cells those balls touch
+and, for each group, the rest of it. So nu and rho are drawn only in the
+touched cells, the only ones where they differ, and their group counts are
+sums: O(m + |N - n|) variates per row at any n/M, with the same joint law
+of the group counts and of the differing cells, which is all the natural
+gap reads. A row with k > M places its extra balls by one multinomial over
+the cells, which keeps it at O(M) memory. At m = M the slab is the full
 coupled slab, bit for bit.
 
 A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
@@ -81,7 +80,12 @@ COUPLED = "coupled"
 # the cells where they differ, on rungs of M >= 2 sqrt(n) + 1400 cells
 # (same law; its other rungs, full coupled rows, multinomial and
 # Poissonized draws unchanged).
-STREAM_VERSION = 8
+# 9: a coupled pair at m < M groups draws N, its |N - n| extra balls, then
+# its common balls by one multinomial over the touched cells and the rest of
+# each group, on every gap rung (was: R at the groups, then the touched
+# cells given R; same law; full coupled rows, multinomial and Poissonized
+# draws unchanged).
+STREAM_VERSION = 9
 
 _U64 = (1 << 64) - 1
 
@@ -208,10 +212,9 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
 
     With groups = m, a divisor of M, a coupled slab is returned as
     CoupledGroups: the group counts, and nu and rho only in the cells where
-    they differ, which must then differ by |N - n| balls on every row. It
-    is drawn at the m groups where _at_groups finds that cheaper, and
-    otherwise as the full coupled slab, summed in groups. At m = M its rows
-    are those of the full coupled slab, bit for bit."""
+    they differ, which must then differ by |N - n| balls on every row. At
+    m < M it is drawn at the groups (_grouped_row); at m = M its rows are
+    those of the full coupled slab, bit for bit."""
     _check_n(n)
     if groups is not None:
         if kind != COUPLED:
@@ -225,11 +228,11 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
     elif kind in (MULTINOMIAL, COUPLED):
         # a multinomial slab keeps only nu
         vectors = 2 if kind == COUPLED else 1
-        m = groups if groups and _at_groups(cells.M, groups, n) else cells.M
-        slab, Ns = np.empty((vectors, rows, m), dtype=np.int64), np.empty(rows, dtype=np.int64)
-        layout, differ = _Layout(cells, n, m), []
+        layout, differ = _Layout(cells, n, groups or cells.M), []
+        draw_row = _coupled_row if layout.width == 1 else _grouped_row
+        slab, Ns = np.empty((vectors, rows, layout.m), dtype=np.int64), np.empty(rows, dtype=np.int64)
         for i in range(rows):
-            Ns[i], *pair, cells_i = _coupled_row(cells, n, gen, layout)
+            Ns[i], *pair, cells_i = draw_row(cells, n, gen, layout)
             for vector, counts in zip(slab, pair):
                 vector[i] = counts
             differ.append(cells_i)
@@ -256,8 +259,9 @@ class CoupledGroups:
     yields (nu, rho). The cells where nu and rho differ are listed row by
     row: `row`, `cell`, and the counts `nu` and `rho` there. `revealed`
     counts the cells whose counts were drawn beyond the groups, summed over
-    the rows: a row's differing cells, or all M cells of a row rebuilt from
-    N or drawn in full; none at m = M, where the groups are the cells."""
+    the rows: the cells a row's |N - n| extra balls touch, or all M cells
+    of a row whose extra balls were drawn over the cells (|N - n| > M);
+    none at m = M, where the groups are the cells."""
 
     V: np.ndarray
     R: np.ndarray
@@ -274,15 +278,13 @@ class CoupledGroups:
     def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: list, M: int,
                 groups: int) -> "CoupledGroups":
         """The slab's counts at the groups and the differing cells of each
-        row (None in a slab of full rows, where they are read off the rows
-        before the rows are summed in groups), checked: no negative count,
-        and sum_j |nu_j - rho_j| = |N - n| on every row."""
+        row (read off the rows at m = M, where differ holds None), checked:
+        no negative count, and sum_j |nu_j - rho_j| = |N - n| on every row."""
         V, R = slab
-        rows, drawn = V.shape
-        if drawn == M:
+        rows = V.shape[0]
+        if groups == M:
             row, cell = np.divmod(np.flatnonzero(V != R), M)
-            nu, rho, revealed = V[row, cell], R[row, cell], 0 if groups == M else rows * M
-            V, R = _block_sums(V, groups), _block_sums(R, groups)
+            nu, rho, revealed = V[row, cell], R[row, cell], 0
         else:
             sizes = [c.size for c, _, _ in differ]
             row = np.repeat(np.arange(rows), sizes)
@@ -301,8 +303,7 @@ class CoupledGroups:
 class _Layout:
     """What every coupled row of a slab at m groups reads: the positive
     cells, the cumulative sum of their p after a leading 0 (`edges`), the
-    group probabilities q, the Poisson means n q and, for groups of more
-    than one cell, where each group's positive cells start among them."""
+    group probabilities q and, for full rows, the Poisson means n q."""
 
     def __init__(self, cells: CellModel, n: int, m: int):
         self.m, self.width = m, cells.M // m
@@ -310,123 +311,76 @@ class _Layout:
         self.edges = np.concatenate(([0.0], np.cumsum(cells.p[self.positive])))
         self.q = _block_sums(cells.p, m)
         self.means = n * self.q
-        if self.width > 1:
-            self.starts = np.searchsorted(self.positive, np.arange(m + 1) * self.width)
 
 
-def _at_groups(M: int, m: int, n: int) -> bool:
-    """Whether a coupled slab asked for at m < M groups is drawn at them:
-    when M >= 2 sqrt(n) + 1400, else as full rows summed in groups.
-
-    Against full rows in 16-row slabs (2-vCPU x86-64 VM, numpy 2.4), a
-    full row costs about 76 ns per cell; a row at groups costs about 100 us
-    more in its few dozen numpy calls, and about 0.2 us more per ball of its
-    |N - n| ~ 0.8 sqrt(n), spent on the touched cells' conditional
-    binomials. The two met near M = 2 sqrt(n) + 1400, from n/M = 1 to 1000
-    and M = 1000 to 16000. So the groups pay where the balls touch a small
-    share of many cells: at n/M = 3 from about 1540 cells on, at n/M = 1000
-    from about 6500, and never at 1400 cells or fewer."""
-    return m < M and M >= 2 * np.sqrt(n) + 1400
-
-
-_NO_CELLS = (np.empty(0, dtype=np.int64),) * 3
+def _balls(gen: Generator, k: int, layout: _Layout) -> np.ndarray:
+    """The cells of k new categorical balls, each a uniform looked up in the
+    cumulative p of the positive cells. The last positive cell takes every
+    u at or above the second-last cumulative value, so a rounded-up
+    u * total stays in range."""
+    edges = layout.edges
+    return layout.positive[np.searchsorted(edges[1:-1], gen.random(k) * edges[-1], side="right")]
 
 
 def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
-    """(N, V, R, differ) of one coupled row seen at the layout's m groups.
+    """(N, nu, rho, None) of one full coupled row (m = M).
 
-    R ~ Poisson(n q) group by group and N is its total. If N < n, nu adds
-    n - N new balls, each a uniform looked up in the cumulative p of the
-    positive cells; if N > n, it removes N - n of rho's balls, drawn without
-    replacement and mapped to their groups through the running sum of R.
-    V is R plus or minus those balls. When |N - n| > M the pair is rebuilt
-    from N by two multinomials over the cells (common and extra balls),
-    which keeps the row at O(M) memory, and then summed in groups.
-
-    At m = M the groups are the cells and differ is None. Otherwise differ
-    is (cells, nu, rho) at the cells the |N - n| balls touch, the only ones
-    where nu and rho differ, drawn given the group counts (_within): if
-    N < n, rho there given R; if N > n, each removed ball's cell from p/q_g
-    within its group (a group's R_g balls fall i.i.d. on its cells, and the
-    removed ones are a uniform subset), then the kept balls there given
-    R - D."""
-    width = layout.width
+    rho ~ Poisson(n p) cell by cell and N is its total. If N < n, nu adds
+    n - N new balls (_balls); if N > n, it removes N - n of rho's balls,
+    drawn without replacement and mapped to their cells through the running
+    sum of rho. When |N - n| > M the pair is rebuilt from N by two
+    multinomials over the cells (common and extra balls), which keeps the
+    row at O(M) memory."""
     R = gen.poisson(layout.means)
     N = int(R.sum())
     k = abs(N - n)
     if k > cells.M:
         common, extra = gen.multinomial([min(N, n), k], cells.p)
-        nu, rho = (common + extra, common) if N < n else (common, common + extra)
-        if width == 1:
-            return N, nu, rho, None
-        differ = np.flatnonzero(extra)
-        return N, _block_sums(nu, layout.m), _block_sums(rho, layout.m), (differ, nu[differ], rho[differ])
+        return (N, common + extra, common, None) if N < n else (N, common, common + extra, None)
     if N < n:
-        # the last positive cell takes every u at or above the second-last
-        # cumulative value, so a rounded-up u * total stays in range
-        edges = layout.edges
-        u = gen.random(k)
-        if width > 1:
-            # sorted balls, the same counts: a ball's cell is all that is kept
-            u.sort()
-        balls = layout.positive[np.searchsorted(edges[1:-1], u * edges[-1], side="right")]
-        if width == 1:
-            return N, R + np.bincount(balls, minlength=cells.M), R, None
-        ends = _runs(balls)
-        differ, new = balls[ends[:-1]], np.diff(ends)
-        rho = _within(gen, R, differ, cells.p, layout)
-        return N, R + np.bincount(balls // width, minlength=layout.m), R, (differ, rho + new, rho)
+        return N, R + np.bincount(_balls(gen, k, layout), minlength=cells.M), R, None
     if N > n:
         removed = np.searchsorted(np.cumsum(R), gen.choice(N, k, replace=False, shuffle=False), side="right")
-        V = R - np.bincount(removed, minlength=layout.m)
-        if width == 1:
-            return N, V, R, None
-        starts = layout.starts
-        balls = layout.positive[_fall(gen, starts[removed], starts[removed + 1], layout.edges)]
-        differ, out = np.unique(balls, return_counts=True)
-        nu = _within(gen, V, differ, cells.p, layout)
-        return N, V, R, (differ, nu, nu + out)
-    return N, R, R, None if width == 1 else _NO_CELLS
+        return N, R - np.bincount(removed, minlength=cells.M), R, None
+    return N, R, R, None
 
 
-def _fall(gen: Generator, lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """For each ball, an index i in its own range [lo, hi), drawn with
-    probability proportional to edges[i + 1] - edges[i]: a uniform looked
-    up in the range's stretch of edges, then clipped into the range, so
-    that rounding at a range's end never moves a ball into the next."""
-    t = edges[lo] + gen.random(lo.size) * (edges[hi] - edges[lo])
-    return np.minimum(np.maximum(np.searchsorted(edges, t, side="right") - 1, lo), hi - 1)
+def _grouped_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
+    """(N, V, R, differ) of one coupled row seen at the layout's m < M
+    groups, N first.
 
-
-def _runs(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of a starts, then a.size."""
-    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
-
-
-def _within(gen: Generator, totals: np.ndarray, cells: np.ndarray, p: np.ndarray, layout: _Layout) -> np.ndarray:
-    """The counts at the sorted distinct positive `cells` of a row whose
-    group g holds totals[g] balls, each in cell j of g with probability
-    p_j / q_g: per group, one Multinomial(totals[g]) over "the rest" of the
-    group and its given cells, all groups in one numpy call.
-
-    The groups' cells fill the rows of a table right-aligned, after a
-    column for the rest and zero padding: numpy draws a row's columns as
-    conditional binomials in order and gives the last column what is left,
-    so a group whose given cells are all of its mass (the rest rounds to 0)
-    puts every ball on them. The cost is one binomial per table entry,
-    O(min(m, |N - n|) * min(M/m, |N - n|)), whatever totals[g] is."""
-    group = cells // layout.width
-    ends = _runs(group)
-    lo, hi = ends[:-1], ends[1:]
-    sizes = hi - lo
-    wide = int(sizes.max()) + 1
-    # the group's row of the table, and the column: its last cell in the last
-    row = np.repeat(np.arange(lo.size), sizes)
-    col = np.arange(cells.size) + np.repeat(wide - hi, sizes)
-    table = np.zeros((lo.size, wide))
-    table[row, col] = np.minimum(1.0, p[cells] / layout.q[group])
-    table[:, 0] = np.maximum(0.0, 1.0 - table.sum(axis=1))
-    return gen.multinomial(totals[group[lo]], table)[row, col]
+    N ~ Poisson(n), and the k = |N - n| extra balls fall on the positive
+    cells (_balls, sorted), or, when k > M, are one multinomial over the
+    cells. The cells they touch, T, are listed in differ with nu and rho
+    there. The min(n, N) common balls are one multinomial over each group's
+    rest, max(0, q_g - the p of its touched cells), and the cells of T.
+    Per group, C counts the common balls and E the extra ones, both summed
+    in int64 (counts reach 2**62, where a float sum is no longer exact).
+    The first n balls are nu and the first N are rho: V = C + E and R = C
+    if N < n, V = C and R = C + E if N > n; at T each is the common count
+    plus, for the longer sample, the new one."""
+    N = int(gen.poisson(n))
+    k = abs(N - n)
+    m, width = layout.m, layout.width
+    if k > cells.M:
+        extra = gen.multinomial(k, cells.p)
+        touched = np.flatnonzero(extra)
+        new, E = extra[touched], _block_sums(extra, m)
+    else:
+        balls = np.sort(_balls(gen, k, layout))
+        # where each run of equal cells starts, then k
+        first = np.ones(k + 1, dtype=bool)
+        np.not_equal(balls[1:], balls[:-1], out=first[1:-1])
+        ends = np.flatnonzero(first)
+        touched, new, E = balls[ends[:-1]], np.diff(ends), np.bincount(balls // width, minlength=m)
+    group, p = touched // width, cells.p[touched]
+    rest = np.maximum(0.0, layout.q - np.bincount(group, p, minlength=m))
+    drawn = gen.multinomial(min(N, n), np.concatenate((rest, p)))
+    C, common = drawn[:m], drawn[m:]
+    np.add.at(C, group, common)
+    if N < n:
+        return N, C + E, C, (touched, common + new, common)
+    return N, C, C + E, (touched, common, common + new)
 
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:

@@ -20,20 +20,19 @@ over a grouped model (a `CellModel` of equal blocks), row-wise group counts
 for each group count m, then the estimate at x as the share of group counts
 <= K = lattice_floor(x n / m), from `asymptotics._lattice_index` and
 `model._estimate` as a `CountsVector` computes it; `consistency_trend`
-reads each draw's jumps from `estimators._jumps`. Block sums of multinomial
-(independent Poisson) counts are multinomial (Poisson), so `run_mse_study`
-draws at L = lcm(m_values) blocks and `consistency_trend` at its m groups
-with every law kept. Both take that model from the generator a chunk of the
-grid j/M at a time (`generators._grouped_cells`, which `cells_from_generator`
-runs with m = M), so neither holds all M cells at once unless one group has
-more than 2^14 of them. `run_mse_study` then groups each slab once per m by
-strided differences of one running sum (`model._prefix_block_sums`).
-`poissonization_gap` takes its coupled pairs at its m groups as well: the
-group counts of nu and rho, and both only in the cells where they differ,
-the only cells its natural gap reads (`sampling.CoupledGroups`). They are
-drawn at the groups where the |N - n| ~ sqrt(n) balls between nu and rho
-touch a small share of many cells, and as full rows summed in groups
-elsewhere (`sampling._at_groups`), where drawing all M cells costs less.
+takes the exact sup distance of a whole slab's estimates in one
+`model._sup_to_function` call, on each row's sorted counts. Block sums of
+multinomial (independent Poisson) counts are multinomial (Poisson), so
+`run_mse_study` draws at L = lcm(m_values) blocks and `consistency_trend` at
+its m groups with every law kept. Both take that model from the generator a
+chunk of the grid j/M at a time (`generators._grouped_cells`, which
+`cells_from_generator` runs with m = M), so neither holds all M cells at
+once unless one group has more than 2^14 of them. `run_mse_study` then
+groups each slab once per m by strided differences of one running sum
+(`model._prefix_block_sums`). `poissonization_gap` takes its coupled pairs
+at its m groups as well, N first: the group counts of nu and rho, and both
+only in the cells the |N - n| ~ sqrt(n) balls between them touch, the only
+cells its natural gap reads (`sampling.CoupledGroups`).
 The seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
@@ -48,7 +47,6 @@ import numpy as np
 
 from .asymptotics import _lattice_index, bernstein_poisson_tail
 from .errors import ValidationError
-from .estimators import _jumps
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (_MAX_SIZE, CellModel, _estimate, _prefix_block_sums, _prefix_sums,
                     _sup_to_function, check_group_count, nearest_divisor)
@@ -344,7 +342,8 @@ class PoissonizationGapReport:
     # natural gaps and their bound; evaluate_s: grouped estimates and squared
     # gaps), the numbers of draws and slabs, and cells_revealed: the cells
     # whose counts were drawn beyond the groups, summed over the rows (those
-    # the |N - n| balls touch, all M in a row rebuilt from N, none at m = M)
+    # the |N - n| extra balls touch, all M in a row whose extra balls were
+    # drawn over the cells because |N - n| > M, none at m = M)
     timings: dict = field(compare=False, repr=False, default_factory=dict)
 
 
@@ -352,15 +351,14 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
     """Measure the multinomial-vs-Poissonized estimator gap on coupled draws.
 
     Each rung rescales M to keep lambda = n/M fixed and uses the divisor of M
-    nearest to n^(2/5) as group count m, and takes each coupled pair at its
-    m groups (drawn at them, or as a full row summed in groups where that
-    costs less). Per replication: the natural estimators of the coupled pair
-    must differ by at most |N - n|/M in sup norm, checked exactly on the
-    integer counts of the cells where they differ (counted as violations
-    otherwise, expect zero), and the grouped pair's squared gap is recorded
-    on the x_grid. Every n of the ladder must be an integer. With >= 2
-    rungs the decay exponent of the average squared gap is fitted in
-    log-log scale.
+    nearest to n^(2/5) as group count m, and draws each coupled pair at its
+    m groups (`sampling.draw_slab` with groups=m). Per replication: the
+    natural estimators of the coupled pair must differ by at most |N - n|/M
+    in sup norm, checked exactly on the integer counts of the cells where
+    they differ (counted as violations otherwise, expect zero), and the
+    grouped pair's squared gap is recorded on the x_grid. Every n of the
+    ladder must be an integer. With >= 2 rungs the decay exponent of the
+    average squared gap is fitted in log-log scale.
     """
     mark = time.perf_counter()
     gen = by_name(config.generator)
@@ -465,8 +463,10 @@ def consistency_trend(
     """Mean over replications of the exact sup distance between the grouped
     estimator and the limiting CDF, for each (M, n, m) rung. Each replication
     draws the m group counts directly, from the grouped probabilities; the
-    estimate steps only at its distinct counts (`estimators._jumps`).
-    Every rung's m must divide its M, and reps must be an integer >= 1."""
+    estimate steps at its sorted counts, and one exact sup per slab reads
+    every row (`model._sup_to_function`). The sups are added in replication
+    order. Every rung's m must divide its M, and reps must be an integer
+    >= 1."""
     _check_integer("reps", reps)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -478,9 +478,13 @@ def consistency_trend(
     out = []
     for rung_idx, (M, n, m) in enumerate(ladder):
         groups = _grouped_cells(gen, M, m)
-        total = 0
+        # a row's estimate is (i + 1)/m at the last of equal counts, its i-th
+        # smallest (from 0)
+        shares = np.arange(1, m + 1) / m
+        total = 0.0
         for _, (counts,) in _slabs(kind, groups, n, seed, reps, m, rung_idx):
-            for row in counts:
-                total += _sup_to_function(*_jumps(row, n), F)
-        out.append(total / reps)
+            sups = _sup_to_function(np.sort(counts, axis=1) * (m / n), shares, F)
+            # a running sum in replication order, carried across slabs
+            total = np.cumsum(np.concatenate(([total], sups)))[-1]
+        out.append(float(total / reps))
     return tuple(out)

@@ -50,6 +50,8 @@ MIXTURE_LAMBDA3 = {
     4 / 3: 0.7469901325127886,
     2.0: 0.9049930618832549,
 }
+# The numpy and scipy versions MIXTURE_LAMBDA3 was frozen under
+MIXTURE_PINNED_UNDER = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
 # ---------- params ----------
@@ -175,9 +177,10 @@ def test_limit_char_grouped_closed_form():
 
 # ---------- Poisson mixture CDF ----------
 
-def test_mixture_cdf_frozen_values():
+def test_mixture_cdf_frozen_values(pinned_under):
+    note = pinned_under(**MIXTURE_PINNED_UNDER)
     for x, expect in MIXTURE_LAMBDA3.items():
-        assert poisson_mixture_cdf(x, EXAMPLE, 3.0) == pytest.approx(expect, abs=1e-9)
+        assert poisson_mixture_cdf(x, EXAMPLE, 3.0) == pytest.approx(expect, abs=1e-9), note
 
 
 def test_mixture_cdf_closed_form_first_step():

@@ -36,6 +36,8 @@ from structdist.cli import _jump_rows, main, reproduce_figures
 from structdist.sampling import MAX_N
 
 MIX_THIRD = 0.33002833043111157  # mixture CDF at 1/3, lambda=3 (quadrature-frozen)
+# The numpy and scipy versions MIX_THIRD and LIMIT_EXAMPLE_DOC were frozen under
+LIMIT_PINNED_UNDER = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
 def run_cli(argv, capsys):
@@ -53,7 +55,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 8
+    assert meta["stream_version"] == STREAM_VERSION == 9
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
@@ -66,7 +68,7 @@ def parse_csv(text):
 
 # ---------- limit ----------
 
-def test_limit_csv_and_sidecar(capsys):
+def test_limit_csv_and_sidecar(capsys, pinned_under):
     code, out, err = run_cli(
         ["limit", "--lambda", "3", "--generator", "example", "--x-grid=-1,0.3333333333333333,1.0"],
         capsys,
@@ -75,15 +77,16 @@ def test_limit_csv_and_sidecar(capsys):
     header, rows = parse_csv(out)
     assert header == ["x", "mixture_cdf"]
     assert float(rows[0][1]) == 0.0  # negative x
-    assert float(rows[1][1]) == pytest.approx(MIX_THIRD, abs=1e-9)
-    assert float(rows[2][1]) == pytest.approx(0.6278328825655605, abs=1e-9)
+    note = pinned_under(**LIMIT_PINNED_UNDER)
+    assert float(rows[1][1]) == pytest.approx(MIX_THIRD, abs=1e-9), note
+    assert float(rows[2][1]) == pytest.approx(0.6278328825655605, abs=1e-9), note
     vals = [float(r[1]) for r in rows]
     assert vals == sorted(vals)
     meta = json.loads(err)
     assert meta["schema"] == 1 and meta["command"] == "limit" and meta["lambda"] == 3.0
 
 
-def test_limit_json_document(capsys):
+def test_limit_json_document(capsys, pinned_under):
     code, out, _ = run_cli(
         ["limit", "--lambda", "3", "--x-grid", "0.5", "--format", "json"], capsys
     )
@@ -91,7 +94,7 @@ def test_limit_json_document(capsys):
     doc = json.loads(out)
     assert doc["schema"] == 1
     assert doc["columns"] == ["x", "mixture_cdf"]
-    assert doc["rows"][0][1] == pytest.approx(MIX_THIRD, abs=1e-9)
+    assert doc["rows"][0][1] == pytest.approx(MIX_THIRD, abs=1e-9), pinned_under(**LIMIT_PINNED_UNDER)
 
 
 def test_json_documents_are_compact_and_sidecars_indented(capsys):
@@ -101,11 +104,11 @@ def test_json_documents_are_compact_and_sidecars_indented(capsys):
     assert err == json.dumps(json.loads(err), indent=2) + "\n"
 
 
-def test_limit_non_finite_x(capsys):
+def test_limit_non_finite_x(capsys, pinned_under):
     code, out, _ = run_cli(["limit", "--lambda", "3", "--x-grid=-inf,0.5,inf", "--format", "json"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [r[1] for r in rows] == [0.0, pytest.approx(MIX_THIRD, abs=1e-9), 1.0]
+    assert [r[1] for r in rows] == [0.0, pytest.approx(MIX_THIRD, abs=1e-9), 1.0], pinned_under(**LIMIT_PINNED_UNDER)
 
 
 @pytest.mark.parametrize(
@@ -702,7 +705,7 @@ def test_documents_and_sidecars_are_strict_json(command, tmp_path, capsys):
     assert strict_json((tmp_path / "t.csv.json").read_text()).keys() == doc.keys() - {"columns", "rows"}
 
 
-def test_non_finite_floats_are_written_as_strings(tmp_path, capsys):
+def test_non_finite_floats_are_written_as_strings(tmp_path, capsys, pinned_under):
     _, out, _ = run_cli(["estimate", "--M", "1", "--n", "1", "--format", "json"], capsys)
     regime = strict_json(out)["regime"]
     assert regime["ratio_grouping"] == regime["ratio_rate"] == "inf"
@@ -712,7 +715,8 @@ def test_non_finite_floats_are_written_as_strings(tmp_path, capsys):
     assert [r[1] for r in doc["rows"][:3]] == ["-inf", 0.5, "inf"]
     assert [r[2] for r in doc["rows"][::3]] == [0.0, 0.0]
     _, out, _ = run_cli(strict_json_argv("limit", tmp_path) + ["--format", "json"], capsys)
-    assert strict_json(out)["rows"] == [["-inf", 0.0], [0.5, pytest.approx(MIX_THIRD, abs=1e-9)], ["inf", 1.0]]
+    assert strict_json(out)["rows"] == [["-inf", 0.0], [0.5, pytest.approx(MIX_THIRD, abs=1e-9)], ["inf", 1.0]], (
+        pinned_under(**LIMIT_PINNED_UNDER))
 
 
 # ---------- edge inputs ----------
@@ -973,7 +977,7 @@ LIMIT_EXAMPLE_DOC = (
 )
 
 
-def test_scipy_is_loaded_only_by_the_limit_laws(tmp_path):
+def test_scipy_is_loaded_only_by_the_limit_laws(tmp_path, pinned_under):
     """Only the limit laws use scipy, and they import it on first use:
     special for a table's exact sum, integrate too for a quadrature."""
     corpus, table = tmp_path / "corpus.txt", tmp_path / "steps.csv"
@@ -1007,4 +1011,4 @@ def test_scipy_is_loaded_only_by_the_limit_laws(tmp_path):
     assert table_code == 0 and "scipy.special" in after_table
     assert not [m for m in after_table if m.startswith("scipy.integrate")]
     assert code == 0 and "scipy.integrate" in after_example
-    assert doc == LIMIT_EXAMPLE_DOC
+    assert doc == LIMIT_EXAMPLE_DOC, pinned_under(**LIMIT_PINNED_UNDER)

@@ -217,6 +217,33 @@ def test_sup_to_a_stepped_limit_matches_brute_force_on_any_counts(step_targets, 
         assert abs(_sup_to_function(*_jumps(counts, n), F) - exact) <= 1e-15
 
 
+@st.composite
+def count_slabs(draw):
+    """A (rows, m) slab of small counts, one estimate per row."""
+    m, rows = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    return np.array(draw(st.lists(st.integers(0, 12), min_size=m * rows, max_size=m * rows))).reshape(rows, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), counts=count_slabs())
+def test_one_sup_per_slab_is_each_rows_exact_sup(step_targets, k, counts):
+    """One _sup_to_function call on a slab's sorted counts, where equal
+    counts repeat a location, gives each row's exact sup to F: bit for bit
+    the sup of the row's own jump table (strictly increasing locations),
+    for example, uniform and a table whose F jumps, with n = k m putting
+    many jumps of the estimate on jumps of F. sup_distance on the row's
+    CountsVector agrees up to the rounding of its StepCdf levels, running
+    float sums of 1/m (within m eps)."""
+    rows, m = counts.shape
+    n = k * m
+    for F in (limit_sdf(example_generator()), *(F for F, _ in step_targets.values())):
+        sups = _sup_to_function(np.sort(counts, axis=1) * (m / n), np.arange(1, m + 1) / m, F)
+        assert sups.shape == (rows,)
+        for row, sup in zip(counts, sups.tolist()):
+            assert sup == _sup_to_function(*_jumps(row, n), F)
+            assert abs(sup - sup_distance(CountsVector(POISSONIZED, row, n).cdf, F)) <= m * np.finfo(float).eps
+
+
 # Step CDFs with jumps on the quarter lattice in [-2.5, 2.5]: equal values
 # are frequent, so ties, shared jumps and coinciding CDFs all occur.
 quarter_values = st.lists(st.integers(-10, 10), min_size=1, max_size=30).map(lambda v: np.array(v) / 4)
