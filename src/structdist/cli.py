@@ -34,7 +34,7 @@ from .asymptotics import (
     poisson_mixture_cdf,
 )
 from .errors import NumericError, StructDistError, ValidationError
-from .estimators import _jumps, check_regime, grouped_estimator
+from .estimators import check_regime, grouped_estimator
 from .generators import by_name, cells_from_generator, limit_sdf
 from .ingest import estimate_from_corpus, tokenize
 from .sampling import STREAM_VERSION, CountsVector, RngStream, draw_multinomial, draw_poissonized
@@ -134,7 +134,8 @@ def _jump_rows(est: CountsVector) -> list[tuple[float, float]]:
     """(x, F) at every jump of an estimate, preceded by a zero anchor just
     left of the support: x = count * (size / n) and F the exact share of
     counts <= count, the value est(x) returns there."""
-    locs, shares = _jumps(est.counts, est.n)
+    cdf = est.cdf
+    locs, shares = cdf.locations, cdf(cdf.locations)
     span = float(locs[-1] - locs[0])
     eps = max(1e-6, 0.02 * span) if span > 0 else max(1e-6, 0.02 * abs(float(locs[0])))
     return [(float(locs[0]) - eps, 0.0), *zip(locs.tolist(), shares.tolist())]
@@ -267,7 +268,9 @@ def _cmd_limit(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    est, diagnostics = estimate_from_corpus(tokenize(Path(args.text).read_bytes()), args.m)
+    with open(args.text, "rb") as text:
+        corpus = tokenize(text)
+    est, diagnostics = estimate_from_corpus(corpus, args.m)
     _emit(args, {"text": args.text, **diagnostics}, ("x", "F"), _jump_rows(est))
 
 
@@ -290,7 +293,7 @@ def reproduce_figures(out_dir: str, seed: int) -> list[str]:
     written = []
     for fname, m in FIGURE_SPECS:
         est = grouped_estimator(vec, m)
-        xs = np.union1d(_jumps(est.counts, n)[0], [gen.tau])
+        xs = np.union1d(est.cdf.locations, [gen.tau])
         span = max(xs[-1] - xs[0], 1.0)
         xs = np.concatenate(([xs[0] - max(1e-6, 0.02 * span)], xs))  # an anchor below every jump
         path = out / fname

@@ -8,10 +8,10 @@ CountsVector of its counts: the grouped estimator is the natural estimator
 of the m group counts, which are multinomial (Poisson) counts of the
 grouped model. At x it is the share of counts <= K = lattice_floor(x n /
 size), by `asymptotics._lattice_index` and `model._estimate`, the one index
-and share of every estimate, study and the Poisson-mixture limit.
-`_jumps` (the one jump table) serves the CLI. Groups are
-blocks of the counts in the order given (sort them first to order by
-probability).
+and share of every estimate, study and the Poisson-mixture limit; its
+`cdf`, whose levels are those exact shares, gives the CLI its jump table.
+Groups are blocks of the counts in the order given (sort them first to
+order by probability).
 """
 from __future__ import annotations
 
@@ -26,14 +26,6 @@ from .sampling import CountsVector
 # check_regime's rate exponent (in (0, 1/6)) and the ratio above which a flag reads true
 REGIME_ALPHA = 0.1
 REGIME_THRESHOLD = 5.0
-
-
-def _jumps(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The jump table of the estimate of counts from a sample of size n: for
-    each distinct count v, ascending, its location v * (size / n) and the
-    share of the counts that are <= v."""
-    values, multiplicity = np.unique(counts, return_counts=True)
-    return values * (counts.size / n), np.cumsum(multiplicity) / counts.size
 
 
 def grouped_estimator(counts: CountsVector, m: int) -> CountsVector:

@@ -110,12 +110,16 @@ class StepCdf:
 
     @classmethod
     def from_values(cls, values) -> "StepCdf":
-        """Empirical CDF of `values`, each with mass 1/len; equal values are merged."""
-        v = np.sort(_as_float_vector(values, "values"), kind="stable")
+        """Empirical CDF of `values`, each with mass 1/len; equal values are
+        merged. Its level after each jump is exact: the number of values at
+        or below it over len, the share an estimate reads."""
+        v = _as_float_vector(values, "values")
         if v.size == 0:
             raise ValidationError("a StepCdf needs at least one jump")
-        locs, start = np.unique(v, return_index=True)
-        return cls(locs, np.add.reduceat(np.full(v.shape, 1.0 / v.size), start))
+        locs, multiplicity = np.unique(v, return_counts=True)
+        cdf = cls(locs, multiplicity / v.size)
+        cdf._levels[1:] = np.cumsum(multiplicity) / v.size
+        return cdf
 
     @property
     def n_jumps(self) -> int:

@@ -309,8 +309,11 @@ class _Layout:
         self.m, self.width = m, cells.M // m
         self.positive = np.flatnonzero(cells.p > 0)
         self.edges = np.concatenate(([0.0], np.cumsum(cells.p[self.positive])))
-        self.q = _block_sums(cells.p, m)
-        self.means = n * self.q
+        q = _block_sums(cells.p, m)
+        self.means = n * q
+        # one group's q is sum(p), which can round above 1, a probability
+        # that numpy's multinomial refuses
+        self.q = np.minimum(q, 1.0)
 
 
 def _balls(gen: Generator, k: int, layout: _Layout) -> np.ndarray:

@@ -20,8 +20,15 @@ from structdist import (
     table_generator,
     uniform_generator,
 )
-from structdist.estimators import _jumps
 from structdist.model import _sup_to_function
+
+
+def jump_table(counts, n):
+    """The reference jump table of the estimate of counts from a sample of
+    size n: each distinct count v, ascending, at v * (size / n), and the
+    exact share of the counts that are <= v."""
+    values, multiplicity = np.unique(counts, return_counts=True)
+    return values * (counts.size / n), np.cumsum(multiplicity) / counts.size
 
 
 # ---------- StepCdf construction ----------
@@ -195,26 +202,29 @@ def step_targets(tmp_path_factory):
 def test_sup_to_a_stepped_limit_is_the_brute_force_sup(step_targets, target, counts, n, expected):
     """Counts of n/m put a jump of the grouped estimate exactly on a jump
     of F; the grouped estimate of [2, 2, 2, 2] (n = 8, m = 4) is uniform's
-    limit itself. The study's jump-table route agrees."""
+    limit itself. The jump-table and study routes agree."""
     F, jumps = step_targets[target]
     counts = np.array(counts)
     step = StepCdf.from_values(counts * (counts.size / n))
     assert sup_distance(step, F) == brute_sup(step, F, jumps) == expected[target]
-    assert _sup_to_function(*_jumps(counts, n), F) == expected[target]
+    assert _sup_to_function(*jump_table(counts, n), F) == expected[target]
+    shares = np.arange(1, counts.size + 1) / counts.size
+    assert _sup_to_function(np.sort(counts) * (counts.size / n), shares, F) == expected[target]
 
 
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 4), counts=st.lists(st.integers(0, 12), min_size=1, max_size=8))
 def test_sup_to_a_stepped_limit_matches_brute_force_on_any_counts(step_targets, k, counts):
     """With n = k m many counts equal n/m = k (or k/2, 3k/2), so the
-    estimate and F often jump at one x."""
+    estimate and F often jump at one x. The exact levels of from_values
+    make the jump table's sup equal to it bit for bit."""
     counts = np.array(counts)
     n = k * counts.size
     for F, jumps in step_targets.values():
         step = StepCdf.from_values(counts * (counts.size / n))
         exact = sup_distance(step, F)
         assert exact == brute_sup(step, F, jumps)
-        assert abs(_sup_to_function(*_jumps(counts, n), F) - exact) <= 1e-15
+        assert _sup_to_function(*jump_table(counts, n), F) == exact
 
 
 @st.composite
@@ -232,16 +242,16 @@ def test_one_sup_per_slab_is_each_rows_exact_sup(step_targets, k, counts):
     the sup of the row's own jump table (strictly increasing locations),
     for example, uniform and a table whose F jumps, with n = k m putting
     many jumps of the estimate on jumps of F. sup_distance on the row's
-    CountsVector agrees up to the rounding of its StepCdf levels, running
-    float sums of 1/m (within m eps)."""
+    CountsVector agrees bit for bit: its StepCdf levels are the exact
+    shares."""
     rows, m = counts.shape
     n = k * m
     for F in (limit_sdf(example_generator()), *(F for F, _ in step_targets.values())):
         sups = _sup_to_function(np.sort(counts, axis=1) * (m / n), np.arange(1, m + 1) / m, F)
         assert sups.shape == (rows,)
         for row, sup in zip(counts, sups.tolist()):
-            assert sup == _sup_to_function(*_jumps(row, n), F)
-            assert abs(sup - sup_distance(CountsVector(POISSONIZED, row, n).cdf, F)) <= m * np.finfo(float).eps
+            assert sup == _sup_to_function(*jump_table(row, n), F)
+            assert sup == sup_distance(CountsVector(POISSONIZED, row, n).cdf, F)
 
 
 # Step CDFs with jumps on the quarter lattice in [-2.5, 2.5]: equal values
@@ -274,6 +284,7 @@ def test_from_values_keeps_the_mass_and_merges_ties(values):
     np.testing.assert_array_equal(cdf.locations, np.unique(values))
     for loc, mass in zip(cdf.locations, cdf.masses):
         assert mass == pytest.approx(np.count_nonzero(values == loc) / values.size, abs=1e-15)
+        assert cdf(loc) == np.count_nonzero(values <= loc) / values.size  # exact levels
     assert abs(cdf.masses.sum() - 1.0) <= 1e-12
     assert cdf(np.inf) == cdf(cdf.locations[-1]) == pytest.approx(1.0, abs=1e-12)
     assert cdf(np.nextafter(cdf.locations[0], -np.inf)) == 0.0

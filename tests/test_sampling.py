@@ -450,6 +450,7 @@ def grouped_models(draw):
 @given(model=grouped_models(), n=st.integers(1, 400), rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
 @example(model=(3, [0, 0, 1, 0, 0, 3]), n=200, rows=12, seed=1)  # zero cells within and across groups
 @example(model=(1, [1, 2]), n=10**6, rows=4, seed=2)  # extra balls drawn over the cells on every row
+@example(model=(1, [2, 4, 3, 1]), n=1, rows=1, seed=0)  # one group whose q = sum(p) rounds above 1, N = n
 def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
     """Over any model, group count and width, n and row count, every row of
     a grouped slab keeps the exact invariants (check_grouped); no ball
