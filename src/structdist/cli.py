@@ -99,6 +99,7 @@ def _csv(columns: Sequence[str], rows) -> str:
 
 def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
     """Write a command's output, its metadata opened with schema and command.
+    rows is a list of row tuples or lists.
     json: one document with the metadata and rows embedded, written
     compactly so the C encoder runs. csv: rows to --out or stdout, metadata
     as an indented sidecar (<out>.json, or stderr for stdout). With no rows
@@ -108,7 +109,8 @@ def _emit(args, meta: dict, columns: Sequence[str] = (), rows=None):
         sys.stdout.write(_dumps(meta) + "\n")
         return
     if args.format == "json":
-        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": [list(r) for r in rows]}) + "\n", ""
+        # rows as given: json writes a tuple as an array
+        text, sidecar = _dumps({**meta, "columns": list(columns), "rows": rows}) + "\n", ""
     else:
         text, sidecar = _csv(columns, rows), _dumps(meta, indent=2) + "\n"
     if args.out is None:

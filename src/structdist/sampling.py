@@ -7,9 +7,10 @@ CountsVector of m groups, whose estimate is the grouped estimator.
 Streams are addressed by (seed, stream_index): the pair feeds a
 SeedSequence, whose avalanche mixing makes the streams independent and
 individually reproducible, bit for bit, across runs and platforms. Every
-draw takes a running Generator. A study draws its replications in order
-from one running generator per rung, a slab of rows per draw_slab call;
-the single draws are row 0 of a one-row slab.
+draw takes a running Generator. A study draws its replications in order,
+a slab of rows per draw_slab call, from one running generator per rung,
+plus one per kind of variate for a grouped coupled slab
+(RngStream.streams); the single draws are row 0 of a one-row slab.
 
 A coupled pair (nu, rho) counts the first n and the first N ~ Poisson(n)
 balls of one categorical stream. Its draw materializes only counts: rho is
@@ -33,8 +34,14 @@ touched cells, the only ones where they differ, and their group counts are
 sums: O(m + |N - n|) variates per row at any n/M, with the same joint law
 of the group counts and of the differing cells, which is all the natural
 gap reads. A row with k > M places its extra balls by one multinomial over
-the cells, which keeps it at O(M) memory. At m = M the slab is the full
-coupled slab, bit for bit.
+the cells, which keeps it at O(M) memory. The rows of a slab are drawn
+together (_grouped_slab), each kind of variate from its own stream of
+RngStream.streams, so that row r still depends only on the rows before it:
+every N from the running generator, the extra balls in row order from a
+second stream, and every row's common balls by one 2-D multinomial from a
+third. From one Generator they are drawn one at a time, as stream version
+9 drew them. At m = M the slab is the full coupled slab, bit for bit, from
+the running generator alone.
 
 A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
 one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
@@ -85,7 +92,11 @@ COUPLED = "coupled"
 # each group, on every gap rung (was: R at the groups, then the touched
 # cells given R; same law; full coupled rows, multinomial and Poissonized
 # draws unchanged).
-STREAM_VERSION = 9
+# 10: the rows of a grouped coupled slab at m < M are drawn together, from
+# three streams of the rung: every N from its running generator, the extra
+# balls from a second and the common balls from a third (RngStream.streams;
+# same law; full coupled rows, multinomial and Poissonized draws unchanged).
+STREAM_VERSION = 10
 
 _U64 = (1 << 64) - 1
 
@@ -133,6 +144,14 @@ class RngStream:
 
     def generator(self) -> Generator:
         return Generator(PCG64(SeedSequence(entropy=[self.seed, self.stream_index])))
+
+    def streams(self) -> tuple[Generator, Generator, Generator]:
+        """The running generator, as generator() builds it, then the
+        generators of a grouped coupled slab's extra and common balls: the
+        two children of the stream's SeedSequence (SeedSequence.spawn;
+        Generator.spawn is newer than numpy 1.24)."""
+        seq = SeedSequence(entropy=[self.seed, self.stream_index])
+        return tuple(Generator(PCG64(s)) for s in (seq, *seq.spawn(2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,44 +217,63 @@ def _check_n(n: int) -> None:
         raise ValidationError(f"n must be <= {MAX_N}, got {n}")
 
 
-def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
-              groups: int | None = None) -> np.ndarray | CoupledGroups:
+def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | tuple,
+              groups: int | None = None, layout: _Layout | None = None) -> np.ndarray | CoupledGroups:
     """rows independent draws of the given kind, in order from gen, as an
     int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
     of independent Poisson(n * p_j) counts, or the two vectors (nu, rho) of
-    coupled pairs. Poissonized slabs and multinomial slabs of rows shorter
-    than _LONG_ROW cells take one numpy call; coupled slabs and longer
-    multinomial rows are drawn row by row (_coupled_row), a multinomial row
-    being the nu of a coupled one. Every vector passes the checks a
-    CountsVector makes on each row: no negative count, every multinomial
-    row sums to n, and every coupled rho row to its N.
+    coupled pairs. gen is a running Generator or the three of
+    RngStream.streams, the running one first. Poissonized slabs and
+    multinomial slabs of rows shorter than _LONG_ROW cells take one numpy
+    call; coupled slabs and longer multinomial rows are drawn row by row
+    (_coupled_row), a multinomial row being the nu of a coupled one. Every
+    vector passes the checks a CountsVector makes on each row: no negative
+    count, every multinomial row sums to n, and every coupled rho row to
+    its N.
 
     With groups = m, a divisor of M, a coupled slab is returned as
     CoupledGroups: the group counts, and nu and rho only in the cells where
     they differ, which must then differ by |N - n| balls on every row. At
-    m < M it is drawn at the groups (_grouped_row); at m = M its rows are
-    those of the full coupled slab, bit for bit."""
+    m < M its rows are drawn at the groups (_grouped_slab): all together,
+    each kind of variate from its own of the three streams, or, from one
+    Generator, one at a time, each a one-row slab drawn from it alone (the
+    rows of stream version 9); at m = M its rows are those of the full
+    coupled slab, bit for bit, from the running generator. layout, the
+    _Layout of (cells, n, groups or M) that coupled rows read, is built
+    here when not given."""
     _check_n(n)
     if groups is not None:
         if kind != COUPLED:
             raise ValidationError(f"only coupled draws are drawn at groups, not {kind!r}")
         check_group_count(cells.M, groups)
+    streams = gen
+    if isinstance(gen, tuple):
+        gen = gen[0]
     # totals: per vector, what its rows must sum to (a Poissonized row: any total)
     if kind == MULTINOMIAL and cells.M < _LONG_ROW:
         slab, totals = gen.multinomial(n, cells.p, size=rows)[None], [n]
     elif kind == POISSONIZED:
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
     elif kind in (MULTINOMIAL, COUPLED):
-        # a multinomial slab keeps only nu
-        vectors = 2 if kind == COUPLED else 1
-        layout, differ = _Layout(cells, n, groups or cells.M), []
-        draw_row = _coupled_row if layout.width == 1 else _grouped_row
-        slab, Ns = np.empty((vectors, rows, layout.m), dtype=np.int64), np.empty(rows, dtype=np.int64)
-        for i in range(rows):
-            Ns[i], *pair, cells_i = draw_row(cells, n, gen, layout)
-            for vector, counts in zip(slab, pair):
-                vector[i] = counts
-            differ.append(cells_i)
+        if layout is None:
+            layout = _Layout(cells, n, groups or cells.M)
+        if layout.width > 1 and isinstance(streams, tuple):
+            Ns, slab, differ, revealed = _grouped_slab(cells, n, rows, streams, layout)
+        elif layout.width > 1:
+            # one Generator: one-row slabs in order, each drawn from it alone
+            Ns, pairs, differs, revealed = zip(*(_grouped_slab(cells, n, 1, (gen,) * 3, layout)
+                                                 for _ in range(rows)))
+            Ns, slab, revealed = np.concatenate(Ns), np.concatenate(pairs, axis=1), sum(revealed)
+            differ = [np.concatenate(a) for a in zip(*differs)]
+            differ[0] = np.repeat(np.arange(rows), [d[0].size for d in differs])
+        else:
+            # a multinomial slab keeps only nu
+            slab = np.empty((2 if kind == COUPLED else 1, rows, cells.M), dtype=np.int64)
+            Ns, differ, revealed = np.empty(rows, dtype=np.int64), None, 0
+            for i in range(rows):
+                Ns[i], *pair = _coupled_row(cells, n, gen, layout)
+                for vector, counts in zip(slab, pair):
+                    vector[i] = counts
         totals = [n, Ns]
     else:
         raise ValidationError(f"unknown counts kind {kind!r}")
@@ -247,7 +285,7 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator,
         bad = np.flatnonzero(got != expected)
         if bad.size:
             raise ValidationError(f"{name} counts sum to {got[bad[0]]}, expected {expected[bad[0]]}")
-    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, cells.M, groups)
+    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, revealed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,24 +313,20 @@ class CoupledGroups:
         return iter((self.V, self.R))
 
     @classmethod
-    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: list, M: int,
-                groups: int) -> "CoupledGroups":
-        """The slab's counts at the groups and the differing cells of each
-        row (read off the rows at m = M, where differ holds None), checked:
-        no negative count, and sum_j |nu_j - rho_j| = |N - n| on every row."""
+    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: tuple | None,
+                revealed: int) -> "CoupledGroups":
+        """The slab's counts at the groups and the cells where nu and rho
+        differ, differ = (row, cell, nu, rho), or read off the rows when
+        differ is None (m = M), checked: no negative count, and
+        sum_j |nu_j - rho_j| = |N - n| on every row."""
         V, R = slab
-        rows = V.shape[0]
-        if groups == M:
-            row, cell = np.divmod(np.flatnonzero(V != R), M)
-            nu, rho, revealed = V[row, cell], R[row, cell], 0
-        else:
-            sizes = [c.size for c, _, _ in differ]
-            row = np.repeat(np.arange(rows), sizes)
-            cell, nu, rho = (np.concatenate(a).astype(np.int64, copy=False) for a in zip(*differ))
-            revealed = sum(M if abs(N - n) > M else size for N, size in zip(Ns.tolist(), sizes))
+        if differ is None:
+            row, cell = np.nonzero(V != R)
+            differ = row, cell, V[row, cell], R[row, cell]
+        row, cell, nu, rho = differ
         if min(nu.min(initial=0), rho.min(initial=0)) < 0:
             raise ValidationError("counts must be nonnegative")
-        got, expected = np.bincount(row, np.abs(nu - rho), minlength=rows), np.abs(Ns - n)
+        got, expected = np.bincount(row, np.abs(nu - rho), minlength=V.shape[0]), np.abs(Ns - n)
         bad = np.flatnonzero(got != expected)
         if bad.size:
             raise ValidationError(
@@ -315,75 +349,110 @@ class _Layout:
         # that numpy's multinomial refuses
         self.q = np.minimum(q, 1.0)
 
-
-def _balls(gen: Generator, k: int, layout: _Layout) -> np.ndarray:
-    """The cells of k new categorical balls, each a uniform looked up in the
-    cumulative p of the positive cells. The last positive cell takes every
-    u at or above the second-last cumulative value, so a rounded-up
-    u * total stays in range."""
-    edges = layout.edges
-    return layout.positive[np.searchsorted(edges[1:-1], gen.random(k) * edges[-1], side="right")]
+    def cells_of(self, u: np.ndarray) -> np.ndarray:
+        """The cells of categorical balls, one per uniform u, looked up in
+        the cumulative p of the positive cells (fastest when u is sorted).
+        The last positive cell takes every u at or above the second-last
+        cumulative value, so a rounded-up u * total stays in range."""
+        edges = self.edges
+        return self.positive[np.searchsorted(edges[1:-1], u * edges[-1], side="right")]
 
 
 def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
-    """(N, nu, rho, None) of one full coupled row (m = M).
+    """(N, nu, rho) of one full coupled row (m = M).
 
     rho ~ Poisson(n p) cell by cell and N is its total. If N < n, nu adds
-    n - N new balls (_balls); if N > n, it removes N - n of rho's balls,
-    drawn without replacement and mapped to their cells through the running
-    sum of rho. When |N - n| > M the pair is rebuilt from N by two
-    multinomials over the cells (common and extra balls), which keeps the
-    row at O(M) memory."""
+    n - N new balls, sorted uniforms looked up in the cumulative p; if
+    N > n, it removes N - n of rho's balls, drawn without replacement,
+    sorted and mapped to their cells through the running sum of rho. When
+    |N - n| > M the pair is rebuilt from N by two multinomials over the
+    cells (common and extra balls), which keeps the row at O(M) memory."""
     R = gen.poisson(layout.means)
     N = int(R.sum())
     k = abs(N - n)
     if k > cells.M:
         common, extra = gen.multinomial([min(N, n), k], cells.p)
-        return (N, common + extra, common, None) if N < n else (N, common, common + extra, None)
+        return (N, common + extra, common) if N < n else (N, common, common + extra)
     if N < n:
-        return N, R + np.bincount(_balls(gen, k, layout), minlength=cells.M), R, None
+        return N, R + np.bincount(layout.cells_of(np.sort(gen.random(k))), minlength=cells.M), R
     if N > n:
-        removed = np.searchsorted(np.cumsum(R), gen.choice(N, k, replace=False, shuffle=False), side="right")
-        return N, R - np.bincount(removed, minlength=cells.M), R, None
-    return N, R, R, None
+        picks = np.sort(gen.choice(N, k, replace=False, shuffle=False))
+        return N, R - np.bincount(np.searchsorted(np.cumsum(R), picks, side="right"), minlength=cells.M), R
+    return N, R, R
 
 
-def _grouped_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
-    """(N, V, R, differ) of one coupled row seen at the layout's m < M
-    groups, N first.
+def _grouped_slab(cells: CellModel, n: int, rows: int, streams: tuple, layout: _Layout):
+    """(N, (V, R), (row, cell, nu, rho), revealed) of `rows` coupled rows
+    seen at the layout's m < M groups, N first, drawn together from the
+    three streams (gen_n, gen_extra, gen_common).
 
-    N ~ Poisson(n), and the k = |N - n| extra balls fall on the positive
-    cells (_balls, sorted), or, when k > M, are one multinomial over the
-    cells. The cells they touch, T, are listed in differ with nu and rho
-    there. The min(n, N) common balls are one multinomial over each group's
-    rest, max(0, q_g - the p of its touched cells), and the cells of T.
+    Every N ~ Poisson(n) comes from gen_n. The k = |N - n| extra balls of
+    the rows come from gen_extra in row order: a run of rows with k <= M
+    takes one uniform per ball, looked up in sorted order in the cumulative
+    p of the positive cells; a row with k > M, one multinomial over the
+    cells. The cells a row's balls touch, T, are listed with nu and rho
+    there, by row, then by cell. The min(n, N) common balls of every row
+    are one 2-D multinomial from gen_common over a table whose row holds
+    zero padding, then each group's rest, max(0, q_g - the p of its
+    touched cells), then the p of T: numpy gives the last column the
+    remainder, so that column must be a real category, and a zero column
+    draws no variate, so each row draws what it would alone. Row r thus
+    depends only on the rows before it, in any slab.
+
     Per group, C counts the common balls and E the extra ones, both summed
     in int64 (counts reach 2**62, where a float sum is no longer exact).
     The first n balls are nu and the first N are rho: V = C + E and R = C
     if N < n, V = C and R = C + E if N > n; at T each is the common count
-    plus, for the longer sample, the new one."""
-    N = int(gen.poisson(n))
-    k = abs(N - n)
+    plus, for the longer sample, the new one. revealed sums |T| over the
+    rows, M for a row with k > M."""
+    gen_n, gen_extra, gen_common = streams
     m, width = layout.m, layout.width
-    if k > cells.M:
-        extra = gen.multinomial(k, cells.p)
-        touched = np.flatnonzero(extra)
-        new, E = extra[touched], _block_sums(extra, m)
-    else:
-        balls = np.sort(_balls(gen, k, layout))
-        # where each run of equal cells starts, then k
-        first = np.ones(k + 1, dtype=bool)
-        np.not_equal(balls[1:], balls[:-1], out=first[1:-1])
-        ends = np.flatnonzero(first)
-        touched, new, E = balls[ends[:-1]], np.diff(ends), np.bincount(balls // width, minlength=m)
-    group, p = touched // width, cells.p[touched]
-    rest = np.maximum(0.0, layout.q - np.bincount(group, p, minlength=m))
-    drawn = gen.multinomial(min(N, n), np.concatenate((rest, p)))
-    C, common = drawn[:m], drawn[m:]
-    np.add.at(C, group, common)
-    if N < n:
-        return N, C + E, C, (touched, common + new, common)
-    return N, C, C + E, (touched, common, common + new)
+    N = gen_n.poisson(n, size=rows)
+    k = np.abs(N - n)
+    over = k > cells.M
+    parts, start = [], 0
+    for r in [*np.flatnonzero(over).tolist(), rows]:
+        if start < r:
+            run = k[start:r]
+            u = gen_extra.random(int(run.sum()))
+            # each ball as row * M + cell (far below 2**63 for any M whose
+            # cells fit in memory), its cell looked up in sorted order
+            order, balls = np.argsort(u), np.repeat(np.arange(start, r) * cells.M, run)
+            balls[order] += layout.cells_of(u[order])
+            balls.sort()
+            # where each run of equal balls starts, then the ball count
+            first = np.ones(balls.size + 1, dtype=bool)
+            np.not_equal(balls[1:], balls[:-1], out=first[1:-1])
+            ends = np.flatnonzero(first)
+            parts.append((*np.divmod(balls[ends[:-1]], cells.M), np.diff(ends)))
+        if r < rows:
+            extra = gen_extra.multinomial(k[r], cells.p)
+            touched = np.flatnonzero(extra)
+            parts.append((np.full(touched.size, r), touched, extra[touched]))
+        start = r + 1
+    row, cell, new = (np.concatenate(a) for a in zip(*parts))
+    # each touched cell's (row, group), ascending
+    key = row * m + cell // width
+    E = np.zeros(rows * m, dtype=np.int64)
+    np.add.at(E, key, new)
+    t, p = np.bincount(row, minlength=rows), cells.p[cell]
+    # the table, flat: row r's m rests start at lead[r], its touched p follow
+    W = m + int(t.max())
+    lead = np.arange(rows) * W + (W - m) - t
+    at_rest = lead[:, None] + np.arange(m)
+    at_touched = np.arange(row.size) + (lead + m - (np.cumsum(t) - t))[row]
+    table = np.zeros(rows * W)
+    table[at_rest] = np.maximum(0.0, layout.q - np.bincount(key, p, minlength=rows * m).reshape(rows, m))
+    table[at_touched] = p
+    drawn = gen_common.multinomial(np.minimum(N, n), table.reshape(rows, W)).reshape(-1)
+    C, common = drawn[at_rest], drawn[at_touched]
+    np.add.at(C.reshape(-1), key, common)
+    less = N < n
+    E = E.reshape(rows, m)
+    longer = less[row]
+    differ = row, cell, common + new * longer, common + new * ~longer
+    revealed = cells.M * int(over.sum()) + int(t[~over].sum())
+    return N, (C + E * less[:, None], C + E * ~less[:, None]), differ, revealed
 
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:

@@ -3,9 +3,10 @@ replications, m-sweeps, coupled Poissonization-gap measurement, and
 Poisson tail audits.
 
 Each rung of a study draws its replications in order from one running
-generator, stream `rung` of the config seed: replication r is the r-th
-row drawn, so the first r replications do not depend on reps. The studies
-handle them in slabs: the draws of up to a few thousand consecutive
+generator, stream `rung` of the config seed, plus one per kind of variate
+for a grouped coupled slab (`sampling.RngStream.streams`): replication r
+is the r-th row drawn, so the first r replications do not depend on reps.
+The studies handle them in slabs: the draws of up to a few thousand consecutive
 replications form one int64 count array, drawn by one `sampling.draw_slab`
 call (one vector of rows, or the group counts of coupled pairs; since
 stream version 7 a multinomial row of at least 2^12 cells, such as the 9009
@@ -32,7 +33,9 @@ groups each slab once per m by strided differences of one running sum
 (`model._prefix_block_sums`). `poissonization_gap` takes its coupled pairs
 at its m groups as well, N first: the group counts of nu and rho, and both
 only in the cells the |N - n| ~ sqrt(n) balls between them touch, the only
-cells its natural gap reads (`sampling.CoupledGroups`).
+cells its natural gap reads (`sampling.CoupledGroups`), a slab's rows in
+one pass; it reads that gap as each row's deepest overlap of the intervals
+between nu and rho in those cells (`_natural_gap`).
 The seeded stream is the one `sampling.STREAM_VERSION` names.
 """
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import ValidationError
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (_MAX_SIZE, CellModel, _estimate, _prefix_block_sums, _prefix_sums,
                     _sup_to_function, check_group_count, nearest_divisor)
-from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, draw_slab
+from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, _Layout, draw_slab
 
 
 # ---------- configuration and report types ----------
@@ -191,34 +194,43 @@ def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int
     with `groups`, the pair of group counts of a `CoupledGroups`), every row
     checked as a CountsVector would check it. Replication r is the r-th row
     drawn from one running generator, stream `rung` of the seed, so a
-    replication does not depend on reps or on where the slabs break."""
-    gen = RngStream(seed, rung).generator()
+    replication does not depend on reps or on where the slabs break. A
+    coupled rung builds its `_Layout` once and also draws from the two
+    streams a grouped slab takes its extra and common balls from
+    (`RngStream.streams`), each in row order."""
+    stream = RngStream(seed, rung)
+    if kind == COUPLED:
+        gen, layout = stream.streams(), _Layout(model, n, groups or model.M)
+    else:
+        gen, layout = stream.generator(), None
     size = max(1, _SLAB // width)
     for start in range(0, reps, size):
         rows = min(size, reps - start)
-        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen, groups)
+        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen, groups, layout)
 
 
 def _natural_gap(row: np.ndarray, nu: np.ndarray, rho: np.ndarray, rows: int) -> np.ndarray:
     """M times the sup distance between the natural estimators of nu and
     rho, for each of `rows` coupled rows, from the cells where they differ:
-    the row of each such cell and the counts nu and rho there. Both
-    estimators step on the integer counts, so the gap is
+    the row of each such cell (ascending) and the counts nu and rho there.
+    Both estimators step on the integer counts, so the gap is
     max_k |#{nu_j <= k} - #{rho_j <= k}|, and the cells with nu_j = rho_j
-    cancel at every k. The differing counts, sorted within each row, step
-    the difference by +1 (nu) or -1 (rho), and its value at k is the
-    running sum after the last count equal to k. A row's steps sum to 0, so
-    one running sum over the rows in order serves them all."""
-    row = np.concatenate((row, row))
-    count = np.concatenate((nu, rho))
-    order = np.lexsort((count, row))
-    row, count = row[order], count[order]
-    running = np.abs(np.cumsum(np.where(order < nu.size, 1, -1)))
-    last = np.ones(row.size, dtype=bool)
-    last[:-1] = (row[1:] != row[:-1]) | (count[1:] != count[:-1])
-    gaps = np.zeros(rows, dtype=np.int64)
-    np.maximum.at(gaps, row[last], running[last])
-    return gaps
+    cancel at every k. A coupled row's shorter sample lies inside its
+    longer one, so every differing cell steps the difference the same way,
+    on [min(nu_j, rho_j), max(nu_j, rho_j)): the gap is the row's deepest
+    overlap of these intervals. Each interval is two events, keyed 2v + 1
+    for its start v and 2v for its end v (an end sorts before a start at
+    the same v), in uint64 since counts reach 2**62; one sort of a padded
+    (rows, 2 w) key array orders each row, whose running sum of +1 per
+    start and -1 per end peaks at its depth. The padding keys are ends
+    after every real event, so they never raise a peak."""
+    per_row = np.bincount(row, minlength=rows)
+    keys = np.full((rows, 2 * per_row.max(initial=0)), np.iinfo(np.uint64).max - 1, dtype=np.uint64)
+    col = 2 * (np.arange(row.size) - (np.cumsum(per_row) - per_row)[row])
+    keys[row, col] = np.minimum(nu, rho).astype(np.uint64) * 2 + 1
+    keys[row, col + 1] = np.maximum(nu, rho).astype(np.uint64) * 2
+    keys.sort(axis=1)
+    return np.cumsum((keys & 1).view(np.int64) * 2 - 1, axis=1).max(axis=1, initial=0)
 
 
 # ---------- core study ----------
@@ -379,8 +391,9 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
         K = _lattice_index(config.x_grid, n, m)
         sq = np.zeros(len(config.x_grid))
         gap_sum = violations = 0
-        # bounds what a row holds: at most M differing cells, m comparisons per x
-        width = M * len(config.x_grid)
+        # bounds what a grouped row holds: m comparisons per x, and two gap
+        # events per touched cell, at most |N - n| (about 4 sqrt(n) at worst)
+        width = m * len(config.x_grid) + 8 * min(M, math.isqrt(n))
         timings["cells_s"] += time.perf_counter() - mark
         mark = time.perf_counter()
         for _, pairs in _slabs(COUPLED, cells, n, config.seed, config.reps, width, rung_idx, groups=m):

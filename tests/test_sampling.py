@@ -21,7 +21,7 @@ from structdist import (
     group_model,
 )
 from structdist.generators import table_generator
-from structdist.sampling import COUPLED, MAX_N, CoupledGroups, _Layout, _grouped_row, draw_slab
+from structdist.sampling import COUPLED, MAX_N, CoupledGroups, draw_slab
 from structdist.study import _natural_gap
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
@@ -457,10 +457,11 @@ def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
     lands on or leaves a zero-probability cell; a row at m < M groups
     reveals the cells it lists, or all M cells when its extra balls are
     drawn over the cells (|N - n| > M), and a slab at m = M none; and a
-    slab of rows is that many one-row grouped draws in order."""
+    slab of rows is that many one-row grouped draws in order from the same
+    three streams, which it leaves in the same states."""
     m, weights = model[0], np.array(model[1], dtype=float)
     cells, width = CellModel(weights.size, weights / weights.sum()), weights.size // m
-    gen, single = RngStream(seed).generator(), RngStream(seed).generator()
+    gen, single = RngStream(seed).streams(), RngStream(seed).streams()
     pairs = draw_slab(COUPLED, cells, n, rows, gen, groups=m)
     N = check_grouped(pairs, cells, n, m)
     zero_groups = cells.p.reshape(m, -1).sum(axis=1) == 0
@@ -471,7 +472,7 @@ def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
     for r in range(rows):
         V, R = draw_slab(COUPLED, cells, n, 1, single, groups=m)
         assert np.array_equal(V[0], pairs.V[r]) and np.array_equal(R[0], pairs.R[r])
-    assert gen.bit_generator.state == single.bit_generator.state
+    assert [g.bit_generator.state for g in gen] == [g.bit_generator.state for g in single]
 
 
 def test_grouped_rows_of_a_table_with_a_flat_piece(tmp_path):
@@ -558,12 +559,12 @@ def test_grouped_slab_checks_its_groups_and_cells():
     with pytest.raises(ValidationError, match="m=4 does not divide M=6"):
         draw_slab(COUPLED, CELLS6, 60, 2, RngStream(1).generator(), groups=4)
     slab, Ns = np.array([[[30, 30]], [[28, 30]]]), np.array([58])
-    cell = np.array([1])
+    row, cell = np.array([0]), np.array([1])
     with pytest.raises(ValidationError, match=r"coupled counts differ by 1 balls, expected \|N - n\| = 2"):
-        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([3]), np.array([2]))], 6, 2)
+        CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([3]), np.array([2])), 1)
     with pytest.raises(ValidationError, match="counts must be nonnegative"):
-        CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([0]), np.array([-2]))], 6, 2)
-    ok = CoupledGroups.collect(slab, 60, Ns, [(cell, np.array([4]), np.array([2]))], 6, 2)
+        CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([0]), np.array([-2])), 1)
+    ok = CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([4]), np.array([2])), 1)
     assert ok.revealed == 1 and ok.row.tolist() == [0]
 
 
@@ -580,10 +581,11 @@ def test_grouped_rows_keep_exact_totals_at_the_largest_n():
 
 
 class CountingGenerator:
-    """A Generator that counts the variates its draws return."""
+    """A Generator that counts the variates its draws return and records
+    each draw's name and arguments."""
 
     def __init__(self, gen):
-        self.gen, self.variates = gen, 0
+        self.gen, self.variates, self.calls = gen, 0, []
 
     def __getattr__(self, name):
         draw = getattr(self.gen, name)
@@ -591,27 +593,34 @@ class CountingGenerator:
         def counted(*args, **kwargs):
             out = draw(*args, **kwargs)
             self.variates += np.size(out)
+            self.calls.append((name, args))
             return out
         return counted
 
 
 def test_grouped_row_draws_what_its_balls_touch_at_any_n_over_m():
-    """At n/M = 1000 (M = 1000, n = 10**6, m = 250 groups of 4 cells), a row
-    drawn at the groups takes one Poisson N, its k = |N - n| extra balls
-    (one multinomial over the M cells if k > M), and one multinomial over
-    the m groups' rest and the cells those balls touch: 1 + min(k, M) + m +
-    |T| variates, at most 1 + m + 2 min(k, M). It does not grow with n/M: a
-    full row takes M Poisson variates plus its balls."""
-    cells, n, m = cells_from_generator(example_generator(), 1000), 10**6, 250
-    layout, gen = _Layout(cells, n, m), CountingGenerator(RngStream(9).generator())
-    ks = []
-    for _ in range(60):
-        before = gen.variates
-        N, V, R, (touched, _, _) = _grouped_row(cells, n, gen, layout)
-        k, drawn = abs(N - n), gen.variates - before
-        assert drawn == 1 + min(k, cells.M) + m + touched.size <= 1 + m + 2 * min(k, cells.M), (k, drawn)
-        ks.append(k)
-    assert min(ks) <= cells.M < max(ks)
+    """At n/M = 1000 (M = 1000, n = 10**6, m = 250 groups of 4 cells), a
+    slab of 60 rows drawn at the groups takes per row one Poisson N, its
+    k = |N - n| extra balls (one multinomial over the M cells if k > M),
+    and one row of the common balls' multinomial: zero padding, which draws
+    no variate, then the m groups' rest and the p of the cells those balls
+    touch, T. So a row draws 1 + min(k, M) + m + |T| variates, at most
+    1 + m + 2 min(k, M). It does not grow with n/M: a full row takes M
+    Poisson variates plus its balls."""
+    cells, n, m, rows = cells_from_generator(example_generator(), 1000), 10**6, 250, 60
+    gen_n, gen_extra, gen_common = streams = tuple(CountingGenerator(g) for g in RngStream(9).streams())
+    pairs = draw_slab(COUPLED, cells, n, rows, streams, groups=m)
+    k = np.abs(check_grouped(pairs, cells, n, m) - n)
+    touched = np.bincount(pairs.row, minlength=rows)
+    assert gen_n.variates == rows and gen_extra.variates == np.minimum(k, cells.M).sum()
+    assert (touched <= np.minimum(k, cells.M)).all()
+    ((name, (_, table)),) = gen_common.calls
+    assert name == "multinomial" and table.shape == (rows, m + touched.max())
+    for r, (t, T) in enumerate(zip(touched, np.split(pairs.cell, np.cumsum(touched)[:-1]))):
+        real = table[r, table.shape[1] - m - t:]
+        assert not table[r, :table.shape[1] - m - t].any() and np.array_equal(real[m:], cells.p[T])
+        assert real.size == m + t <= m + min(k[r], cells.M)
+    assert k.min() <= cells.M < k.max()
 
 
 # ---------- grouping counts ----------

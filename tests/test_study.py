@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom, poisson
 
 import structdist.model as model
+import structdist.sampling as sampling
 import structdist.study as study
 from structdist import (
     MULTINOMIAL,
@@ -255,7 +256,8 @@ def test_slab_boundaries_leave_every_study_unchanged(monkeypatch, rows):
     ladder = ((60, 180, 6), (120, 360, 6))
     calls = {
         "mse": (lambda: run_mse_study(cfg), 12 * len(X7)),
-        "gap": (lambda: poissonization_gap(gap_cfg, n_ladder=(120, 240)), 40 * 3),
+        # the gap's first rung: m = 8 comparisons per x and 8 isqrt(n) gap events
+        "gap": (lambda: poissonization_gap(gap_cfg, n_ladder=(120, 240)), 8 * 3 + 8 * 10),
         "trend": (lambda: consistency_trend(ladder, "example", reps=10, seed=5), 6),
     }
     whole = {name: call() for name, (call, _) in calls.items()}
@@ -282,7 +284,7 @@ def test_slab_boundaries_leave_every_study_unchanged(monkeypatch, rows):
 
 
 # each study at reps replications, with the width _slabs divides _SLAB by
-# (the coupled study's second rung is twice as wide as its first)
+# (a coupled study's later rungs are wider than its first)
 PREFIX_STUDIES = {
     "multinomial": (lambda reps, seed: run_mse_study(
         StudyConfig("example", M=60, n=180, m_values=(4, 6), x_grid=X7, reps=reps, seed=seed)), 12 * len(X7)),
@@ -291,7 +293,12 @@ PREFIX_STUDIES = {
         12 * len(X7)),
     "coupled": (lambda reps, seed: poissonization_gap(
         StudyConfig("example", M=40, n=120, m_values=(1,), x_grid=(0.5, 1.0, 1.5), reps=reps, seed=seed),
-        n_ladder=(120, 240)), 40 * 3),
+        n_ladder=(120, 240)), 8 * 3 + 8 * 10),
+    # n/M = 100 on 40 and 80 cells: rows with |N - n| > M, whose extra balls
+    # are one multinomial, among rows whose extra balls are uniforms
+    "coupled_over": (lambda reps, seed: poissonization_gap(
+        StudyConfig("example", M=40, n=4000, m_values=(1,), x_grid=(0.5, 1.0, 1.5), reps=reps, seed=seed),
+        n_ladder=(4000, 8000)), 20 * 3 + 8 * 40),
     "trend": (lambda reps, seed: consistency_trend(((60, 180, 6), (120, 360, 6)), "example", reps=reps, seed=seed),
               6),
     # L = 4096 blocks: each multinomial row is the nu of a coupled row
@@ -328,6 +335,9 @@ def drawn_rows(name, reps, seed, rows):
 @given(name=st.sampled_from(sorted(PREFIX_STUDIES)), seed=st.integers(0, 2**64 - 1), r=st.integers(1, 6),
        extra=st.integers(0, 10), rows=st.one_of(st.none(), st.integers(1, 5)))
 @example(name="long", seed=2026, r=3, extra=7, rows=2)
+# the first rung's rows 0 to 4 have |N - n| > M at rows 0 and 3 only, so
+# both the one slab of 5 rows and the slabs of 3 mix the two routes
+@example(name="coupled_over", seed=2026, r=5, extra=6, rows=3)
 def test_first_replications_do_not_depend_on_reps_or_slab_size(name, seed, r, extra, rows):
     """Replication r is the r-th row drawn from its rung's running
     generator: the first r replications of every rung, and for
@@ -442,8 +452,8 @@ def test_gap_ladder_decays_with_n():
         assert rung.M == max(1, round(rung.n / 3.0))  # lambda held at n/M = 3
     gaps = [r.mean_sq_gap_avg for r in rep.rungs]
     assert gaps[0] > gaps[1] > gaps[2]
-    # fitted decay of the mean squared gap in n (0.90 on this seed under
-    # stream version 9; 0.79 to 1.15 over seeds 0 to 39)
+    # fitted decay of the mean squared gap in n (0.84 on this seed under
+    # stream version 10; 0.68 to 1.09 over seeds 0 to 39)
     assert 0.5 <= rep.decay_exponent <= 2.0
 
 
@@ -474,7 +484,7 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
     rung = poissonization_gap(cfg).rungs[0]
     assert rung.M == M
     m = rung.m
-    pairs = draw_slab(COUPLED, cells, n, 1, RngStream(seed).generator(), groups=m)
+    pairs = draw_slab(COUPLED, cells, n, 1, RngStream(seed).streams(), groups=m)
     (gap,) = _natural_gap(pairs.row, pairs.nu, pairs.rho, 1)
     assert gap <= abs(int(pairs.R.sum()) - n)
     assert rung.mean_sup_gap_natural == gap / M and rung.bound_violations == 0
@@ -491,28 +501,61 @@ def test_gap_kernel_matches_stepcdf_references(M, n, seed, xs):
     assert np.array_equal(rung.mean_sq_gap, (halves[0] - halves[1]) ** 2)
 
 
+@pytest.mark.parametrize("M, n", [(30, 90), (8, 2000), (200, 50)])
+def test_natural_gap_of_a_slab_is_each_rows_stepcdf_sup(M, n):
+    """Over a slab of 60 full coupled rows, whose rows differ in as many
+    cells as their |N - n| balls touch (none where N = n), the gap of each
+    row, over M, is the StepCdf sup distance between its natural
+    estimators, as one row alone gives it."""
+    cells, rows = cells_from_generator(example_generator(), M), 60
+    nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(M, n).generator())
+    row, cell = np.nonzero(nu != rho)
+    gaps = _natural_gap(row, nu[row, cell], rho[row, cell], rows)
+    assert len(set(np.bincount(row, minlength=rows).tolist())) > 2
+    for r in range(rows):
+        a, b = (natural_estimator(CountsVector(kind, v[r], n=n)) for kind, v in ((MULTINOMIAL, nu), (POISSONIZED, rho)))
+        assert abs(gaps[r] / M - sup_distance(a.cdf, b.cdf)) <= 1e-15
+
+
 @pytest.mark.parametrize("rows", [None, 7])
 def test_gap_sums_replications_in_order(monkeypatch, rows):
     """Each rung's mean squared grouped gap is a running sum over the
-    replications in order, whole or in slabs of 7 rows, as a row-by-row loop
-    over one-row grouped draws and the public grouped estimator adds it up
-    (a pairwise sum differs in the last bits on this config). Rung i draws
-    its pairs at its m groups in order from the running generator of
-    stream i: replication r is the r-th grouped row drawn."""
+    replications in order, whole or in slabs of at most 7 rows, as a
+    row-by-row loop over one-row grouped draws and the public grouped
+    estimator adds it up (a pairwise sum differs in the last bits on this
+    config). Rung i draws its pairs at its m groups in order from the three
+    streams of stream i: replication r is the r-th grouped row drawn."""
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=66, seed=1)
     ladder = (3000, 12000)
     if rows is not None:
-        monkeypatch.setattr(study, "_SLAB", rows * 4000 * len(X7))
+        # the first rung's width, m = 25 comparisons per x and 8 isqrt(n) gap events
+        monkeypatch.setattr(study, "_SLAB", rows * (25 * len(X7) + 8 * math.isqrt(3000)))
     rungs = poissonization_gap(cfg, n_ladder=ladder).rungs
     for i, (rung, n) in enumerate(zip(rungs, ladder)):
         cells = cells_from_generator(example_generator(), rung.M)
-        rng = RngStream(cfg.seed, i).generator()
+        rng = RngStream(cfg.seed, i).streams()
         sq = np.zeros(len(X7))
         for r in range(cfg.reps):
             V, R = draw_slab(COUPLED, cells, n, 1, rng, groups=rung.m)
             nu, rho = CountsVector(MULTINOMIAL, V[0], n=n), CountsVector(POISSONIZED, R[0], n=n)
             sq += (grouped_estimator(nu, rung.m)(X7) - grouped_estimator(rho, rung.m)(X7)) ** 2
         assert rung.mean_sq_gap == tuple(sq / cfg.reps)
+
+
+def test_gap_rung_builds_one_layout_and_draws_one_slab(monkeypatch):
+    """A 16-replication gap rung at n/M = 3 on M = 10**6 cells builds its
+    _Layout once, with its streams, and draws its rows in one slab: a slab
+    is sized by what a grouped row holds (m comparisons per x and its gap
+    events), not by M per x, which gave one row and one layout per slab."""
+    layouts, slabs = [], []
+    build, draw = study._Layout, study.draw_slab
+    for module in (study, sampling):
+        monkeypatch.setattr(module, "_Layout", lambda *args: layouts.append(args) or build(*args))
+    monkeypatch.setattr(study, "draw_slab", lambda *args: slabs.append(args[3]) or draw(*args))
+    cfg = StudyConfig("example", M=10**6, n=3 * 10**6, m_values=(1,), x_grid=X7, reps=16, seed=8)
+    rep = poissonization_gap(cfg)
+    assert len(layouts) == 1 and slabs == [16] and rep.timings["slabs"] == 1
+    assert rep.rungs[0].m < rep.rungs[0].M and rep.rungs[0].bound_violations == 0
 
 
 @pytest.mark.parametrize("ladder", [(300.9,), (True,), (300, "600")], ids=["float", "bool", "str"])
@@ -656,14 +699,14 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(pinned_under, cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 9
+    assert STREAM_VERSION == 10
     rep, note = run_mse_study(cfg), pinned_under(**PINNED_UNDER)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha, note
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha, note
 
 
 def test_seeded_trend_is_frozen(pinned_under):
-    assert STREAM_VERSION == 9
+    assert STREAM_VERSION == 10
     note = pinned_under(**PINNED_UNDER)
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
     assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
@@ -674,19 +717,19 @@ def test_seeded_trend_is_frozen(pinned_under):
 
 
 def test_seeded_gap_is_frozen(pinned_under):
-    """The coupled stream of version 9, pinned by the rungs' summaries and
+    """The coupled stream of version 10, pinned by the rungs' summaries and
     the sha256 of repr(rungs): both rungs draw their pairs at their groups,
-    N first."""
-    assert STREAM_VERSION == 9
+    N first, each slab's rows together from the rung's three streams."""
+    assert STREAM_VERSION == 10
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
     rep, note = poissonization_gap(cfg, n_ladder=(3000, 12000)), pinned_under(**PINNED_UNDER)
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
-        (1000, 25, 0.00041904761904761956, 0.0086, 0),
-        (4000, 40, 0.00010714285714285731, 0.00405, 0),
+        (1000, 25, 0.00021333333333333355, 0.008533333333333334, 0),
+        (4000, 40, 5.059523809523816e-05, 0.0036, 0),
     ], note
-    assert rep.decay_exponent == 0.9837892611538125, note
+    assert rep.decay_exponent == 1.0380179455162701, note
     assert hashlib.sha256(repr(rep.rungs).encode()).hexdigest() == (
-        "da7c680719f016377411fb074639e443eda39e2ad90b003b7966f09d849da8ec"), note
+        "d03687c80d6308b54429bc85193e0ffee2d93b3b1c2f8899454182fbe9c6b3b8"), note
 
 
 def test_a_failing_pin_names_the_frozen_and_the_running_versions(pinned_under):
