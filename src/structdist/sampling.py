@@ -39,9 +39,8 @@ together (_grouped_slab), each kind of variate from its own stream of
 RngStream.streams, so that row r still depends only on the rows before it:
 every N from the running generator, the extra balls in row order from a
 second stream, and every row's common balls by one 2-D multinomial from a
-third. From one Generator they are drawn one at a time, as stream version
-9 drew them. At m = M the slab is the full coupled slab, bit for bit, from
-the running generator alone.
+third. At m = M the slab is the full coupled slab, bit for bit, from the
+running generator alone.
 
 A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
 one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
@@ -218,7 +217,7 @@ def _check_n(n: int) -> None:
 
 
 def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | tuple,
-              groups: int | None = None, layout: _Layout | None = None) -> np.ndarray | CoupledGroups:
+              groups: int | None = None) -> np.ndarray | CoupledGroups:
     """rows independent draws of the given kind, in order from gen, as an
     int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
     of independent Poisson(n * p_j) counts, or the two vectors (nu, rho) of
@@ -234,38 +233,26 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | t
     With groups = m, a divisor of M, a coupled slab is returned as
     CoupledGroups: the group counts, and nu and rho only in the cells where
     they differ, which must then differ by |N - n| balls on every row. At
-    m < M its rows are drawn at the groups (_grouped_slab): all together,
-    each kind of variate from its own of the three streams, or, from one
-    Generator, one at a time, each a one-row slab drawn from it alone (the
-    rows of stream version 9); at m = M its rows are those of the full
-    coupled slab, bit for bit, from the running generator. layout, the
-    _Layout of (cells, n, groups or M) that coupled rows read, is built
-    here when not given."""
+    m < M its rows are drawn at the groups, all together, each kind of
+    variate from its own of the three streams (_grouped_slab; a lone
+    Generator serves as all three); at m = M its rows are those of the full
+    coupled slab, bit for bit, from the running generator."""
     _check_n(n)
     if groups is not None:
         if kind != COUPLED:
             raise ValidationError(f"only coupled draws are drawn at groups, not {kind!r}")
         check_group_count(cells.M, groups)
-    streams = gen
-    if isinstance(gen, tuple):
-        gen = gen[0]
+    streams = gen if isinstance(gen, tuple) else (gen,) * 3
+    gen = streams[0]
     # totals: per vector, what its rows must sum to (a Poissonized row: any total)
     if kind == MULTINOMIAL and cells.M < _LONG_ROW:
         slab, totals = gen.multinomial(n, cells.p, size=rows)[None], [n]
     elif kind == POISSONIZED:
         slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
     elif kind in (MULTINOMIAL, COUPLED):
-        if layout is None:
-            layout = _Layout(cells, n, groups or cells.M)
-        if layout.width > 1 and isinstance(streams, tuple):
+        layout = _Layout(cells, n, groups or cells.M)
+        if layout.width > 1:
             Ns, slab, differ, revealed = _grouped_slab(cells, n, rows, streams, layout)
-        elif layout.width > 1:
-            # one Generator: one-row slabs in order, each drawn from it alone
-            Ns, pairs, differs, revealed = zip(*(_grouped_slab(cells, n, 1, (gen,) * 3, layout)
-                                                 for _ in range(rows)))
-            Ns, slab, revealed = np.concatenate(Ns), np.concatenate(pairs, axis=1), sum(revealed)
-            differ = [np.concatenate(a) for a in zip(*differs)]
-            differ[0] = np.repeat(np.arange(rows), [d[0].size for d in differs])
         else:
             # a multinomial slab keeps only nu
             slab = np.empty((2 if kind == COUPLED else 1, rows, cells.M), dtype=np.int64)

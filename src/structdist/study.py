@@ -53,7 +53,7 @@ from .errors import ValidationError
 from .generators import _grouped_cells, by_name, cells_from_generator, limit_sdf
 from .model import (_MAX_SIZE, CellModel, _estimate, _prefix_block_sums, _prefix_sums,
                     _sup_to_function, check_group_count, nearest_divisor)
-from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, _Layout, draw_slab
+from .sampling import COUPLED, MAX_N, MULTINOMIAL, POISSONIZED, RngStream, _check_integer, draw_slab
 
 
 # ---------- configuration and report types ----------
@@ -195,18 +195,14 @@ def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int
     checked as a CountsVector would check it. Replication r is the r-th row
     drawn from one running generator, stream `rung` of the seed, so a
     replication does not depend on reps or on where the slabs break. A
-    coupled rung builds its `_Layout` once and also draws from the two
-    streams a grouped slab takes its extra and common balls from
-    (`RngStream.streams`), each in row order."""
+    coupled rung also draws from the two streams a grouped slab takes its
+    extra and common balls from (`RngStream.streams`), each in row order."""
     stream = RngStream(seed, rung)
-    if kind == COUPLED:
-        gen, layout = stream.streams(), _Layout(model, n, groups or model.M)
-    else:
-        gen, layout = stream.generator(), None
+    gen = stream.streams() if kind == COUPLED else stream.generator()
     size = max(1, _SLAB // width)
     for start in range(0, reps, size):
         rows = min(size, reps - start)
-        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen, groups, layout)
+        yield slice(start, start + rows), draw_slab(kind, model, n, rows, gen, groups)
 
 
 def _natural_gap(row: np.ndarray, nu: np.ndarray, rho: np.ndarray, rows: int) -> np.ndarray:

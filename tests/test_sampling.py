@@ -484,7 +484,7 @@ def test_grouped_rows_of_a_table_with_a_flat_piece(tmp_path):
     cells = cells_from_generator(table_generator(str(path)), 40)
     zero = np.flatnonzero(cells.p == 0)
     assert zero.size and len(set(zero // 5)) == 2 and (cells.p.reshape(8, 5).sum(axis=1) > 0).all()
-    pairs = draw_slab(COUPLED, cells, 80, 2000, RngStream(17).generator(), groups=8)
+    pairs = draw_slab(COUPLED, cells, 80, 2000, RngStream(17).streams(), groups=8)
     N = check_grouped(pairs, cells, 80, 8)
     assert (N < 80).any() and (N > 80).any()
     assert not np.isin(pairs.cell, zero).any()
@@ -496,7 +496,7 @@ def test_grouped_rows_rebuilt_from_n():
     every invariant, and V has the Multinomial(n, q) means within 4
     standard errors."""
     n, rows = 10**8, 400
-    pairs = draw_slab(COUPLED, CELLS6, n, rows, RngStream(23).generator(), groups=3)
+    pairs = draw_slab(COUPLED, CELLS6, n, rows, RngStream(23).streams(), groups=3)
     N = check_grouped(pairs, CELLS6, n, 3)
     over_cells = np.abs(N - n) > CELLS6.M
     assert over_cells.any()
@@ -514,7 +514,7 @@ def test_grouped_pairs_have_the_exact_law(n):
     Poisson(n q) means and variances, and Cov(V_i, R_i) =
     E[min(n, N)] q_i (1 - q_i), all within 4 standard errors."""
     cells, m, rows = cells_from_generator(example_generator(), 200), 8, 20000
-    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(4243).generator(), groups=m)
+    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(4243).streams(), groups=m)
     N = check_grouped(pairs, cells, n, m)
     assert (N < n).any() and (N > n).any()
     q = group_model(cells, m).p
@@ -539,7 +539,7 @@ def test_grouped_natural_gap_matches_full_rows(M, m, n):
     law of the gap of full coupled rows: over 10000 rows each, its mean and
     its second moment lie within 4 standard errors of the full rows'."""
     cells, rows = cells_from_generator(example_generator(), M), 10000
-    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).generator(), groups=m)
+    pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).streams(), groups=m)
     grouped = _natural_gap(pairs.row, pairs.nu, pairs.rho, rows).astype(float)
     nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(M, 1).generator())
     row, cell = np.nonzero(nu != rho)
@@ -575,7 +575,7 @@ def test_grouped_rows_keep_exact_totals_at_the_largest_n():
     balls are one multinomial over the cells)."""
     n = MAX_N - 1
     for cells, m in ((CELLS6, 3), (LONG, 64)):
-        pairs = draw_slab(COUPLED, cells, n, 3, RngStream(62).generator(), groups=m)
+        pairs = draw_slab(COUPLED, cells, n, 3, RngStream(62).streams(), groups=m)
         N = check_grouped(pairs, cells, n, m)
         assert [int(v) for v in pairs.V.sum(axis=1)] == [n] * 3 and (np.abs(N - n) > cells.M).all()
 

@@ -544,13 +544,12 @@ def test_gap_sums_replications_in_order(monkeypatch, rows):
 
 def test_gap_rung_builds_one_layout_and_draws_one_slab(monkeypatch):
     """A 16-replication gap rung at n/M = 3 on M = 10**6 cells builds its
-    _Layout once, with its streams, and draws its rows in one slab: a slab
-    is sized by what a grouped row holds (m comparisons per x and its gap
-    events), not by M per x, which gave one row and one layout per slab."""
+    _Layout once and draws its rows in one slab: a slab is sized by what a
+    grouped row holds (m comparisons per x and its gap events), not by M per
+    x, which gave one row and one layout per slab."""
     layouts, slabs = [], []
-    build, draw = study._Layout, study.draw_slab
-    for module in (study, sampling):
-        monkeypatch.setattr(module, "_Layout", lambda *args: layouts.append(args) or build(*args))
+    build, draw = sampling._Layout, study.draw_slab
+    monkeypatch.setattr(sampling, "_Layout", lambda *args: layouts.append(args) or build(*args))
     monkeypatch.setattr(study, "draw_slab", lambda *args: slabs.append(args[3]) or draw(*args))
     cfg = StudyConfig("example", M=10**6, n=3 * 10**6, m_values=(1,), x_grid=X7, reps=16, seed=8)
     rep = poissonization_gap(cfg)
