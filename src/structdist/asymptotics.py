@@ -44,7 +44,9 @@ class BoundParams:
     c: the L2 constant in the step-density approximation integral(f_m - g)^2
     <= c/m^2; the midpoint-rule constant for a Lipschitz density is
     (sup|g'|)^2 / 12, which `for_generator` uses. c = 0 (a flat density, as
-    for `uniform`) is exact and drops the L2 term.
+    for `uniform`) is exact and drops the L2 term. lambda_ is validated and
+    carried, but no bound reads it: esseen_bias_bound, optimal_T, mse_bound
+    and optimal_m read only tau and c.
     """
 
     lambda_: float

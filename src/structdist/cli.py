@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-values", required=True, help="comma-separated group counts")
     p.add_argument("--tau", type=float, default=2.0, help="density bound (default: example model, 2)")
     p.add_argument("--c", type=float, default=1.0 / 3.0, help="step-density L2 constant >= 0 (default: example model, 1/3)")
-    p.add_argument("--lambda", dest="lam", type=float, default=3.0, help="n/M limit (default 3)")
+    p.add_argument("--lambda", dest="lam", type=float, default=3.0,
+                   help="n/M limit (default 3); validated and echoed, but no bound reads it")
     _add_output(p)
     p.set_defaults(fn=_cmd_bounds)
 

@@ -33,13 +33,15 @@ _ASCII_SEPARATORS = bytes(c if c >= 128 or chr(c).isalnum() else 32 for c in ran
 _OTHER_SEPARATOR = re.compile(r"[^\x00-\x7f\w\s]")
 
 # The text is read and counted in chunks of _CHUNK bytes (characters for
-# str input). A chunk is cut after its last ASCII whitespace character and
-# the rest carried into the next: no token spans the cut, and lowering
-# looks no further than whitespace for its context (Greek final sigma looks
-# past ".", so a cut after "." could change it).
+# str input). A chunk is cut after its last ASCII whitespace character or,
+# if it has none, after its last other code point where str.isspace() holds
+# (its UTF-8 sequence, for bytes), and the rest carried into the next: no
+# token spans the cut, and lowering looks no further than whitespace, which
+# is neither cased nor case-ignorable, for its context (Greek final sigma
+# looks past ".", so a cut after "." could change it).
 _CHUNK = 1 << 16
 _SPACE = " \t\n\r\x0b\x0c"
-_SPACE_BYTES = _SPACE.encode()
+_OTHER_SPACE = "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +76,18 @@ class Corpus:
         return self.counts.size
 
 
-def _pieces(chunks: Iterable, space) -> Iterable:
-    """The text of `chunks` (bytes or str) in pieces that each end after an
-    ASCII whitespace character in `space`, but the last; a stretch with no
-    whitespace is carried whole into the next piece."""
+def _cut(chunk, seps) -> int:
+    """Where `chunk` ends after its last separator in `seps`; 0 if it has none."""
+    return max((i + len(sep) for sep in seps if (i := chunk.rfind(sep)) >= 0), default=0)
+
+
+def _pieces(chunks: Iterable, space, other) -> Iterable:
+    """The text of `chunks` (bytes or str) in pieces that each end after a
+    separator in `space` or, in a chunk with none, in `other`, but the
+    last; a stretch with neither is carried whole into the next piece."""
     carry = []
     for chunk in chunks:
-        cut = max(map(chunk.rfind, space)) + 1
+        cut = _cut(chunk, space) or _cut(chunk, other)
         if cut:
             # the carried chunks are dropped before the piece is counted
             piece, carry = chunk[:0].join([*carry, chunk[:cut]]), [chunk[cut:]]
@@ -100,14 +107,15 @@ def _words(text: str) -> list[str]:
 
 
 def _texts(data: bytes | str | BinaryIO) -> Iterable[str]:
-    """The text of `data` in pieces cut after ASCII whitespace, decoded;
-    bytes are read _CHUNK at a time and must be valid UTF-8."""
+    """The text of `data` in pieces cut after whitespace, decoded; bytes
+    are read _CHUNK at a time and must be valid UTF-8."""
     if isinstance(data, str):
-        yield from _pieces((data[i:i + _CHUNK] for i in range(0, len(data), _CHUNK)), _SPACE)
+        yield from _pieces((data[i:i + _CHUNK] for i in range(0, len(data), _CHUNK)), _SPACE, _OTHER_SPACE)
         return
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
     offset = 0
-    for piece in _pieces(iter(lambda: stream.read(_CHUNK), b""), _SPACE_BYTES):
+    space, other = (tuple(sep.encode() for sep in seps) for seps in (_SPACE, _OTHER_SPACE))
+    for piece in _pieces(iter(lambda: stream.read(_CHUNK), b""), space, other):
         try:
             yield piece.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -122,9 +130,9 @@ def tokenize(data: bytes | str | BinaryIO) -> Corpus:
 
     data is the text as bytes, as str, or as a binary file object read to
     its end. It is read and counted in chunks of _CHUNK (64 KiB) cut after
-    ASCII whitespace, so memory is bounded by the vocabulary plus the
-    longest stretch without whitespace; the counts are those of the whole
-    text. Bytes must be valid UTF-8 (rejected with the offending byte
+    whitespace (ASCII whitespace first), so memory is bounded by the
+    vocabulary plus the longest stretch without whitespace; the counts are
+    those of the whole text. Bytes must be valid UTF-8 (rejected with the offending byte
     offset in the whole input); text with no alphanumeric content is
     rejected as empty.
     """

@@ -9,45 +9,37 @@ SeedSequence, whose avalanche mixing makes the streams independent and
 individually reproducible, bit for bit, across runs and platforms. Every
 draw takes a running Generator. A study draws its replications in order,
 a slab of rows per draw_slab call, from one running generator per rung,
-plus one per kind of variate for a grouped coupled slab
-(RngStream.streams); the single draws are row 0 of a one-row slab.
+plus one per kind of variate for a coupled slab (RngStream.streams); the
+single draws are row 0 of a one-row slab.
 
 A coupled pair (nu, rho) counts the first n and the first N ~ Poisson(n)
-balls of one categorical stream. Its draw materializes only counts: rho is
-one row of independent Poisson(n p_j) counts, so N is its total, and nu is
-rho corrected by the k = |N - n| balls between the two samples, drawn ball
-by ball. If N < n, nu adds k new categorical balls; if N > n, it removes k
-of rho's N balls, chosen uniformly without replacement. So
-sum_j |nu_j - rho_j| = |N - n| on every row, the shorter sample lies
-inside the longer one, and the cost of nu is O(k) rather than O(M). A row
-with k > M (few cells, huge n) is rebuilt from N instead: the min(n, N)
-common and the k extra balls as two multinomials, the same law given N.
-That keeps every row at O(M) memory for any n <= MAX_N; with n/M bounded,
-as in the paper's regime, it does not occur.
-
-A coupled pair can also be drawn at m < M groups of M/m cells (draw_slab
-with groups=m, a CoupledGroups slab), N first, as Poissonization reads it:
-N ~ Poisson(n), the k = |N - n| extra balls fall on cells, and the
-min(n, N) common balls are one multinomial over the cells those balls touch
-and, for each group, the rest of it. So nu and rho are drawn only in the
-touched cells, the only ones where they differ, and their group counts are
-sums: O(m + |N - n|) variates per row at any n/M, with the same joint law
-of the group counts and of the differing cells, which is all the natural
-gap reads. A row with k > M places its extra balls by one multinomial over
-the cells, which keeps it at O(M) memory. The rows of a slab are drawn
-together (_grouped_slab), each kind of variate from its own stream of
+balls of one categorical stream. It is drawn N first, as Poissonization
+reads it, and seen at m groups of M/m cells (draw_slab with groups=m, a
+CoupledGroups slab; m = M, one cell per group, by default): N ~ Poisson(n),
+the k = |N - n| extra balls fall on cells, and the min(n, N) common balls
+are one multinomial over the cells those balls touch and, for each group,
+the rest of it. So nu and rho are drawn only in the touched cells, the only
+ones where they differ, and their group counts are sums: O(m + k) variates
+per row at any n/M, with the exact joint law of the group counts and of
+the differing cells. sum_j |nu_j - rho_j| = k on every row, and the
+shorter sample lies inside the longer one. A row with k > M places its
+extra balls by one multinomial over the cells, which keeps every row at
+O(M) memory for any n <= MAX_N. The rows of a slab are drawn together
+(_grouped_slab), each kind of variate from its own stream of
 RngStream.streams, so that row r still depends only on the rows before it:
 every N from the running generator, the extra balls in row order from a
 second stream, and every row's common balls by one 2-D multinomial from a
-third. At m = M the slab is the full coupled slab, bit for bit, from the
-running generator alone.
+third.
 
-A multinomial row of at least _LONG_ROW cells is the nu of a coupled row:
-one Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
+A multinomial row of at least _LONG_ROW cells is the nu of a coupled row
+drawn rho first (_coupled_row): rho is one row of independent Poisson(n p_j)
+counts, so N is its total, and nu is rho plus or minus the k balls between
+the two samples, or both are rebuilt from N by two multinomials if k > M.
+One Poisson row plus or minus its O(sqrt(n)) balls costs less than numpy's
 multinomial, which draws one binomial per cell (0.6 of its time on the
 9009 blocks of the criterion-9 sweep). Shorter rows, where the per-row
-work of the coupled route dominates, take numpy's multinomial in one call
-per slab.
+work of that route dominates, take numpy's multinomial in one call per
+slab.
 """
 from __future__ import annotations
 
@@ -95,7 +87,11 @@ COUPLED = "coupled"
 # three streams of the rung: every N from its running generator, the extra
 # balls from a second and the common balls from a third (RngStream.streams;
 # same law; full coupled rows, multinomial and Poissonized draws unchanged).
-STREAM_VERSION = 10
+# 11: every coupled slab is a grouped one, drawn N first at m = M groups by
+# default: draw_coupled, coupled slabs at the cells and gap rungs with
+# m = M (was: rho first, row by row; same law; multinomial, Poissonized and
+# grouped draws at m < M unchanged).
+STREAM_VERSION = 11
 
 _U64 = (1 << 64) - 1
 
@@ -146,7 +142,7 @@ class RngStream:
 
     def streams(self) -> tuple[Generator, Generator, Generator]:
         """The running generator, as generator() builds it, then the
-        generators of a grouped coupled slab's extra and common balls: the
+        generators of a coupled slab's extra and common balls: the
         two children of the stream's SeedSequence (SeedSequence.spawn;
         Generator.spawn is newer than numpy 1.24)."""
         seq = SeedSequence(entropy=[self.seed, self.stream_index])
@@ -216,63 +212,58 @@ def _check_n(n: int) -> None:
         raise ValidationError(f"n must be <= {MAX_N}, got {n}")
 
 
+def _check_totals(message: str, got: np.ndarray, expected) -> None:
+    """Refuse the first row whose total in `got` is not `expected`."""
+    expected = np.broadcast_to(expected, got.shape)
+    bad = np.flatnonzero(got != expected)
+    if bad.size:
+        raise ValidationError(message.format(got[bad[0]], expected[bad[0]]))
+
+
 def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | tuple,
               groups: int | None = None) -> np.ndarray | CoupledGroups:
-    """rows independent draws of the given kind, in order from gen, as an
-    int64 (vectors, rows, M) array: one vector of Multinomial(n, p) rows or
-    of independent Poisson(n * p_j) counts, or the two vectors (nu, rho) of
-    coupled pairs. gen is a running Generator or the three of
-    RngStream.streams, the running one first. Poissonized slabs and
-    multinomial slabs of rows shorter than _LONG_ROW cells take one numpy
-    call; coupled slabs and longer multinomial rows are drawn row by row
-    (_coupled_row), a multinomial row being the nu of a coupled one. Every
-    vector passes the checks a CountsVector makes on each row: no negative
-    count, every multinomial row sums to n, and every coupled rho row to
-    its N.
+    """rows independent draws of the given kind, in order from gen: a
+    running Generator or the three of RngStream.streams, the running one
+    first.
 
-    With groups = m, a divisor of M, a coupled slab is returned as
-    CoupledGroups: the group counts, and nu and rho only in the cells where
-    they differ, which must then differ by |N - n| balls on every row. At
-    m < M its rows are drawn at the groups, all together, each kind of
-    variate from its own of the three streams (_grouped_slab; a lone
-    Generator serves as all three); at m = M its rows are those of the full
-    coupled slab, bit for bit, from the running generator."""
+    A multinomial or Poissonized slab is an int64 (1, rows, M) array of
+    Multinomial(n, p) rows or of independent Poisson(n * p_j) counts.
+    Poissonized slabs and multinomial slabs of rows shorter than _LONG_ROW
+    cells take one numpy call; longer multinomial rows are drawn row by row
+    as the nu of a coupled row (_coupled_row). Every row passes the checks
+    a CountsVector makes: no negative count, and a multinomial row sums to n.
+
+    A coupled slab is a CoupledGroups of pairs (nu, rho) seen at `groups` =
+    m groups, a divisor of M (M by default, where V and R are nu and rho),
+    its rows drawn together, N first, each kind of variate from its own of
+    the three streams (_grouped_slab). A slab from three streams is that
+    many one-row slabs drawn in order from them; a lone Generator serves as
+    all three, and then a slab no longer equals its one-row draws."""
     _check_n(n)
-    if groups is not None:
-        if kind != COUPLED:
-            raise ValidationError(f"only coupled draws are drawn at groups, not {kind!r}")
-        check_group_count(cells.M, groups)
+    if groups is not None and kind != COUPLED:
+        raise ValidationError(f"only coupled draws are drawn at groups, not {kind!r}")
     streams = gen if isinstance(gen, tuple) else (gen,) * 3
     gen = streams[0]
-    # totals: per vector, what its rows must sum to (a Poissonized row: any total)
+    if kind == COUPLED:
+        m = cells.M if groups is None else groups
+        check_group_count(cells.M, m)
+        return CoupledGroups.collect(n, *_grouped_slab(cells, n, rows, streams, _Layout(cells, n, m)))
     if kind == MULTINOMIAL and cells.M < _LONG_ROW:
-        slab, totals = gen.multinomial(n, cells.p, size=rows)[None], [n]
+        slab = gen.multinomial(n, cells.p, size=rows)
+    elif kind == MULTINOMIAL:
+        layout, slab = _Layout(cells, n, cells.M), np.empty((rows, cells.M), dtype=np.int64)
+        for i in range(rows):
+            slab[i] = _coupled_row(cells, n, gen, layout)[1]
     elif kind == POISSONIZED:
-        slab, totals = gen.poisson(n * cells.p, size=(rows, cells.M))[None], []
-    elif kind in (MULTINOMIAL, COUPLED):
-        layout = _Layout(cells, n, groups or cells.M)
-        if layout.width > 1:
-            Ns, slab, differ, revealed = _grouped_slab(cells, n, rows, streams, layout)
-        else:
-            # a multinomial slab keeps only nu
-            slab = np.empty((2 if kind == COUPLED else 1, rows, cells.M), dtype=np.int64)
-            Ns, differ, revealed = np.empty(rows, dtype=np.int64), None, 0
-            for i in range(rows):
-                Ns[i], *pair = _coupled_row(cells, n, gen, layout)
-                for vector, counts in zip(slab, pair):
-                    vector[i] = counts
-        totals = [n, Ns]
+        slab = gen.poisson(n * cells.p, size=(rows, cells.M))
     else:
         raise ValidationError(f"unknown counts kind {kind!r}")
     slab = np.ascontiguousarray(slab, dtype=np.int64)
     if slab.min(initial=0) < 0:
         raise ValidationError("counts must be nonnegative")
-    for name, counts, expected in zip((MULTINOMIAL, POISSONIZED), slab, totals):
-        got, expected = counts.sum(axis=1), np.broadcast_to(expected, rows)
-        bad = np.flatnonzero(got != expected)
-        if bad.size:
-            raise ValidationError(f"{name} counts sum to {got[bad[0]]}, expected {expected[bad[0]]}")
-    return slab if groups is None else CoupledGroups.collect(slab, n, Ns, differ, revealed)
+    if kind == MULTINOMIAL:
+        _check_totals("multinomial counts sum to {}, expected {}", slab.sum(axis=1), n)
+    return slab[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +271,12 @@ class CoupledGroups:
     """A slab of coupled pairs (nu, rho) seen at m groups of M/m cells.
 
     V and R are the int64 (rows, m) group counts of nu and of rho, one row
-    per replication; iterating the slab yields them, as a full coupled slab
-    yields (nu, rho). The cells where nu and rho differ are listed row by
-    row: `row`, `cell`, and the counts `nu` and `rho` there. `revealed`
-    counts the cells whose counts were drawn beyond the groups, summed over
-    the rows: the cells a row's |N - n| extra balls touch, or all M cells
-    of a row whose extra balls were drawn over the cells (|N - n| > M);
-    none at m = M, where the groups are the cells."""
+    per replication, and iterating the slab yields them: at m = M they are
+    nu and rho. The cells where nu and rho differ are listed row by row:
+    `row`, `cell`, and the counts `nu` and `rho` there. `revealed` counts
+    the cells whose counts were drawn beyond the groups, summed over the
+    rows: the cells a row's |N - n| extra balls touch, or all M cells of a
+    row whose extra balls were drawn over the cells (|N - n| > M)."""
 
     V: np.ndarray
     R: np.ndarray
@@ -300,31 +290,25 @@ class CoupledGroups:
         return iter((self.V, self.R))
 
     @classmethod
-    def collect(cls, slab: np.ndarray, n: int, Ns: np.ndarray, differ: tuple | None,
-                revealed: int) -> "CoupledGroups":
-        """The slab's counts at the groups and the cells where nu and rho
-        differ, differ = (row, cell, nu, rho), or read off the rows when
-        differ is None (m = M), checked: no negative count, and
-        sum_j |nu_j - rho_j| = |N - n| on every row."""
-        V, R = slab
-        if differ is None:
-            row, cell = np.nonzero(V != R)
-            differ = row, cell, V[row, cell], R[row, cell]
-        row, cell, nu, rho = differ
-        if min(nu.min(initial=0), rho.min(initial=0)) < 0:
+    def collect(cls, n: int, N: np.ndarray, pair: tuple, differ: tuple, revealed: int) -> "CoupledGroups":
+        """The group counts pair = (V, R) and differing cells differ = (row,
+        cell, nu, rho) of rows with Poisson totals N, checked: no negative
+        count, V sums to n, R to N and |nu - rho| to |N - n| on every row."""
+        (V, R), (row, cell, nu, rho) = pair, differ
+        if min(a.min(initial=0) for a in (V, R, nu, rho)) < 0:
             raise ValidationError("counts must be nonnegative")
-        got, expected = np.bincount(row, np.abs(nu - rho), minlength=V.shape[0]), np.abs(Ns - n)
-        bad = np.flatnonzero(got != expected)
-        if bad.size:
-            raise ValidationError(
-                f"coupled counts differ by {got[bad[0]]:g} balls, expected |N - n| = {expected[bad[0]]}")
+        _check_totals("multinomial counts sum to {}, expected {}", V.sum(axis=1), n)
+        _check_totals("poissonized counts sum to {}, expected {}", R.sum(axis=1), N)
+        _check_totals("coupled counts differ by {:g} balls, expected |N - n| = {}",
+                      np.bincount(row, np.abs(nu - rho), minlength=V.shape[0]), np.abs(N - n))
         return cls(V, R, row, cell, nu, rho, revealed)
 
 
 class _Layout:
     """What every coupled row of a slab at m groups reads: the positive
     cells, the cumulative sum of their p after a leading 0 (`edges`), the
-    group probabilities q and, for full rows, the Poisson means n q."""
+    group probabilities q and, for rows drawn rho first, the Poisson means
+    n q."""
 
     def __init__(self, cells: CellModel, n: int, m: int):
         self.m, self.width = m, cells.M // m
@@ -346,7 +330,8 @@ class _Layout:
 
 
 def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
-    """(N, nu, rho) of one full coupled row (m = M).
+    """(N, nu, rho) of one coupled row over the cells, drawn rho first: the
+    route of long multinomial rows, which keep nu.
 
     rho ~ Poisson(n p) cell by cell and N is its total. If N < n, nu adds
     n - N new balls, sorted uniforms looked up in the cumulative p; if
@@ -370,7 +355,7 @@ def _coupled_row(cells: CellModel, n: int, gen: Generator, layout: _Layout):
 
 def _grouped_slab(cells: CellModel, n: int, rows: int, streams: tuple, layout: _Layout):
     """(N, (V, R), (row, cell, nu, rho), revealed) of `rows` coupled rows
-    seen at the layout's m < M groups, N first, drawn together from the
+    seen at the layout's m groups, N first, drawn together from the
     three streams (gen_n, gen_extra, gen_common).
 
     Every N ~ Poisson(n) comes from gen_n. The k = |N - n| extra balls of
@@ -434,10 +419,8 @@ def _grouped_slab(cells: CellModel, n: int, rows: int, streams: tuple, layout: _
     drawn = gen_common.multinomial(np.minimum(N, n), table.reshape(rows, W)).reshape(-1)
     C, common = drawn[at_rest], drawn[at_touched]
     np.add.at(C.reshape(-1), key, common)
-    less = N < n
-    E = E.reshape(rows, m)
-    longer = less[row]
-    differ = row, cell, common + new * longer, common + new * ~longer
+    less, E = N < n, E.reshape(rows, m)
+    differ = row, cell, common + new * less[row], common + new * ~less[row]
     revealed = cells.M * int(over.sum()) + int(t[~over].sum())
     return N, (C + E * less[:, None], C + E * ~less[:, None]), differ, revealed
 
@@ -461,5 +444,5 @@ def draw_coupled(cells: CellModel, n: int, gen: Generator) -> tuple[CountsVector
     what the Poissonization coupling bound needs. Marginally rho_j are
     independent Poisson(n * p_j).
     """
-    nu, rho = draw_slab(COUPLED, cells, n, 1, gen)[:, 0]
-    return CountsVector(MULTINOMIAL, nu, n=n), CountsVector(POISSONIZED, rho, n=n)
+    nu, rho = draw_slab(COUPLED, cells, n, 1, gen)
+    return CountsVector(MULTINOMIAL, nu[0], n=n), CountsVector(POISSONIZED, rho[0], n=n)

@@ -4,13 +4,14 @@ Poisson tail audits.
 
 Each rung of a study draws its replications in order from one running
 generator, stream `rung` of the config seed, plus one per kind of variate
-for a grouped coupled slab (`sampling.RngStream.streams`): replication r
+for a coupled slab (`sampling.RngStream.streams`): replication r
 is the r-th row drawn, so the first r replications do not depend on reps.
 The studies handle them in slabs: the draws of up to a few thousand consecutive
 replications form one int64 count array, drawn by one `sampling.draw_slab`
 call (one vector of rows, or the group counts of coupled pairs; since
 stream version 7 a multinomial row of at least 2^12 cells, such as the 9009
-blocks of the criterion-9 sweep, is drawn as the nu of a coupled row),
+blocks of the criterion-9 sweep, is drawn as the nu of a coupled row
+drawn rho first),
 which is then grouped, evaluated and reduced with whole-array numpy. Every reduction
 keeps a fixed order (a slab's rows are the replications in order, running
 sums carry across slabs), so the floating-point results do not depend on
@@ -189,13 +190,12 @@ def _slabs(kind: str, model: CellModel, n: int, seed: int, reps: int, width: int
     """A rung's replications in slabs of at most max(1, _SLAB // width) rows.
 
     Yields (rows, counts): the slice of replication indices the slab holds
-    and the `draw_slab` result of its draws, an int64 matrix with one row per
-    replication for each count vector a draw makes (a pair for COUPLED;
-    with `groups`, the pair of group counts of a `CoupledGroups`), every row
-    checked as a CountsVector would check it. Replication r is the r-th row
+    and the `draw_slab` result of its draws, one int64 matrix with a row per
+    replication (for COUPLED, a `CoupledGroups` that yields the pair of
+    group counts), every row checked as a CountsVector would check it. Replication r is the r-th row
     drawn from one running generator, stream `rung` of the seed, so a
     replication does not depend on reps or on where the slabs break. A
-    coupled rung also draws from the two streams a grouped slab takes its
+    coupled rung also draws from the two streams a coupled slab takes its
     extra and common balls from (`RngStream.streams`), each in row order."""
     stream = RngStream(seed, rung)
     gen = stream.streams() if kind == COUPLED else stream.generator()
@@ -350,8 +350,8 @@ class PoissonizationGapReport:
     # natural gaps and their bound; evaluate_s: grouped estimates and squared
     # gaps), the numbers of draws and slabs, and cells_revealed: the cells
     # whose counts were drawn beyond the groups, summed over the rows (those
-    # the |N - n| extra balls touch, all M in a row whose extra balls were
-    # drawn over the cells because |N - n| > M, none at m = M)
+    # the |N - n| extra balls touch, or all M in a row whose extra balls were
+    # drawn over the cells because |N - n| > M, at every m, m = M included)
     timings: dict = field(compare=False, repr=False, default_factory=dict)
 
 
@@ -367,6 +367,10 @@ def poissonization_gap(config: StudyConfig, n_ladder: Optional[Sequence[int]] = 
     grouped pair's squared gap is recorded on the x_grid. Every n of the
     ladder must be an integer. With >= 2 rungs the decay exponent of the
     average squared gap is fitted in log-log scale.
+
+    Of config it reads the generator, n/M as lambda, n as the default
+    ladder, x_grid, reps and seed; it reads neither m_values nor
+    poissonized.
     """
     mark = time.perf_counter()
     gen = by_name(config.generator)

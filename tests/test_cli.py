@@ -55,7 +55,7 @@ def fail_cli(argv, capsys):
 
 
 def assert_stream_meta(meta):
-    assert meta["stream_version"] == STREAM_VERSION == 10
+    assert meta["stream_version"] == STREAM_VERSION == 11
     assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
@@ -226,6 +227,31 @@ def test_a_truncated_character_at_the_end_names_its_offset():
     with patch.object(ingest, "_CHUNK", 2):
         with pytest.raises(ValidationError, match="byte offset 4$"):
             tokenize(b"ab c\xc3")
+
+
+def _peak_of_tokenize(data) -> int:
+    tokenize(data[:100])  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        tokenize(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["bytes", "str"])
+def test_text_joined_only_by_non_ascii_whitespace_is_read_chunk_by_chunk(kind):
+    """250000 words joined only by U+3000 (ideographic space), with no ASCII
+    whitespace, 18 chunks of characters or 26 of bytes, are cut after that
+    space: tokenize peaks at a chunk's words and the counts, as on the same
+    words joined by " ", not with the text's size (read whole, lowered and
+    split, such a text peaked at 20 to 22 MB)."""
+    words = [f"w{i % 500}" for i in range(250000)]
+    data = [sep.join(words) for sep in ("\u3000", " ")]
+    data = [text.encode() for text in data] if kind == "bytes" else data
+    assert tokenize(data[0]) == tokenize(data[1]) == Corpus(Counter(words))
+    peak, ascii_peak = map(_peak_of_tokenize, data)
+    assert peak < 1.5 * ascii_peak and peak < 32 * ingest._CHUNK
 
 
 def test_corpora_and_their_estimates_compare_by_value():

@@ -21,12 +21,21 @@ from structdist import (
     group_model,
 )
 from structdist.generators import table_generator
-from structdist.sampling import COUPLED, MAX_N, CoupledGroups, draw_slab
+from structdist import sampling
+from structdist.sampling import COUPLED, MAX_N, CoupledGroups, _coupled_row, _Layout, draw_slab
 from structdist.study import _natural_gap
 
 CELLS6 = CellModel(6, [0.05, 0.10, 0.15, 0.20, 0.24, 0.26])
 # the shortest multinomial rows drawn as the nu of a coupled row
 LONG = cells_from_generator(example_generator(), 1 << 12)
+
+
+def rho_first_rows(cells, n, rows, gen):
+    """(nu, rho) of `rows` coupled rows drawn rho first (_coupled_row, the
+    route of long multinomial rows), in order from gen: the reference that
+    the laws of the N-first slabs are held to."""
+    layout = _Layout(cells, n, cells.M)
+    return (np.array(v) for v in zip(*(_coupled_row(cells, n, gen, layout)[1:] for _ in range(rows))))
 
 
 # ---------- streams ----------
@@ -143,7 +152,7 @@ def test_draws_reach_the_largest_n(M):
     nu, rho = draw_slab(COUPLED, cells, MAX_N, 3, gen)
     assert (nu.sum(axis=-1) == MAX_N).all() and (np.abs(rho.sum(axis=-1) - MAX_N) > M).all()
     pairs = draw_slab(COUPLED, cells, MAX_N, 3, gen, groups=1)  # one group
-    assert (pairs.V == MAX_N).all() and pairs.revealed == (3 * M if M > 1 else 0)
+    assert (pairs.V == MAX_N).all() and pairs.revealed == 3 * M
     kinds = (MULTINOMIAL, POISSONIZED, COUPLED)
     slabs = [lambda c, n, rng, kind=kind: draw_slab(kind, c, n, 3, rng) for kind in kinds]
     slabs.append(lambda c, n, rng: draw_slab(COUPLED, c, n, 3, rng, groups=1))
@@ -162,29 +171,33 @@ def test_draws_reach_the_largest_n(M):
 def test_slab_rows_are_successive_single_draws(kind, draw, cells, n):
     """A slab of rows is, row by row and bit for bit, that many single
     draws in order from the same running generator, which it leaves in the
-    same state; a coupled slab holds the two vectors (nu, rho)."""
-    slab_gen, single_gen = RngStream(77, 3).generator(), RngStream(77, 3).generator()
-    slab = draw_slab(kind, cells, n, 9, slab_gen)
-    vectors = 2 if kind == COUPLED else 1
-    assert slab.dtype == np.int64 and slab.shape == (vectors, 9, cells.M)
+    same state. A coupled slab, which yields (nu, rho), is that many
+    one-row coupled slabs in order from the three streams of
+    RngStream.streams, which it leaves in the same states."""
+    build = RngStream(77, 3).streams if kind == COUPLED else RngStream(77, 3).generator
+    slab_gen, single_gen = build(), build()
+    slab = np.stack(tuple(draw_slab(kind, cells, n, 9, slab_gen)))
+    assert slab.dtype == np.int64 and slab.shape == (2 if kind == COUPLED else 1, 9, cells.M)
     for r in range(9):
         single = draw(cells, n, single_gen)
         for row, vec in zip(slab[:, r], single if kind == COUPLED else (single,)):
             assert np.array_equal(row, vec.counts)
-    assert slab_gen.bit_generator.state == single_gen.bit_generator.state
+    slab_states, single_states = ([s.bit_generator.state for s in (g if kind == COUPLED else (g,))]
+                                  for g in (slab_gen, single_gen))
+    assert slab_states == single_states
 
 
 def test_long_multinomial_rows_have_the_exact_law():
-    """A multinomial row of 2**12 cells is the nu of a coupled row, bit for
-    bit, from the same generator. At n = 2**24, |N - n| has standard
-    deviation M, so rows with N < n, with N > n and with |N - n| > M (rebuilt
-    from N) all occur. Every row sums to n, and the sums of 8 equal blocks
+    """A multinomial row of 2**12 cells is the nu of a coupled row drawn rho
+    first, bit for bit, from the same generator. At n = 2**24, |N - n| has
+    standard deviation M, so rows with N < n, with N > n and with
+    |N - n| > M (rebuilt from N) all occur. Every row sums to n, and the sums of 8 equal blocks
     of cells have the Multinomial(n, q) means n q_i, variances
     n q_i (1 - q_i) and covariances -n q_i q_j within 4 standard errors."""
     n, rows = 1 << 24, 500
     gen = RngStream(2026).generator()
     slabs = [draw_slab(MULTINOMIAL, LONG, n, rows, gen)[0]]
-    nu, rho = draw_slab(COUPLED, LONG, n, rows, RngStream(2026).generator())
+    nu, rho = rho_first_rows(LONG, n, rows, RngStream(2026).generator())
     assert np.array_equal(slabs[0], nu)
     excess = rho.sum(axis=1) - n
     assert (excess < 0).any() and (excess > 0).any()
@@ -237,14 +250,16 @@ def test_slab_checks_every_row_as_a_counts_vector_does(kind):
 
 class CoupledDraws:
     """A stand-in generator for coupled rows: each draw returns the next
-    value given for its kind: a Poisson row rho, the uniforms of the balls
-    nu adds, the indices of rho's balls nu removes, or the (common, extra)
-    multinomial pair of a row rebuilt from N."""
+    value given for its kind: a Poisson row rho (a grouped slab's N), the
+    uniforms of the balls nu adds, the indices of rho's balls nu removes,
+    or a multinomial draw (a row rebuilt from N takes its common and extra
+    balls as one pair; a grouped slab, its extra balls over the cells, then
+    its common balls)."""
 
     def __init__(self, rho, uniforms=(), picks=(), pairs=()):
         self.rho, self.uniforms, self.picks, self.pairs = map(iter, (rho, uniforms, picks, pairs))
 
-    def poisson(self, lam):
+    def poisson(self, lam, size=None):
         return np.array(next(self.rho))
 
     def random(self, size):
@@ -257,24 +272,37 @@ class CoupledDraws:
         return np.array(next(self.pairs))
 
 
-def test_coupled_slab_checks_every_row_as_a_counts_vector_does():
+def test_coupled_slab_checks_every_row_as_a_counts_vector_does(monkeypatch):
     cells = CellModel(3, [0.2, 0.3, 0.5])
     # row 0: N = 4 < 6, nu adds balls at u = 0.1 and 0.9 (cells 0 and 2);
     # row 1: N = 8 > 6, nu removes balls 0 and 5 of rho (cells 0 and 2);
     # row 2: N = 10, so |N - n| = 4 > M and the pair is rebuilt from N
     draws = CoupledDraws(rho=[[1, 2.0, 1], [1, 4, 3], [2, 5, 3]], uniforms=[[0.1, 0.9]], picks=[[0, 5]],
                          pairs=[[[1, 2, 3], [0, 4, 0]]])
-    slab = draw_slab(COUPLED, cells, 6, 3, draws)
-    assert slab.dtype == np.int64
-    assert slab.tolist() == [[[2, 2, 2], [0, 4, 2], [1, 2, 3]], [[1, 2, 1], [1, 4, 3], [1, 6, 3]]]
+    layout = _Layout(cells, 6, 3)
+    rows = [_coupled_row(cells, 6, draws, layout) for _ in range(3)]
+    assert [(N, nu.tolist(), rho.tolist()) for N, nu, rho in rows] == [
+        (4, [2, 2, 2], [1, 2, 1]), (8, [0, 4, 2], [1, 4, 3]), (10, [1, 2, 3], [1, 6, 3])]
+    # the rows of a long multinomial slab (every row, here) are nu's, checked
+    monkeypatch.setattr(sampling, "_LONG_ROW", 1)
     with pytest.raises(ValidationError, match="counts must be nonnegative"):  # N = n: nu is rho
-        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, -1, 6]]))
+        draw_slab(MULTINOMIAL, cells, 6, 1, CoupledDraws(rho=[[1, -1, 6]]))
     with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):  # one ball short
-        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, 2, 1]], uniforms=[[0.1]]))
+        draw_slab(MULTINOMIAL, cells, 6, 1, CoupledDraws(rho=[[1, 2, 1]], uniforms=[[0.1]]))
     with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):  # one ball too many
-        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[1, 4, 3]], picks=[[0, 1, 5]]))
-    with pytest.raises(ValidationError, match="poissonized counts sum to 9, expected 10"):  # rebuilt rho short
-        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[2, 5, 3]], pairs=[[[1, 2, 3], [0, 3, 0]]]))
+        draw_slab(MULTINOMIAL, cells, 6, 1, CoupledDraws(rho=[[1, 4, 3]], picks=[[0, 1, 5]]))
+    # a coupled slab, N first: at N = n = 6 nu and rho are the common balls
+    # of each one-cell group; at N = 10 the 4 > M extra balls are one
+    # multinomial over the cells, then the common balls fill the groups and
+    # the one touched cell
+    with pytest.raises(ValidationError, match="counts must be nonnegative"):
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[6]], uniforms=[[]], pairs=[[[1, -1, 6]]]))
+    with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[6]], uniforms=[[]], pairs=[[[1, 2, 2]]]))
+    with pytest.raises(ValidationError, match="poissonized counts sum to 9, expected 10"):  # rho short
+        draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[10]], pairs=[[0, 3, 0], [[1, 2, 3, 0]]]))
+    ok = draw_slab(COUPLED, cells, 6, 1, CoupledDraws(rho=[[10]], pairs=[[0, 4, 0], [[1, 2, 3, 0]]]))
+    assert ok.V.tolist() == [[1, 2, 3]] and ok.R.tolist() == [[1, 6, 3]] and ok.revealed == 3
 
 
 def test_coupled_l1_identity_exact():
@@ -313,15 +341,15 @@ def test_coupled_rows_differ_by_exactly_the_poisson_excess(p, n, rows, seed):
     (CELLS6, 10**12, True),  # every row has |N - n| > M and is rebuilt from N
 ], ids=["balls", "rebuilt"])
 def test_coupled_pair_has_the_exact_joint_law(cells, n, rebuilt):
-    """Over 20000 coupled rows, cell by cell: nu_j has the Binomial(n, p_j)
-    mean and variance, rho_j the Poisson(n p_j) mean and variance, and
+    """Over 20000 coupled rows drawn rho first, the route of long
+    multinomial rows, cell by cell: nu_j has the Binomial(n, p_j) mean and
+    variance, rho_j the Poisson(n p_j) mean and variance, and
     Cov(nu_j, rho_j) = E[min(n, N)] p_j (1 - p_j), since the min(n, N)
     common balls are the only ones both samples hold. Every estimate lies
     within 4 standard errors of its exact value."""
     R = 20000
-    slab = draw_slab(COUPLED, cells, n, R, RngStream(4242).generator())
-    assert ((np.abs(slab[1].sum(axis=1) - n) > cells.M) == rebuilt).all()
-    nu, rho = slab.astype(float)
+    nu, rho = (v.astype(float) for v in rho_first_rows(cells, n, R, RngStream(4242).generator()))
+    assert ((np.abs(rho.sum(axis=1) - n) > cells.M) == rebuilt).all()
     p = cells.p
     # E|N - n| = 2 n P(N = n) for an integer Poisson mean n, and min = (n + N - |N - n|) / 2
     e_min = n * (1.0 - float(poisson.pmf(n, n)))
@@ -415,30 +443,6 @@ def check_grouped(pairs, cells, n, m):
     return N
 
 
-@pytest.mark.parametrize("cells, n, m", [
-    (CELLS6, 60, 6),
-    (CELLS6, 10**12, 6),  # every row rebuilt from N
-    (cells_from_generator(example_generator(), 40), 120, 40),
-    (cells_from_generator(example_generator(), 1000), 3000, 1000),
-    (cells_from_generator(example_generator(), 1000), 10**6, 1000),  # rows with |N - n| above and below M
-])
-def test_grouped_rows_at_one_cell_per_group_are_the_coupled_slab(cells, n, m):
-    """At m = M a grouped slab is the full coupled slab: V and R are its nu
-    and rho bit for bit, the generator ends in the same state, the
-    differing cells are read off the rows and none is revealed beyond the
-    groups."""
-    full_gen, grouped_gen = RngStream(5, 1).generator(), RngStream(5, 1).generator()
-    nu, rho = draw_slab(COUPLED, cells, n, 30, full_gen)
-    pairs = draw_slab(COUPLED, cells, n, 30, grouped_gen, groups=m)
-    assert isinstance(pairs, CoupledGroups) and pairs.revealed == 0
-    assert np.array_equal(pairs.V, nu) and np.array_equal(pairs.R, rho)
-    assert full_gen.bit_generator.state == grouped_gen.bit_generator.state
-    row, cell = np.nonzero(nu != rho)
-    assert np.array_equal(pairs.row, row) and np.array_equal(pairs.cell, cell)
-    assert np.array_equal(pairs.nu, nu[row, cell]) and np.array_equal(pairs.rho, rho[row, cell])
-    check_grouped(pairs, cells, n, m)
-
-
 @st.composite
 def grouped_models(draw):
     """(m, cell weights): m groups of 1 to 5 cells each, some weights 0."""
@@ -451,16 +455,17 @@ def grouped_models(draw):
 @example(model=(3, [0, 0, 1, 0, 0, 3]), n=200, rows=12, seed=1)  # zero cells within and across groups
 @example(model=(1, [1, 2]), n=10**6, rows=4, seed=2)  # extra balls drawn over the cells on every row
 @example(model=(1, [2, 4, 3, 1]), n=1, rows=1, seed=0)  # one group whose q = sum(p) rounds above 1, N = n
+@example(model=(4, [1, 0, 2, 3]), n=10**6, rows=5, seed=4)  # one cell per group, every row with |N - n| > M
 def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
     """Over any model, group count and width, n and row count, every row of
     a grouped slab keeps the exact invariants (check_grouped); no ball
-    lands on or leaves a zero-probability cell; a row at m < M groups
-    reveals the cells it lists, or all M cells when its extra balls are
-    drawn over the cells (|N - n| > M), and a slab at m = M none; and a
-    slab of rows is that many one-row grouped draws in order from the same
-    three streams, which it leaves in the same states."""
+    lands on or leaves a zero-probability cell; a row reveals the cells it
+    lists, or all M cells when its extra balls are drawn over the cells
+    (|N - n| > M), one cell per group included; and a slab of rows is that
+    many one-row grouped draws in order from the same three streams, which
+    it leaves in the same states."""
     m, weights = model[0], np.array(model[1], dtype=float)
-    cells, width = CellModel(weights.size, weights / weights.sum()), weights.size // m
+    cells = CellModel(weights.size, weights / weights.sum())
     gen, single = RngStream(seed).streams(), RngStream(seed).streams()
     pairs = draw_slab(COUPLED, cells, n, rows, gen, groups=m)
     N = check_grouped(pairs, cells, n, m)
@@ -468,7 +473,7 @@ def test_grouped_rows_keep_every_invariant(model, n, rows, seed):
     assert not pairs.V[:, zero_groups].any() and not pairs.R[:, zero_groups].any()
     over_cells = np.abs(N - n) > cells.M
     revealed = cells.M * over_cells.sum() + np.count_nonzero(~over_cells[pairs.row])
-    assert pairs.revealed == (revealed if width > 1 else 0)
+    assert pairs.revealed == revealed
     for r in range(rows):
         V, R = draw_slab(COUPLED, cells, n, 1, single, groups=m)
         assert np.array_equal(V[0], pairs.V[r]) and np.array_equal(R[0], pairs.R[r])
@@ -536,12 +541,13 @@ def test_grouped_pairs_have_the_exact_law(n):
 @pytest.mark.parametrize("M, m, n", [(40, 4, 120), (30, 3, 30), (20, 2, 200)])
 def test_grouped_natural_gap_matches_full_rows(M, m, n):
     """The natural gap read from a grouped slab's differing cells has the
-    law of the gap of full coupled rows: over 10000 rows each, its mean and
-    its second moment lie within 4 standard errors of the full rows'."""
+    law of the gap of full coupled rows drawn rho first: over 10000 rows
+    each, its mean and its second moment lie within 4 standard errors of
+    the full rows'."""
     cells, rows = cells_from_generator(example_generator(), M), 10000
     pairs = draw_slab(COUPLED, cells, n, rows, RngStream(M).streams(), groups=m)
     grouped = _natural_gap(pairs.row, pairs.nu, pairs.rho, rows).astype(float)
-    nu, rho = draw_slab(COUPLED, cells, n, rows, RngStream(M, 1).generator())
+    nu, rho = rho_first_rows(cells, n, rows, RngStream(M, 1).generator())
     row, cell = np.nonzero(nu != rho)
     full = _natural_gap(row, nu[row, cell], rho[row, cell], rows).astype(float)
     for power in (1, 2):
@@ -558,13 +564,13 @@ def test_grouped_slab_checks_its_groups_and_cells():
         draw_slab(MULTINOMIAL, CELLS6, 60, 2, RngStream(1).generator(), groups=3)
     with pytest.raises(ValidationError, match="m=4 does not divide M=6"):
         draw_slab(COUPLED, CELLS6, 60, 2, RngStream(1).generator(), groups=4)
-    slab, Ns = np.array([[[30, 30]], [[28, 30]]]), np.array([58])
+    pair, Ns = (np.array([[30, 30]]), np.array([[28, 30]])), np.array([58])
     row, cell = np.array([0]), np.array([1])
     with pytest.raises(ValidationError, match=r"coupled counts differ by 1 balls, expected \|N - n\| = 2"):
-        CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([3]), np.array([2])), 1)
+        CoupledGroups.collect(60, Ns, pair, (row, cell, np.array([3]), np.array([2])), 1)
     with pytest.raises(ValidationError, match="counts must be nonnegative"):
-        CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([0]), np.array([-2])), 1)
-    ok = CoupledGroups.collect(slab, 60, Ns, (row, cell, np.array([4]), np.array([2])), 1)
+        CoupledGroups.collect(60, Ns, pair, (row, cell, np.array([0]), np.array([-2])), 1)
+    ok = CoupledGroups.collect(60, Ns, pair, (row, cell, np.array([4]), np.array([2])), 1)
     assert ok.revealed == 1 and ok.row.tolist() == [0]
 
 

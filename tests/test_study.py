@@ -453,7 +453,7 @@ def test_gap_ladder_decays_with_n():
     gaps = [r.mean_sq_gap_avg for r in rep.rungs]
     assert gaps[0] > gaps[1] > gaps[2]
     # fitted decay of the mean squared gap in n (0.84 on this seed under
-    # stream version 10; 0.68 to 1.09 over seeds 0 to 39)
+    # stream versions 10 and 11; 0.68 to 1.09 over seeds 0 to 39)
     assert 0.5 <= rep.decay_exponent <= 2.0
 
 
@@ -698,14 +698,14 @@ FROZEN_STREAMS = [
 def test_seeded_stream_is_frozen(pinned_under, cfg, estimates_sha, cells_sha):
     """A change to the seeded stream must bump STREAM_VERSION and re-freeze
     these digests on purpose; it cannot slip through unnoticed."""
-    assert STREAM_VERSION == 10
+    assert STREAM_VERSION == 11
     rep, note = run_mse_study(cfg), pinned_under(**PINNED_UNDER)
     assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_sha, note
     assert hashlib.sha256(repr(rep.cells).encode()).hexdigest() == cells_sha, note
 
 
 def test_seeded_trend_is_frozen(pinned_under):
-    assert STREAM_VERSION == 10
+    assert STREAM_VERSION == 11
     note = pinned_under(**PINNED_UNDER)
     ladder = ((250, 750, 10), (1000, 3000, 25), (4000, 12000, 50))
     assert consistency_trend(ladder, "example", reps=50, seed=11) == (0.12759999999999994, 0.08256666666666668,
@@ -718,8 +718,9 @@ def test_seeded_trend_is_frozen(pinned_under):
 def test_seeded_gap_is_frozen(pinned_under):
     """The coupled stream of version 10, pinned by the rungs' summaries and
     the sha256 of repr(rungs): both rungs draw their pairs at their groups,
-    N first, each slab's rows together from the rung's three streams."""
-    assert STREAM_VERSION == 10
+    N first, each slab's rows together from the rung's three streams.
+    Version 11 changed only the pairs at m = M, which neither rung draws."""
+    assert STREAM_VERSION == 11
     cfg = StudyConfig("example", M=1000, n=3000, m_values=(40,), x_grid=X7, reps=30, seed=21)
     rep, note = poissonization_gap(cfg, n_ladder=(3000, 12000)), pinned_under(**PINNED_UNDER)
     assert [(r.M, r.m, r.mean_sq_gap_avg, r.mean_sup_gap_natural, r.bound_violations) for r in rep.rungs] == [
