@@ -11,13 +11,17 @@ density g(u): the mixture CDF integrates P(Poisson(lambda g(u)) <= K), the
 two limit characteristic functions exp(w g(u)). One function, _over_u,
 computes every such integral: as the exact finite sum over the (width,
 slope) pieces of a table generator, whose density is piecewise constant,
-or by quadrature for a smooth generator. Either way a NaN total or a
-failed quadrature raises NumericError. The mixture CDF and the bounds take
-arrays and evaluate each distinct quantity once.
+or for a smooth generator by QUADPACK's 21-point Gauss-Kronrod rule,
+bisected adaptively in numpy: each round evaluates g and h once, as arrays,
+on the nodes of every subinterval it bisects, and a complex h takes the
+same one pass. Either way a NaN total raises NumericError, and so does a
+quadrature that needs more than _QUAD_LIMIT subintervals or bisects one a
+few ulps wide. The mixture CDF and the bounds take arrays and evaluate each
+distinct quantity once.
 
-scipy is imported where it is called, by the mixture CDF (pdtr) and the
-quadrature over u, so importing this module does not load it: only the
-limit laws pay for it, on first use.
+scipy is imported where it is called, by the mixture CDF (scipy.special's
+pdtr), so importing this module does not load it: only the mixture CDF
+pays for it, on first use. Nothing here imports scipy.integrate.
 """
 from __future__ import annotations
 
@@ -108,31 +112,97 @@ def _check_lambda(lambda_: float) -> None:
         raise ValidationError(f"lambda must be positive and finite, got {lambda_}")
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21; Piessens et al., QUADPACK,
+# 1983) on [-1, 1]: the Kronrod nodes +-x_j (x_10 = 0) with weights _WGK[j],
+# and the 10-point Gauss rule on the nodes +-x_j of odd j, with weights _WG.
+# The Kronrod sum is exact for polynomials of degree <= 31.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = np.array((0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077208980010441, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821))
+_WG = np.array((0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                0.295524224714752870173892994651338))
+# the nodes -x_0..-x_10 then x_0..x_9, and the Kronrod weight of each
+_NODES = np.concatenate((-np.array(_XGK), _XGK[:-1]))
+_NODE_WEIGHTS = np.concatenate((_WGK, _WGK[:-1]))
+_EPS = float(np.finfo(float).eps)
+_QUAD_REL = 1.49e-8  # relative tolerance, scipy.integrate.quad's default
+
+
+def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on each subinterval [lo_i, hi_i]: the Kronrod integrals of f,
+    QUADPACK's error estimates and their caps resasc (the integral of
+    |f - mean|), from one call of f on all the nodes.
+    The sums run over the pairs f(c - h x_j) + f(c + h x_j), as QUADPACK's
+    do, in one fixed order."""
+    half = (hi - lo) / 2
+    fv = f((((lo + hi) / 2)[:, None] + half[:, None] * _NODES).ravel()).reshape(lo.size, _NODES.size)
+    pairs = fv[:, :10] + fv[:, 11:]
+    kronrod = (pairs * _WGK[:10]).sum(axis=1) + fv[:, 10] * _WGK[10]
+    resabs = (np.abs(fv) * _NODE_WEIGHTS).sum(axis=1) * half
+    resasc = (np.abs(fv - kronrod[:, None] / 2) * _NODE_WEIGHTS).sum(axis=1) * half
+    err = np.abs((kronrod - (pairs[:, 1::2] * _WG).sum(axis=1)) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0) & (err != 0), resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    return kronrod * half, np.maximum(err, 50 * _EPS * resabs), resasc
+
+
+def _adaptive_kronrod(f, epsabs: float):
+    """integral over [0, 1] of f, which takes a 1-D array of points, by qk21
+    bisected adaptively: each round bisects every subinterval whose error
+    estimate exceeds its width's share of max(epsabs, 1.49e-8 * |total|),
+    calling f once on the nodes of all the new halves. Needing more than
+    _QUAD_LIMIT subintervals, or a bisection of one a few ulps wide, raises
+    NumericError; an integrand that is NaN on an interval needs both."""
+    lo, hi = np.zeros(1), np.ones(1)
+    value, err, resasc = _kronrod(f, lo, hi)
+    # as in QUADPACK's qags, [0, 1] alone is not enough when its estimate is
+    # resasc, the cap that says the rule did not resolve f
+    unresolved = bool(err[0] == resasc[0] != 0)
+    while True:
+        total = value.sum()
+        # a NaN total leaves tol at epsabs, and a NaN error estimate is bisected
+        tol = max(epsabs, _QUAD_REL * abs(total))
+        split = ~(err <= tol * (hi - lo)) | unresolved
+        unresolved = False
+        if not split.any():
+            return total
+        a, b, keep = lo[split], hi[split], ~split
+        failure = (f"more than {_QUAD_LIMIT} subintervals" if lo.size + a.size > _QUAD_LIMIT
+                   else "a subinterval a few ulps wide" if np.any(b - a <= 4 * _EPS * b) else None)
+        if failure:
+            raise NumericError(f"quadrature over u in (0,1] failed: {failure}, error estimate "
+                               f"{err.sum():.3g} against tolerance {tol:.3g}")
+        mid = (a + b) / 2
+        new_value, new_err, _ = _kronrod(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        lo, hi = np.concatenate((lo[keep], a, mid)), np.concatenate((hi[keep], mid, b))
+        value, err = np.concatenate((value[keep], new_value)), np.concatenate((err[keep], new_err))
+
+
 def _over_u(h, gen: SmoothGenerator, epsabs: float, at: str):
     """integral over u in (0,1] of h(g(u)), for an h that takes arrays and
     may be complex: for a table generator the exact sum of width * h(slope)
-    over its pieces, for a smooth one a quadrature to epsabs (of the real
-    and imaginary parts apart when h is complex). Overflow and invalid
-    values inside h are not warned about; a total that is NaN, or a
-    quadrature that gives up (scipy then appends its message to the
-    result), raises NumericError, the NaN naming `at`."""
+    over its pieces, for a smooth one adaptive qk21 quadrature to epsabs
+    (_adaptive_kronrod), a complex h in one pass like a real one, each
+    round calling g once on the nodes of all its subintervals. Overflow and
+    invalid values inside h are not warned about; a total that is NaN, or
+    a quadrature that needs more than _QUAD_LIMIT subintervals or the
+    bisection of one a few ulps wide, raises NumericError, the NaN naming
+    `at`."""
     with np.errstate(over="ignore", invalid="ignore"):
         if gen.pieces:
             widths, slopes = np.asarray(gen.pieces, dtype=float).T
             total = np.sum(widths * h(slopes)).item()
         else:
-            from scipy.integrate import quad
-
-            def part(f) -> float:
-                value, _, _, *failure = quad(f, 0.0, 1.0, epsabs=epsabs, limit=_QUAD_LIMIT, full_output=1)
-                if failure:
-                    raise NumericError("quadrature over u in (0,1] failed: " + " ".join(failure[0].split()))
-                return value
-
-            if np.iscomplexobj(h(0.0)):
-                total = complex(part(lambda u: h(float(gen.g(u))).real), part(lambda u: h(float(gen.g(u))).imag))
-            else:
-                total = part(lambda u: h(float(gen.g(u))))
+            total = _adaptive_kronrod(lambda u: h(gen.g(u)), epsabs).item()
     if np.isnan(total):
         raise NumericError(f"the integral over u in (0,1] is not a number at {at}")
     return total

@@ -226,7 +226,7 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | t
     running Generator or the three of RngStream.streams, the running one
     first.
 
-    A multinomial or Poissonized slab is an int64 (1, rows, M) array of
+    A multinomial or Poissonized slab is an int64 (rows, M) array of
     Multinomial(n, p) rows or of independent Poisson(n * p_j) counts.
     Poissonized slabs and multinomial slabs of rows shorter than _LONG_ROW
     cells take one numpy call; longer multinomial rows are drawn row by row
@@ -263,7 +263,7 @@ def draw_slab(kind: str, cells: CellModel, n: int, rows: int, gen: Generator | t
         raise ValidationError("counts must be nonnegative")
     if kind == MULTINOMIAL:
         _check_totals("multinomial counts sum to {}, expected {}", slab.sum(axis=1), n)
-    return slab[None]
+    return slab
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,12 +427,12 @@ def _grouped_slab(cells: CellModel, n: int, rows: int, streams: tuple, layout: _
 
 def draw_multinomial(cells: CellModel, n: int, gen: Generator) -> CountsVector:
     """One Multinomial(n, p) count vector."""
-    return CountsVector(MULTINOMIAL, draw_slab(MULTINOMIAL, cells, n, 1, gen)[0, 0], n=n)
+    return CountsVector(MULTINOMIAL, draw_slab(MULTINOMIAL, cells, n, 1, gen)[0], n=n)
 
 
 def draw_poissonized(cells: CellModel, n: int, gen: Generator) -> CountsVector:
     """Independent Poisson(n * p_j) counts; the total is the realized N."""
-    return CountsVector(POISSONIZED, draw_slab(POISSONIZED, cells, n, 1, gen)[0, 0], n=n)
+    return CountsVector(POISSONIZED, draw_slab(POISSONIZED, cells, n, 1, gen)[0], n=n)
 
 
 def draw_coupled(cells: CellModel, n: int, gen: Generator) -> tuple[CountsVector, CountsVector]:

@@ -253,7 +253,7 @@ def run_mse_study(config: StudyConfig) -> MseReport:
     mark = time.perf_counter()
     timings = {"cells_s": mark - t0, "draw_s": 0.0, "evaluate_s": 0.0, "summarize_s": 0.0,
                "draws": config.reps, "slabs": 0}
-    for rows, (counts,) in _slabs(kind, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
+    for rows, counts in _slabs(kind, blocks, config.n, config.seed, config.reps, L * len(config.x_grid)):
         drawn = time.perf_counter()
         prefix = _prefix_sums(counts)
         for i, (m, K) in enumerate(per_m):
@@ -495,7 +495,7 @@ def consistency_trend(
         # smallest (from 0)
         shares = np.arange(1, m + 1) / m
         total = 0.0
-        for _, (counts,) in _slabs(kind, groups, n, seed, reps, m, rung_idx):
+        for _, counts in _slabs(kind, groups, n, seed, reps, m, rung_idx):
             sups = _sup_to_function(np.sort(counts, axis=1) * (m / n), shares, F)
             # a running sum in replication order, carried across slabs
             total = np.cumsum(np.concatenate(([total], sups)))[-1]

@@ -36,7 +36,9 @@ from structdist import (
     table_generator,
     uniform_generator,
 )
-from structdist.asymptotics import CDF_TOL, CHAR_TOL
+from structdist import asymptotics
+from structdist.asymptotics import CDF_TOL, CHAR_TOL, _kronrod, _over_u
+from structdist.generators import SmoothGenerator
 
 EXAMPLE = example_generator()
 PARAMS = BoundParams(lambda_=3.0, tau=2.0, c=1.0 / 3.0)
@@ -321,6 +323,61 @@ def test_table_limit_chars_match_knot_split_quadrature(concave):
         assert abs(limit_char_grouped(t, concave) - reference(lambda s: np.exp(1j * t * s))) <= CHAR_TOL
 
 
+# ---------- the quadrature over u ----------
+
+# a smooth density with no closed-form mixture: g(u) = (pi/2) sin(pi u),
+# G(u) = (1 - cos(pi u)) / 2; every limit law integrates it by quadrature
+SINE = SmoothGenerator(
+    "sine",
+    G=lambda x: (1.0 - np.cos(np.pi * np.asarray(x, dtype=float))) / 2.0,
+    g=lambda u: np.pi / 2.0 * np.sin(np.pi * np.asarray(u, dtype=float)),
+    tau=np.pi / 2.0,
+    g_deriv_bound=np.pi**2 / 2.0,
+)
+
+
+def _quad(f, epsabs):
+    # scipy's QAGS as the reference, the real and imaginary parts apart
+    parts = [quad(lambda u: part(f(u)), 0.0, 1.0, epsabs=epsabs, limit=500)[0] for part in (np.real, np.imag)]
+    return complex(*parts)
+
+
+def test_kronrod_rule_is_exact_on_polynomials_of_degree_31():
+    identity = dataclasses.replace(SINE, g=lambda u: u)
+    for d in range(32):
+        assert abs(_kronrod(lambda u: u**d, np.zeros(1), np.ones(1))[0][0] - 1.0 / (d + 1)) <= 1e-15, d
+        assert abs(_over_u(lambda v: v**d, identity, CDF_TOL, f"d={d}") - 1.0 / (d + 1)) <= 1e-15, d
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 30.0, 1000.0])
+def test_smooth_limit_laws_match_scipy_quad(lam):
+    xs = np.concatenate((np.linspace(0.0, 1.8, 10), [1.0 / lam]))
+    got = poisson_mixture_cdf(xs, SINE, lam)
+    for x, value in zip(xs.tolist(), got.tolist()):
+        K = lattice_floor(lam * x)
+        assert abs(value - _quad(lambda u: special.pdtr(K, lam * SINE.g(u)), 1e-12).real) <= CDF_TOL, x
+    for t in (-3.0, 0.5, 3.0, 30.0):
+        w = lam * (np.exp(1j * t / lam) - 1.0)
+        assert abs(limit_char_natural(t, SINE, lam) - _quad(lambda u: np.exp(w * SINE.g(u)), 1e-13)) <= CHAR_TOL
+        assert abs(limit_char_grouped(t, SINE) - _quad(lambda u: np.exp(1j * t * SINE.g(u)), 1e-13)) <= CHAR_TOL
+
+
+def test_quadrature_that_needs_too_many_subintervals_is_a_numeric_error(monkeypatch):
+    # lambda = 1000 on the example needs 4 subintervals at x = 1
+    poisson_mixture_cdf(1.0, EXAMPLE, 1000.0)
+    monkeypatch.setattr(asymptotics, "_QUAD_LIMIT", 3)
+    with pytest.raises(NumericError, match="^quadrature over u in \\(0,1\\] failed: more than 3 subintervals"):
+        poisson_mixture_cdf(1.0, EXAMPLE, 1000.0)
+
+
+def test_quadrature_over_a_jump_is_a_numeric_error():
+    # a density that jumps at 1/3, a point no bisection of (0,1] reaches:
+    # the subinterval holding the jump is bisected until it is a few ulps wide
+    step = dataclasses.replace(SINE, g=lambda u: np.where(np.asarray(u) < 1 / 3, 2.0, 0.5))
+    with pytest.raises(NumericError, match="^quadrature over u in \\(0,1\\] failed: a subinterval a few ulps wide"):
+        poisson_mixture_cdf(0.5, step, 3.0)
+
+
 # ---------- smoothing-based bias bound ----------
 
 def test_esseen_bound_frozen_value():
@@ -432,7 +489,8 @@ def test_bounds_that_overflow_are_numeric_errors(tau):
 
 
 def test_failed_mixture_quadrature_is_a_numeric_error():
-    # at lambda = 1e308 the integrand is a cliff that quad cannot resolve
+    # at lambda = 1e308 pdtr is NaN on an interval of u where lambda g(u)
+    # nears the float maximum, which the quadrature bisects without end
     with pytest.raises(NumericError, match="quadrature over u in \\(0,1\\] failed"):
         poisson_mixture_cdf(1.0, EXAMPLE, 1e308)
 

@@ -176,7 +176,8 @@ def test_slab_rows_are_successive_single_draws(kind, draw, cells, n):
     RngStream.streams, which it leaves in the same states."""
     build = RngStream(77, 3).streams if kind == COUPLED else RngStream(77, 3).generator
     slab_gen, single_gen = build(), build()
-    slab = np.stack(tuple(draw_slab(kind, cells, n, 9, slab_gen)))
+    drawn = draw_slab(kind, cells, n, 9, slab_gen)
+    slab = np.stack(tuple(drawn)) if kind == COUPLED else drawn[None]
     assert slab.dtype == np.int64 and slab.shape == (2 if kind == COUPLED else 1, 9, cells.M)
     for r in range(9):
         single = draw(cells, n, single_gen)
@@ -196,13 +197,13 @@ def test_long_multinomial_rows_have_the_exact_law():
     n q_i (1 - q_i) and covariances -n q_i q_j within 4 standard errors."""
     n, rows = 1 << 24, 500
     gen = RngStream(2026).generator()
-    slabs = [draw_slab(MULTINOMIAL, LONG, n, rows, gen)[0]]
+    slabs = [draw_slab(MULTINOMIAL, LONG, n, rows, gen)]
     nu, rho = rho_first_rows(LONG, n, rows, RngStream(2026).generator())
     assert np.array_equal(slabs[0], nu)
     excess = rho.sum(axis=1) - n
     assert (excess < 0).any() and (excess > 0).any()
     assert (np.abs(excess) > LONG.M).any() and (np.abs(excess) <= LONG.M).any()
-    slabs += [draw_slab(MULTINOMIAL, LONG, n, rows, gen)[0] for _ in range(5)]
+    slabs += [draw_slab(MULTINOMIAL, LONG, n, rows, gen) for _ in range(5)]
     counts = np.vstack(slabs)
     assert (counts.sum(axis=1) == n).all()
     q = group_model(LONG, 8).p
@@ -233,7 +234,7 @@ class FixedDraws:
 def test_slab_checks_every_row_as_a_counts_vector_does(kind):
     cells, ok = CellModel(3, [0.2, 0.3, 0.5]), [[1, 2, 3], [0, 6, 0]]
     slab = draw_slab(kind, cells, 6, 2, FixedDraws(np.array(ok, dtype=np.float64)))
-    assert slab.dtype == np.int64 and slab.tolist() == [ok]
+    assert slab.dtype == np.int64 and slab.tolist() == ok
     with pytest.raises(ValidationError, match="counts must be nonnegative"):
         draw_slab(kind, cells, 6, 2, FixedDraws([[1, 2, 3], [7, -1, 0]]))
     bad_total = FixedDraws([[1, 2, 3], [1, 2, 2]])
@@ -241,7 +242,7 @@ def test_slab_checks_every_row_as_a_counts_vector_does(kind):
         with pytest.raises(ValidationError, match="multinomial counts sum to 5, expected 6"):
             draw_slab(kind, cells, 6, 2, bad_total)
     else:  # a Poissonized row's total is its realized N
-        assert draw_slab(kind, cells, 6, 2, bad_total).sum(axis=-1).tolist() == [[6, 5]]
+        assert draw_slab(kind, cells, 6, 2, bad_total).sum(axis=-1).tolist() == [6, 5]
     with pytest.raises(ValidationError, match="unknown counts kind 'bootstrap'"):
         draw_slab("bootstrap", cells, 6, 2, FixedDraws(ok))
 

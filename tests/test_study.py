@@ -310,8 +310,8 @@ PREFIX_STUDIES = {
 
 def drawn_rows(name, reps, seed, rows):
     """Run a PREFIX_STUDIES study in slabs of at most `rows` rows (None: one
-    slab); return its result and, per rung, every count matrix it drew,
-    stacked in replication order."""
+    slab); return its result and, per rung, every count matrix it drew (a
+    coupled slab's V and R), stacked in replication order."""
     call, width = PREFIX_STUDIES[name]
     rungs = []
     slabs = study._slabs
@@ -320,7 +320,7 @@ def drawn_rows(name, reps, seed, rows):
         drawn = []
         rungs.append(drawn)
         for span, counts in slabs(*args, **kwargs):
-            drawn.append(counts)
+            drawn.append((counts,) if isinstance(counts, np.ndarray) else counts)
             yield span, counts
 
     with pytest.MonkeyPatch.context() as mp:
